@@ -1,38 +1,32 @@
 """Core-engine benchmarks: union-find substitution + wake-up scheduling.
 
-This bench pins down the two performance claims of the core rework and
+This bench pins down the core engine's cost on its own stress shapes and
 writes the numbers to ``BENCH_core.json`` at the repo root:
 
-* ``var_chain`` — zonking through a long variable-variable chain.  The
-  union-find store (path compression + rank) must beat a bench-local
-  reimplementation of the old representation (a flat ``dict`` walked
-  link by link on every query, the seed's ``zonk``) by >= 1.5x.
+* ``var_chain`` — zonking every variable of a long variable-variable
+  chain through the union-find store (path compression + rank).
 * ``gen_chain`` — a dependency chain of deferred generalisation
   constraints (:func:`repro.evalsuite.workloads.gen_chain_constraints`).
   The variable-indexed wake-up queue pops each deferred constraint O(1)
-  times; the legacy re-scan mode (``Solver(wake_queue=False)``) revisits
-  every still-blocked constraint per round.  Wake mode must win by
-  >= 1.5x and its step count must stay linear.
-* ``var_chain.arena_seconds`` / ``gen_chain.arena_seconds`` — the same
-  two workloads replayed through the arena unifier's id-level API
-  (``fresh_id``/``assign_id``/``zonk_id``), where a type is an int and
-  the store is a dense array.  Full mode gates these against the
-  committed PR 5 absolutes (``PR5_*_SECONDS``) at >= 5x; smoke mode
-  gates them relatively against the same-run object-level store.
-* ``figure2`` — the full Figure-2 inference sweep: the fast path must
-  not regress the paper suite (accept count and total solver steps are
-  asserted stable; seconds are recorded for the before/after table in
-  EXPERIMENTS.md).
+  times, so the step count must stay linear in the chain length.
+* ``figure2`` — the full Figure-2 inference sweep: the accept count and
+  total solver steps are asserted stable; seconds are recorded for the
+  before/after table in EXPERIMENTS.md.
 * ``deep_chain_term`` / ``defaulting_fan`` — end-to-end inference on the
   synthetic stress terms, exercising iterative zonk/occurs on one deep
   spine and a long defer/wake stream respectively.
 
-Runs are interleaved (one pass per mode per repeat, minimum taken) so a
-machine-load spike hits all modes alike.  Set ``REPRO_BENCH_SMOKE=1``
-for the quick CI variant; the speedup assertions hold in both modes.
-Set ``REPRO_BENCH_BASELINE=<path>`` to additionally compare against a
+The speedups of the union-find store over the seed's dict-chain walk and
+of the wake-up queue over whole-list re-scans are recorded in
+EXPERIMENTS.md §6; the end-to-end pipeline benchmark
+(``benchmarks/pipeline``) is the yardstick for later changes.
+
+Runs are interleaved (one pass per workload per repeat, minimum taken)
+so a machine-load spike hits all workloads alike.  Set
+``REPRO_BENCH_SMOKE=1`` for the quick CI variant.  Set
+``REPRO_BENCH_BASELINE=<path>`` to additionally compare against a
 committed ``BENCH_core.json``: step counts must match exactly (they are
-deterministic) and smoke timings must stay within 2x.
+deterministic) and timings must stay within 2x.
 """
 
 import json
@@ -40,14 +34,13 @@ import os
 import time
 from pathlib import Path
 
-from repro.core.arena_unify import ArenaUnifier
 from repro.core.errors import GIError
 from repro.core.evidence import EvidenceStore
 from repro.core.infer import Inferencer
 from repro.core.names import NameSupply
 from repro.core.solver import InstanceEnv, Solver
 from repro.core.sorts import Sort
-from repro.core.types import TCon, Type, UVar
+from repro.core.types import TCon, UVar
 from repro.core.unify import Unifier
 from repro.evalsuite.figure2 import FIGURE2, figure2_env
 from repro.evalsuite.workloads import (
@@ -62,38 +55,10 @@ VAR_CHAIN_N = 800 if SMOKE else 3000
 GEN_CHAIN_N = 150 if SMOKE else 400
 DEEP_TERM_N = 150 if SMOKE else 300
 FAN_N = 30 if SMOKE else 60
-MIN_SPEEDUP = 1.5
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_core.json"
-
-# The committed PR 5 numbers (full mode, N=3000 / N=400) — the arena's
-# id-level fast path must beat these absolutes by >= 5x.  Kept as
-# constants because this bench overwrites BENCH_core.json on every run.
-PR5_VAR_CHAIN_SECONDS = 0.009816
-PR5_GEN_CHAIN_SECONDS = 0.004673
-ARENA_MIN_SPEEDUP = 5.0
 
 ENV = figure2_env()
 INT = TCon("Int", ())
-
-
-class DictChainUnifier:
-    """The seed's substitution representation, kept here as the bench
-    reference: a flat ``var -> type`` dict whose var-var links are walked
-    afresh on every ``zonk`` query (no compression, no memoisation)."""
-
-    def __init__(self) -> None:
-        self.subst: dict[UVar, Type] = {}
-
-    def bind(self, variable: UVar, type_: Type) -> None:
-        self.subst[variable] = type_
-
-    def zonk(self, type_: Type) -> Type:
-        while isinstance(type_, UVar):
-            image = self.subst.get(type_)
-            if image is None:
-                return type_
-            type_ = image
-        return type_
 
 
 def _min_of(samples):
@@ -105,7 +70,7 @@ def _min_of(samples):
 # ----------------------------------------------------------------------
 
 
-def _var_chain_unionfind(length: int) -> float:
+def _var_chain(length: int) -> float:
     unifier = Unifier(NameSupply("b"))
     chain = [UVar(f"v{index}", Sort.M) for index in range(length)]
     start = time.perf_counter()
@@ -117,58 +82,9 @@ def _var_chain_unionfind(length: int) -> float:
     return time.perf_counter() - start
 
 
-def _var_chain_dict(length: int) -> float:
-    unifier = DictChainUnifier()
-    chain = [UVar(f"v{index}", Sort.M) for index in range(length)]
-    start = time.perf_counter()
-    for left, right in zip(chain, chain[1:]):
-        unifier.bind(left, right)
-    unifier.bind(chain[-1], INT)
-    for variable in chain:
-        assert unifier.zonk(variable) == INT
-    return time.perf_counter() - start
-
-
-def _var_chain_arena(length: int) -> float:
-    """The var_chain workload through the arena's id-level API: same
-    link/bind/zonk-everything sequence, but every type is an int and the
-    hot calls are hoisted locals (the idiomatic tight-loop shape the id
-    API exists for)."""
-    unifier = ArenaUnifier(NameSupply("b"))
-    assign = unifier.assign_id
-    ids = [unifier.fresh_id(Sort.M, 0) for _ in range(length)]
-    int_id = unifier._arena.tcon("Int")
-    start = time.perf_counter()
-    for left, right in zip(ids, ids[1:]):
-        assign(left, right)
-    assign(ids[-1], int_id)
-    assert unifier.zonk_ids(ids).count(int_id) == length
-    return time.perf_counter() - start
-
-
-def _gen_chain_arena(length: int) -> float:
-    """The store traffic of the wake-mode gen_chain solve replayed at the
-    id level: each bind immediately re-zonks the variable it woke (the
-    watcher's re-examination), then one final generalisation sweep."""
-    unifier = ArenaUnifier(NameSupply("b"))
-    fresh, assign, zonk = unifier.fresh_id, unifier.assign_id, unifier.zonk_id
-    int_id = unifier._arena.tcon("Int")
-    ids = [fresh(Sort.M, 0) for _ in range(length)]
-    start = time.perf_counter()
-    for left, right in zip(ids, ids[1:]):
-        assign(left, right)
-        zonk(left)
-    assign(ids[-1], int_id)
-    for variable in ids:
-        assert zonk(variable) == int_id
-    return time.perf_counter() - start
-
-
-def _gen_chain(length: int, wake: bool) -> tuple[float, int]:
+def _gen_chain(length: int) -> tuple[float, int]:
     constraints = gen_chain_constraints(length)
-    solver = Solver(
-        NameSupply("b"), EvidenceStore(), InstanceEnv(), wake_queue=wake
-    )
+    solver = Solver(NameSupply("b"), EvidenceStore(), InstanceEnv())
     start = time.perf_counter()
     solver.solve(constraints)
     return time.perf_counter() - start, solver.steps
@@ -200,25 +116,18 @@ def _infer_term(term) -> tuple[float, int]:
 
 
 def test_bench_core():
-    var_uf, var_dict = [], []
-    chain_wake, chain_legacy = [], []
+    var_seconds = []
+    chain_seconds = []
     fig_seconds = []
     deep_seconds, fan_seconds = [], []
     fig_meta = set()
     chain_steps = set()
     deep_steps = set()
-    var_arena, gen_arena = [], []
     for _ in range(REPEATS):
-        var_uf.append(_var_chain_unionfind(VAR_CHAIN_N))
-        var_dict.append(_var_chain_dict(VAR_CHAIN_N))
-        var_arena.append(_var_chain_arena(VAR_CHAIN_N))
-        gen_arena.append(_gen_chain_arena(GEN_CHAIN_N))
-        seconds, steps = _gen_chain(GEN_CHAIN_N, wake=True)
-        chain_wake.append(seconds)
-        chain_steps.add(("wake", steps))
-        seconds, steps = _gen_chain(GEN_CHAIN_N, wake=False)
-        chain_legacy.append(seconds)
-        chain_steps.add(("legacy", steps))
+        var_seconds.append(_var_chain(VAR_CHAIN_N))
+        seconds, steps = _gen_chain(GEN_CHAIN_N)
+        chain_seconds.append(seconds)
+        chain_steps.add(steps)
         seconds, accepted, steps = _figure2_sweep()
         fig_seconds.append(seconds)
         fig_meta.add((accepted, steps))
@@ -230,11 +139,10 @@ def test_bench_core():
 
     # Step counts are deterministic — identical across repeats.
     assert len(fig_meta) == 1, fig_meta
-    assert len(chain_steps) == 2, chain_steps
+    assert len(chain_steps) == 1, chain_steps
     assert len(deep_steps) == 1, deep_steps
     accepted, fig_steps = fig_meta.pop()
-    wake_steps = next(s for mode, s in chain_steps if mode == "wake")
-    legacy_steps = next(s for mode, s in chain_steps if mode == "legacy")
+    wake_steps = chain_steps.pop()
 
     # The paper suite must not regress: the sweep accepts exactly the
     # examples the paper marks typeable under guarded instantiation.
@@ -242,34 +150,8 @@ def test_bench_core():
         1 for example in FIGURE2 if example.expected["GI"]
     ), accepted
 
-    # Wake-up scheduling is linear in the chain; re-scanning is not.
+    # Wake-up scheduling is linear in the chain.
     assert wake_steps <= 5 * GEN_CHAIN_N + 5, (wake_steps, GEN_CHAIN_N)
-    assert legacy_steps > wake_steps, (legacy_steps, wake_steps)
-
-    var_speedup = min(var_dict) / min(var_uf)
-    chain_speedup = min(chain_legacy) / min(chain_wake)
-    assert var_speedup >= MIN_SPEEDUP, (min(var_dict), min(var_uf))
-    assert chain_speedup >= MIN_SPEEDUP, (min(chain_legacy), min(chain_wake))
-
-    # The arena id-level path must beat the committed PR 5 absolutes by
-    # >= 5x (full mode only — smoke shrinks N, so there it is gated
-    # relatively against the same-run object-level store instead).
-    arena_var_speedup = PR5_VAR_CHAIN_SECONDS / min(var_arena)
-    arena_gen_speedup = PR5_GEN_CHAIN_SECONDS / min(gen_arena)
-    if not SMOKE:
-        assert arena_var_speedup >= ARENA_MIN_SPEEDUP, (
-            min(var_arena),
-            PR5_VAR_CHAIN_SECONDS,
-        )
-        assert arena_gen_speedup >= ARENA_MIN_SPEEDUP, (
-            min(gen_arena),
-            PR5_GEN_CHAIN_SECONDS,
-        )
-    assert min(var_uf) / min(var_arena) >= 2.0, (min(var_uf), min(var_arena))
-    assert min(chain_wake) / min(gen_arena) >= 2.0, (
-        min(chain_wake),
-        min(gen_arena),
-    )
 
     payload = {
         "benchmark": "core_engine",
@@ -277,21 +159,12 @@ def test_bench_core():
         "repeats": REPEATS,
         "var_chain": {
             "length": VAR_CHAIN_N,
-            "unionfind_seconds": _min_of(var_uf),
-            "dict_chain_seconds": _min_of(var_dict),
-            "speedup": round(var_speedup, 2),
-            "arena_seconds": _min_of(var_arena),
-            "arena_speedup_vs_pr5": round(arena_var_speedup, 2),
+            "unionfind_seconds": _min_of(var_seconds),
         },
         "gen_chain": {
             "length": GEN_CHAIN_N,
-            "wake_seconds": _min_of(chain_wake),
-            "legacy_seconds": _min_of(chain_legacy),
+            "wake_seconds": _min_of(chain_seconds),
             "wake_steps": wake_steps,
-            "legacy_steps": legacy_steps,
-            "speedup": round(chain_speedup, 2),
-            "arena_seconds": _min_of(gen_arena),
-            "arena_speedup_vs_pr5": round(arena_gen_speedup, 2),
         },
         "figure2": {
             "examples": len(FIGURE2),

@@ -71,10 +71,6 @@ class InferOptions:
     generalize: bool = True
     defaulting: bool = True
     policy: InstantiationPolicy = DEFAULT_POLICY
-    arena: bool | None = None
-    """Int-indexed arena type core: ``True``/``False`` force it on or
-    off, ``None`` defers to ``REPRO_ARENA`` (default on).  Both modes
-    produce byte-identical output; off selects the object-level store."""
 
 
 @dataclass
@@ -192,7 +188,6 @@ class Inferencer:
                     tracer=self.tracer,
                     intern=self.intern,
                     policy=self.options.policy,
-                    arena=self.options.arena,
                 )
                 with self._span("solve", constraints=len(constraints)):
                     residual = solver.solve(list(constraints))

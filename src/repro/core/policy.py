@@ -160,8 +160,8 @@ def deep_prenex(type_: Type, intern=None) -> Type:
 
     The fixed point is detected *by identity* (``deep_prenex(t) is t``),
     so a reconstructed result must itself be canonical: pass the run's
-    ``intern`` table (:class:`~repro.core.types.InternTable` or the
-    arena-backed variant) and the rebuilt prenex is re-interned, keeping
+    ``intern`` table (:class:`~repro.core.types.InternTable`) and the
+    rebuilt prenex is re-interned, keeping
     object identity equal to structural identity even when the same type
     is hoisted again through a second, fresh-but-shared table (the serve
     multi-session case).  Without a table the rebuild is returned as

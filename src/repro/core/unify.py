@@ -46,6 +46,7 @@ from repro.core.sorts import Sort
 from repro.core.types import (
     Forall,
     InternTable,
+    Pred,
     TCon,
     TVar,
     Type,
@@ -318,8 +319,6 @@ class Unifier:
                     else:
                         results.append(node)
                 else:  # Forall
-                    from repro.core.types import Pred
-
                     body = results.pop()
                     count = sum(len(p.args) for p in node.context)
                     flat = results[-count:] if count else []

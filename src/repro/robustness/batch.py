@@ -267,35 +267,6 @@ def check_batch(
 
         pool = WorkerPool(jobs=jobs, budget_factory=lambda: clone_budget(budget))
 
-        # Arena mode: intern the prelude once in the parent, snapshot it
-        # into one contiguous buffer, and let every worker restore a
-        # private copy at startup — the environment's types arrive in
-        # each worker pre-interned (canonical ids, no re-hashing of
-        # object graphs) and per-worker tables never contend.
-        from repro.core.arena_unify import arena_enabled
-
-        prelude_snapshot = None
-        if env is not None and arena_enabled(
-            options.arena if options is not None else None
-        ):
-            from repro.core.arena import snapshot_environment
-
-            prelude_snapshot = snapshot_environment(env)
-        import threading
-
-        worker_state = threading.local()
-
-        def _worker_intern():
-            if prelude_snapshot is None:
-                return None
-            table = getattr(worker_state, "intern", None)
-            if table is None:
-                from repro.core.arena import ArenaInternTable
-
-                table = ArenaInternTable.restore(prelude_snapshot)
-                worker_state.intern = table
-            return table
-
         def run(
             indexed: tuple[int, str], worker_budget: Budget | None
         ) -> BatchItem | None:
@@ -308,7 +279,6 @@ def check_batch(
                 _options_for_item(options, source),
                 budget=worker_budget,
                 tracer=tracer,
-                intern=_worker_intern(),
             )
             item_cm = (
                 tracer.span("batch.item", parent=batch_span, index=index)

@@ -88,69 +88,3 @@ def test_output_identical_across_hash_seeds(tmp_path):
     # solver's scheduling events, so the comparison has teeth.
     assert "forall" in first
     assert '"event"' in first
-
-
-# An arena snapshot taken in one interpreter must restore in another —
-# even one with a different hash seed — to the exact same node table: the
-# intern memo is re-derived from the arrays, never serialised as a dict,
-# so hash-ordering can't leak into node ids.  Each child restores the
-# parent's prelude snapshot, runs the Figure-2 sweep against the restored
-# table, prints every inferred type plus a digest of its own re-snapshot.
-RESTORE_SCRIPT = r"""
-import hashlib, sys
-from repro.core.arena import ArenaInternTable
-from repro.core.errors import GIError
-from repro.core.infer import Inferencer
-from repro.evalsuite.figure2 import FIGURE2, figure2_env
-
-with open(sys.argv[1], "rb") as handle:
-    buffer = handle.read()
-table = ArenaInternTable.restore(buffer)
-print(f"nodes={len(table)}")
-print(f"resnapshot={hashlib.sha256(table.snapshot()).hexdigest()}")
-
-inferencer = Inferencer(figure2_env(), intern=table)
-for example in FIGURE2:
-    try:
-        print(str(inferencer.infer(example.term).type_))
-    except GIError as error:
-        print(f"{type(error).__name__}: {error}")
-print(f"stats={sorted(table.stats().items())}")
-"""
-
-
-def _run_restore(hashseed: str, snapshot_path: str) -> str:
-    env = dict(os.environ)
-    env["PYTHONHASHSEED"] = hashseed
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    completed = subprocess.run(
-        [sys.executable, "-c", RESTORE_SCRIPT, snapshot_path],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=300,
-    )
-    assert completed.returncode == 0, completed.stderr
-    return completed.stdout
-
-
-def test_arena_snapshot_restores_identically_across_hash_seeds(tmp_path):
-    from repro.core.arena import snapshot_environment
-    from repro.evalsuite.figure2 import figure2_env
-
-    buffer = snapshot_environment(figure2_env())
-    snapshot_path = tmp_path / "prelude.arena"
-    snapshot_path.write_bytes(buffer)
-
-    first = _run_restore("0", str(snapshot_path))
-    second = _run_restore("4242", str(snapshot_path))
-    assert first == second
-
-    # The children restored a non-trivial table and their own snapshots
-    # round-trip to the parent's bytes exactly.
-    import hashlib
-
-    assert first.startswith("nodes=")
-    assert int(first.splitlines()[0].split("=")[1]) > 0
-    assert f"resnapshot={hashlib.sha256(buffer).hexdigest()}" in first
-    assert "forall" in first

@@ -5,16 +5,19 @@ import pytest
 from hypothesis import given
 
 from repro.core.errors import (
+    GIError,
     OccursCheckError,
     SkolemEscapeError,
     SortError,
     UnificationError,
 )
+from repro.core.names import NameSupply
 from repro.core.sorts import Sort
 from repro.core.types import (
     BOOL,
     INT,
     Forall,
+    Pred,
     TCon,
     TVar,
     UVar,
@@ -290,6 +293,125 @@ class TestUnionFind:
         unifier.unify(a, INT)
         # The cache keys on the *unzonked* node; zonking reflects the bind.
         assert fuv(unifier.zonk(type_)) == set()
+
+
+class TestFreeVariableQueries:
+    """The memoised ``fuv_of``/``ftv_of`` answer in first-occurrence
+    pre-order, the order every deterministic iteration relies on."""
+
+    def test_fuv_of_is_first_occurrence_order(self):
+        u1, u2, u3 = uvar("u1"), uvar("u2", Sort.M, 1), uvar("u3", Sort.T, 2)
+        type_ = TCon("T", (fun(u2, u1), u3, u2))
+        assert Unifier().fuv_of(type_) == (u2, u1, u3)
+
+    def test_fuv_of_visits_context_before_body(self):
+        u1, u2 = uvar("u1"), uvar("u2")
+        type_ = Forall(("a",), fun(u1, A), (Pred("Eq", (u2,)),))
+        assert Unifier().fuv_of(type_) == (u2, u1)
+
+    def test_ftv_of_respects_binders_and_order(self):
+        type_ = forall(["b"], fun(B, fun(TVar("d"), TVar("c"))))
+        assert Unifier().ftv_of(type_) == ("d", "c")
+
+
+def store_scenario() -> list[str]:
+    """A battery of store operations; returns every observable."""
+    unifier = Unifier(NameSupply("v"))
+    a, b = uvar("a"), uvar("b")
+    c, m = uvar("c", Sort.T, 1), uvar("m", Sort.M)
+    out = []
+    unifier.unify(a, c)
+    out += [str(unifier.zonk(a)), str(unifier.zonk(c))]
+    unifier.unify(b, fun(INT, a))
+    out.append(str(unifier.zonk(b)))
+    d, e = uvar("d"), uvar("e", level=2)
+    unifier.unify(m, TCon("Pair", (d, e)))
+    out += [str(unifier.zonk(m)), str(unifier.zonk(d)), str(unifier.zonk(e))]
+    outer, deep = uvar("o"), uvar("dd", level=3)
+    unifier.unify(outer, fun(deep, INT))
+    out += [str(unifier.zonk(outer)), str(unifier.zonk(deep))]
+    f = uvar("f")
+    unifier.unify(fun(ID, f), fun(forall(["b"], fun(B, B)), BOOL))
+    out.append(str(unifier.zonk(f)))
+    try:
+        unifier.unify(a, list_of(a))
+    except GIError as error:
+        out.append(type(error).__name__)
+    try:
+        unifier.unify(INT, BOOL)
+    except GIError as error:
+        out.append(type(error).__name__)
+    g, h = uvar("g"), uvar("h")
+    unifier.assign(g, h)
+    unifier.assign(h, TCon("Char"))
+    out.append(str(unifier.zonk(g)))
+    out.append(f"bindings={unifier.bindings}")
+    out.append(f"subst={len(unifier.subst)}")
+    out.append(f"next={unifier.supply.fresh()}")
+    out.append(f"skolems={sorted(unifier.skolem_levels)}")
+    return out
+
+
+class TestStoreContract:
+    """Observables of the substitution store that callers rely on: fresh
+    name draws, demotion/promotion results, error types, binding counts
+    and the ``subst`` view."""
+
+    def test_scenario_battery(self):
+        assert store_scenario() == [
+            "v0^t",
+            "v0^t",
+            "Int -> v0^t",
+            "Pair v1^m v3^m",
+            "v1^m",
+            "v3^m",
+            "v4^u -> Int",
+            "v4^u",
+            "Bool",
+            "OccursCheckError",
+            "UnificationError",
+            "Char",
+            "bindings=12",
+            "subst=12",
+            "next=v6",
+            "skolems=[]",
+        ]
+
+    def test_subst_view_protocol(self):
+        unifier = Unifier()
+        a, b = uvar("a"), uvar("b")
+        assert not unifier.subst and len(unifier.subst) == 0
+        assert a not in unifier.subst
+        unifier.assign(a, b)
+        unifier.assign(b, INT)
+        assert a in unifier.subst and b in unifier.subst
+        assert unifier.subst.get(a) == b
+        assert unifier.subst[b] == INT
+        assert len(unifier.subst) == 2
+        listed = dict(unifier.subst.items())
+        assert listed[a] == b and listed[b] == INT
+
+    def test_zonk_identity_contract(self):
+        # ``deep_prenex`` and friends detect fixed points by identity, so
+        # a clean type must come back as the same object.
+        unifier = Unifier()
+        clean = fun(INT, BOOL)
+        assert unifier.zonk(clean) is clean
+        assert unifier.zonk_head(clean) is clean
+        assert unifier.zonk(ID) is ID
+
+    def test_on_bind_fires_with_structural_keys(self):
+        # The solver's wake-up queue is keyed by UVar structurally, so
+        # notifications must carry the variables themselves.
+        fired = []
+        unifier = Unifier()
+        unifier.on_bind = fired.append
+        a, b = uvar("a"), uvar("b")
+        unifier.unify(a, b)
+        unifier.unify(b, INT)
+        assert fired, "bindings must notify"
+        assert all(isinstance(v, UVar) for v in fired)
+        assert {v.name for v in fired} <= {"a", "b"}
 
 
 class TestSkolemBookkeeping:

@@ -7,22 +7,18 @@ Three invariants of the rework:
   a fixpoint (no half-resolved chains can leak out);
 * path compression is an *implementation* detail: forcing extra ``find``
   traffic between queries never changes any observable zonk result;
-* scheduling is an implementation detail too: the wake-up queue, the
-  legacy re-scan mode, and any ``--jobs`` setting of the batch driver
-  all produce the same types and the same per-item solver-step counts.
+* scheduling is an implementation detail too: any ``--jobs`` setting of
+  the batch driver produces the same types and the same per-item
+  solver-step counts.
 """
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.conformance.strategies import hm_terms, monotypes
-from repro.core.errors import GIError, UnificationError
-from repro.core.evidence import EvidenceStore
-from repro.core.generate import GenOptions, Generator
-from repro.core.names import NameSupply
-from repro.core.solver import InstanceEnv, Solver
+from repro.conformance.strategies import monotypes
+from repro.core.errors import GIError
 from repro.core.sorts import Sort
-from repro.core.types import Forall, TCon, TVar, UVar, fuv
+from repro.core.types import UVar
 from repro.core.unify import Unifier
 from repro.evalsuite.figure2 import figure2_env
 from repro.robustness.batch import check_batch
@@ -96,55 +92,6 @@ class TestCompressionInvariance:
         forward_images = [forward.zonk(v) for v in variables]
         backward_images = [backward.zonk(v) for v in reversed(variables)]
         assert forward_images == list(reversed(backward_images))
-
-
-def _canon_uvars(type_):
-    """Replace unification variables by position-canonical rigid names
-    (first occurrence order), keeping each variable's sort visible."""
-    mapping = {}
-
-    def go(node):
-        if isinstance(node, UVar):
-            if node not in mapping:
-                mapping[node] = TVar(f"?{len(mapping)}{node.sort.symbol}")
-            return mapping[node]
-        if isinstance(node, TCon):
-            return TCon(node.name, tuple(go(argument) for argument in node.args))
-        if isinstance(node, Forall):
-            return Forall(node.binders, go(node.body), node.context)
-        return node
-
-    return go(type_)
-
-
-class TestSchedulingEquivalence:
-    @settings(max_examples=40, deadline=None)
-    @given(hm_terms())
-    def test_wake_queue_matches_legacy_rescan(self, term):
-        outcomes = []
-        for wake in (True, False):
-            supply = NameSupply("u")
-            evidence = EvidenceStore()
-            generator = Generator(supply, evidence, GenOptions())
-            try:
-                result_type, constraints = generator.gen(ENV, term)
-            except GIError as error:
-                outcomes.append(("gen-error", type(error).__name__))
-                continue
-            solver = Solver(
-                supply, evidence, InstanceEnv(), wake_queue=wake
-            )
-            try:
-                solver.solve(list(constraints))
-            except GIError as error:
-                outcomes.append(("solve-error", type(error).__name__))
-                continue
-            zonked = solver.unifier.zonk(result_type)
-            # The two schedulers may default/freshen variables in a
-            # different order, so residual variables can carry different
-            # *names*; compare up to a canonical renaming of them.
-            outcomes.append(("ok", str(_canon_uvars(zonked)), len(fuv(zonked))))
-        assert outcomes[0] == outcomes[1], outcomes
 
 
 def test_batch_jobs_do_not_change_types_or_steps():
