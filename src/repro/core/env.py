@@ -40,6 +40,14 @@ class Environment:
     Environments are persistent: :meth:`extended` returns a new environment
     sharing structure with the old one.  Data constructors live in a
     separate table so ``case`` alternatives can find them.
+
+    The free skolem variables of each binding are memoised per name the
+    first time :meth:`free_type_vars` needs them, and their union once per
+    environment.  Derived environments start from a copy of that table
+    minus the names they rebind, so the answer stays exact under shadowing
+    and the memo lives exactly as long as the environment that owns it.
+    Every write stores the value any other writer would, so threads may
+    share one environment.
     """
 
     def __init__(
@@ -49,6 +57,23 @@ class Environment:
     ) -> None:
         self._bindings: dict[str, Type] = dict(bindings or {})
         self._datacons: dict[str, DataCon] = dict(datacons or {})
+        self._ftvs: dict[str, frozenset[str]] = {}
+        self._free_type_vars: frozenset[str] | None = None
+
+    @classmethod
+    def _derived(
+        cls,
+        bindings: dict[str, Type],
+        datacons: dict[str, DataCon],
+        ftvs: dict[str, frozenset[str]],
+    ) -> "Environment":
+        """An environment owning the given (already copied) tables."""
+        env = cls.__new__(cls)
+        env._bindings = bindings
+        env._datacons = datacons
+        env._ftvs = ftvs
+        env._free_type_vars = None
+        return env
 
     def lookup(self, name: str) -> Type:
         """The type of a variable; raises :class:`ScopeError` if absent."""
@@ -71,19 +96,24 @@ class Environment:
         """A new environment with one extra binding."""
         bindings = dict(self._bindings)
         bindings[name] = type_
-        return Environment(bindings, self._datacons)
+        ftvs = dict(self._ftvs)
+        ftvs.pop(name, None)
+        return Environment._derived(bindings, self._datacons, ftvs)
 
     def extended_many(self, pairs: Mapping[str, Type]) -> "Environment":
         """A new environment with several extra bindings."""
         bindings = dict(self._bindings)
         bindings.update(pairs)
-        return Environment(bindings, self._datacons)
+        ftvs = dict(self._ftvs)
+        for name in pairs:
+            ftvs.pop(name, None)
+        return Environment._derived(bindings, self._datacons, ftvs)
 
     def with_datacon(self, datacon: DataCon) -> "Environment":
         """A new environment with one extra data constructor."""
         datacons = dict(self._datacons)
         datacons[datacon.name] = datacon
-        return Environment(self._bindings, datacons)
+        return Environment._derived(self._bindings, datacons, dict(self._ftvs))
 
     def items(self) -> Iterator[tuple[str, Type]]:
         return iter(self._bindings.items())
@@ -91,11 +121,20 @@ class Environment:
     def names(self) -> Iterator[str]:
         return iter(self._bindings)
 
-    def free_type_vars(self) -> set[str]:
-        """Skolem variables free in any binding."""
-        result: set[str] = set()
-        for type_ in self._bindings.values():
-            result.update(ftv(type_))
+    def free_type_vars(self) -> frozenset[str]:
+        """Skolem variables free in any binding (memoised, see the class)."""
+        result = self._free_type_vars
+        if result is None:
+            ftvs = self._ftvs
+            found: set[str] = set()
+            for name, type_ in self._bindings.items():
+                free = ftvs.get(name)
+                if free is None:
+                    free = frozenset(ftv(type_))
+                    ftvs[name] = free
+                if free:
+                    found |= free
+            result = self._free_type_vars = frozenset(found)
         return result
 
     def free_unification_vars(self) -> set[UVar]:

@@ -282,10 +282,12 @@ class Inferencer:
         elaboration evidence (e.g. the type of an unused let binding) to
         fresh rigid variables, so elaborated terms contain no unification
         variables."""
-        avoid = set(self.env.free_type_vars())
+        avoid: set[str] | None = None
         supply = letters()
         for type_ in _evidence_types(evidence):
             for variable in fuv(solver.unifier.zonk(type_)):
+                if avoid is None:
+                    avoid = set(self.env.free_type_vars())
                 for candidate in supply:
                     name = f"{candidate}0"
                     if name not in avoid:
@@ -301,7 +303,7 @@ class Inferencer:
         Variables are bound through the solver substitution so recorded
         evidence zonks to the same quantified names.
         """
-        avoid = ftv(zonked) | set(self.env.free_type_vars())
+        avoid = ftv(zonked) | self.env.free_type_vars()
         supply = letters()
 
         def next_name() -> str:

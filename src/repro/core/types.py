@@ -449,43 +449,76 @@ def ftv(type_: Type) -> OrderedSet[str]:
     The insertion order makes every iteration over the result (skolem
     checks, generalisation) deterministic across processes regardless of
     the hash seed; membership and the set operators behave like a set.
+    A composite node shared in a DAG adds nothing the second time it is
+    reached under the same binders, so it is walked once per scope.
     """
     result: OrderedSet[str] = OrderedSet()
-    stack: list[tuple[Type, frozenset[str]]] = [(type_, frozenset())]
+    found = result._items
+    seen: set[object] = set()  # id(node), or (id(node), bound) under binders
+    # One iterator over the children per open node: leaves are consumed
+    # in the ``for`` loop, a composite child suspends its parent.
+    stack: list[tuple[Iterator[Type], frozenset[str]]] = [(iter((type_,)), frozenset())]
     while stack:
-        node, bound = stack.pop()
-        if isinstance(node, TVar):
-            if node.name not in bound:
-                result.add(node.name)
-        elif isinstance(node, TCon):
-            for argument in reversed(node.args):
-                stack.append((argument, bound))
-        elif isinstance(node, Forall):
-            inner = bound | frozenset(node.binders) if node.binders else bound
-            stack.append((node.body, inner))
-            for predicate in reversed(node.context):
-                for argument in reversed(predicate.args):
-                    stack.append((argument, inner))
+        children, bound = stack[-1]
+        for node in children:
+            kind = node.__class__
+            if kind is TVar:
+                if node.name not in bound:
+                    found[node.name] = None
+            elif kind is TCon:
+                if node.args:
+                    key = (id(node), bound) if bound else id(node)
+                    if key not in seen:
+                        seen.add(key)
+                        stack.append((iter(node.args), bound))
+                        break
+            elif kind is Forall:
+                key = (id(node), bound) if bound else id(node)
+                if key not in seen:
+                    seen.add(key)
+                    inner = bound | frozenset(node.binders) if node.binders else bound
+                    stack.append((_forall_children(node), inner))
+                    break
+        else:
+            stack.pop()
     return result
+
+
+def _forall_children(node: Forall) -> Iterator[Type]:
+    """The context arguments, then the body, of a ``Forall`` — what
+    :func:`_composite_children` yields, as a plain iterator, which is
+    cheaper than a generator on the free-variable walks' hot path."""
+    if not node.context:
+        return iter((node.body,))
+    children = [argument for predicate in node.context for argument in predicate.args]
+    children.append(node.body)
+    return iter(children)
 
 
 def fuv(type_: Type) -> OrderedSet[UVar]:
     """Free unification variables, in first-occurrence pre-order (all
-    unification variables are free; binders only ever bind skolems)."""
+    unification variables are free; binders only ever bind skolems).  A
+    composite node shared in a DAG is walked once."""
     result: OrderedSet[UVar] = OrderedSet()
-    stack: list[Type] = [type_]
+    found = result._items
+    seen: set[int] = set()
+    stack: list[Iterator[Type]] = [iter((type_,))]  # as in :func:`ftv`
     while stack:
-        node = stack.pop()
-        if isinstance(node, UVar):
-            result.add(node)
-        elif isinstance(node, TCon):
-            for argument in reversed(node.args):
-                stack.append(argument)
-        elif isinstance(node, Forall):
-            stack.append(node.body)
-            for predicate in reversed(node.context):
-                for argument in reversed(predicate.args):
-                    stack.append(argument)
+        for node in stack[-1]:
+            kind = node.__class__
+            if kind is UVar:
+                found[node] = None
+            elif kind is TCon:
+                if node.args and id(node) not in seen:
+                    seen.add(id(node))
+                    stack.append(iter(node.args))
+                    break
+            elif kind is Forall and id(node) not in seen:
+                seen.add(id(node))
+                stack.append(_forall_children(node))
+                break
+        else:
+            stack.pop()
     return result
 
 
@@ -735,11 +768,14 @@ def rename_canonical(type_: Type) -> Type:
     """Rename all quantified variables to a canonical ``a, b, c, ...`` scheme.
 
     Useful for displaying principal types and for structural comparisons in
-    tests.  Free variables are left untouched.
+    tests.  Free variables are left untouched.  Names are drawn in
+    pre-order, and every ``Forall`` occurrence draws fresh ones even when
+    the node is shared.  The walk is iterative and keeps DAG sharing: a
+    subtree in which nothing is renamed is returned as is, and a
+    quantifier-free subtree is rebuilt once per scope it occurs in.
     """
     supply = letters()
-    free = ftv(type_)
-    used = set(free)
+    used = set(ftv(type_))
 
     def next_name() -> str:
         for candidate in supply:
@@ -748,29 +784,92 @@ def rename_canonical(type_: Type) -> Type:
                 return candidate
         raise RuntimeError("unreachable")
 
-    def go(node: Type, env: Mapping[str, Type]) -> Type:
-        if isinstance(node, TVar):
-            replaced = env.get(node.name)
-            return replaced if replaced is not None else node
-        if isinstance(node, UVar):
-            return node
-        if isinstance(node, TCon):
-            return TCon(node.name, tuple(go(argument, env) for argument in node.args))
-        if isinstance(node, Forall):
-            new_env = dict(env)
-            new_binders = []
-            for binder in node.binders:
-                fresh = next_name()
-                new_binders.append(fresh)
-                new_env[binder] = TVar(fresh)
-            new_context = tuple(
-                Pred(p.class_name, tuple(go(argument, new_env) for argument in p.args))
-                for p in node.context
-            )
-            return Forall(tuple(new_binders), go(node.body, new_env), new_context)
-        raise TypeError(f"unknown type node: {node!r}")
-
-    return go(type_, {})
+    # A scope maps each binder in force to its renamed occurrence.  A
+    # result is memoised per (node, scope) only when it is quantifier-free;
+    # ``scopes`` keeps every scope alive so its id is never reused.
+    # Frames are (node, scope, None) on entry and (node, scope, binders)
+    # once the children are queued; ``results`` holds (type, quantified).
+    top: dict[str, TVar] = {}
+    scopes = [top]
+    memo: dict[tuple[int, int], Type] = {}
+    results: list[tuple[Type, bool]] = []
+    stack: list[tuple[Type, dict[str, TVar], tuple[str, ...] | None]] = [
+        (type_, top, None)
+    ]
+    while stack:
+        node, scope, binders = stack.pop()
+        kind = node.__class__
+        if binders is None:
+            if kind is TVar:
+                replaced = scope.get(node.name)
+                if replaced is None or replaced.name == node.name:
+                    results.append((node, False))
+                else:
+                    results.append((replaced, False))
+            elif kind is TCon:
+                if not node.args:
+                    results.append((node, False))
+                    continue
+                cached = memo.get((id(node), id(scope)))
+                if cached is not None:
+                    results.append((cached, False))
+                    continue
+                stack.append((node, scope, ()))
+                for argument in reversed(node.args):
+                    stack.append((argument, scope, None))
+            elif kind is Forall:
+                inner = dict(scope)
+                fresh = []
+                for binder in node.binders:
+                    name = next_name()
+                    fresh.append(name)
+                    inner[binder] = TVar(name)
+                scopes.append(inner)
+                stack.append((node, inner, tuple(fresh)))
+                stack.append((node.body, inner, None))
+                for predicate in reversed(node.context):
+                    for argument in reversed(predicate.args):
+                        stack.append((argument, inner, None))
+            elif kind is UVar:
+                results.append((node, False))
+            else:
+                raise TypeError(f"unknown type node: {node!r}")
+        elif kind is TCon:
+            count = len(node.args)
+            children = results[-count:]
+            del results[-count:]
+            has_forall = False
+            changed = False
+            for (new, quantified), old in zip(children, node.args):
+                has_forall = has_forall or quantified
+                changed = changed or new is not old
+            if changed:
+                built: Type = TCon(node.name, tuple(new for new, _ in children))
+            else:
+                built = node
+            if not has_forall:
+                memo[(id(node), id(scope))] = built
+            results.append((built, has_forall))
+        else:  # Forall: the context arguments, then the body
+            body = results.pop()[0]
+            changed = binders != node.binders or body is not node.body
+            context = node.context
+            count = sum(len(predicate.args) for predicate in context)
+            if count:
+                flat = [new for new, _ in results[-count:]]
+                del results[-count:]
+                renamed: list[Pred] = []
+                for predicate in context:
+                    width = len(predicate.args)
+                    args, flat = tuple(flat[:width]), flat[width:]
+                    if any(a is not b for a, b in zip(args, predicate.args)):
+                        predicate = Pred(predicate.class_name, args)
+                        changed = True
+                    renamed.append(predicate)
+                context = tuple(renamed)
+            built = Forall(binders, body, context) if changed else node
+            results.append((built, True))
+    return results[0][0]
 
 
 def type_size(type_: Type) -> int:
