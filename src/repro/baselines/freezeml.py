@@ -29,15 +29,9 @@ Reconstruction notes (our term language has no ``⌈·⌉`` syntax):
 
 from __future__ import annotations
 
+from repro.baselines.kernel import Kernel
 from repro.core.env import Environment
-from repro.core.errors import (
-    GIError,
-    OccursCheckError,
-    SkolemEscapeError,
-    TypeError_,
-    UnificationError,
-)
-from repro.core.names import NameSupply, letters
+from repro.core.errors import TypeError_
 from repro.core.sorts import Sort
 from repro.core.terms import (
     Ann,
@@ -50,22 +44,7 @@ from repro.core.terms import (
     Term,
     Var,
 )
-from repro.core.types import (
-    Forall,
-    TCon,
-    TVar,
-    Type,
-    UVar,
-    alpha_equal,
-    contains_uvar,
-    forall,
-    ftv,
-    fun,
-    fuv,
-    rename_canonical,
-    strip_forall,
-    subst_tvars,
-)
+from repro.core.types import Forall, Type, UVar, fun, fuv, mentions_forall
 
 
 class FreezeMLError(TypeError_):
@@ -78,176 +57,34 @@ class FreezeMLError(TypeError_):
 #            unification variables range over System F types).
 
 
-class FreezeMLInferencer:
-    """Algorithm-W-shaped inference with polytype-ranging variables."""
+class FreezeMLInferencer(Kernel):
+    """Algorithm-W-shaped inference with polytype-ranging variables.
 
-    def __init__(self, env: Environment, budget=None) -> None:
-        self.env = env
-        self.budget = budget
-        self.supply = NameSupply("fz")
-        self.subst: dict[UVar, Type] = {}
-        self.skolems: set[str] = set()
+    Skolemisation (for the annotation rule) is shallow: FreezeML's
+    instance relation is top-level only.
+    """
 
-    # -- plumbing --------------------------------------------------------
+    PREFIX = "fz"
+    FRESH_SORT = Sort.U
+    Error = FreezeMLError
 
-    def fresh(self, sort: Sort = Sort.U) -> UVar:
-        return UVar(self.supply.fresh(), sort)
-
-    def zonk(self, type_: Type) -> Type:
-        if isinstance(type_, UVar):
-            bound = self.subst.get(type_)
-            return type_ if bound is None else self.zonk(bound)
-        if isinstance(type_, TCon):
-            return TCon(type_.name, tuple(self.zonk(a) for a in type_.args))
-        if isinstance(type_, Forall):
-            return Forall(type_.binders, self.zonk(type_.body), type_.context)
-        return type_
-
-    # -- unification ------------------------------------------------------
-
-    def unify(self, left: Type, right: Type, depth: int = 0) -> None:
-        if self.budget is not None:
-            self.budget.check_unify_depth(depth, left, right)
-        left, right = self.zonk(left), self.zonk(right)
-        if left == right:
+    def admit(self, variable: UVar, type_: Type) -> None:
+        if not mentions_forall(type_):
             return
-        if isinstance(left, UVar):
-            self._bind(left, right)
-            return
-        if isinstance(right, UVar):
-            self._bind(right, left)
-            return
-        if (
-            isinstance(left, TCon)
-            and isinstance(right, TCon)
-            and left.name == right.name
-            and len(left.args) == len(right.args)
-        ):
-            for left_argument, right_argument in zip(left.args, right.args):
-                self.unify(left_argument, right_argument, depth + 1)
-            return
-        if isinstance(left, Forall) and isinstance(right, Forall):
-            if not alpha_equal(left, right):
-                self._unify_forall(left, right, depth)
-            return
-        raise UnificationError(left, right)
-
-    def _unify_forall(self, left: Forall, right: Forall, depth: int) -> None:
-        if len(left.binders) != len(right.binders):
-            raise UnificationError(left, right, "different numbers of quantifiers")
-        shared = [self._fresh_skolem(name) for name in left.binders]
-        left_map = {n: TVar(s) for n, s in zip(left.binders, shared)}
-        right_map = {n: TVar(s) for n, s in zip(right.binders, shared)}
-        self.unify(
-            subst_tvars(left_map, left.body),
-            subst_tvars(right_map, right.body),
-            depth + 1,
-        )
-        # The shared skolems must not leak into the substitution images of
-        # any outer variable.
-        for skolem in shared:
-            for variable, image in list(self.subst.items()):
-                if skolem in ftv(self.zonk(image)) and variable not in fuv(
-                    self.zonk(left)
-                ):
-                    raise SkolemEscapeError(skolem, self.zonk(image))
-
-    def _bind(self, variable: UVar, type_: Type) -> None:
-        if contains_uvar(type_, variable):
-            raise OccursCheckError(variable, type_)
-        if _mentions_forall(type_):
-            if variable.sort is Sort.M:
+        if variable.sort is Sort.M:
+            raise FreezeMLError(
+                f"monomorphic λ-binder variable `{variable}` cannot be "
+                f"`{type_}` (annotate the lambda binder)"
+            )
+        # The restriction propagates: a flexible variable reachable
+        # from a λ-binder's image is itself mono-restricted (FreezeML
+        # demotes such variables; this rejects `λxs. poly (head xs)`).
+        for mono, image in list(self.subst.items()):
+            if mono.sort is Sort.M and variable in fuv(self.zonk(image)):
                 raise FreezeMLError(
-                    f"monomorphic λ-binder variable `{variable}` cannot be "
-                    f"`{type_}` (annotate the lambda binder)"
+                    f"λ-binder `{mono}` would become polymorphic through "
+                    f"`{variable} := {type_}` (annotate the lambda binder)"
                 )
-            # The restriction propagates: a flexible variable reachable
-            # from a λ-binder's image is itself mono-restricted (FreezeML
-            # demotes such variables; this rejects `λxs. poly (head xs)`).
-            for mono, image in list(self.subst.items()):
-                if mono.sort is Sort.M and variable in fuv(self.zonk(image)):
-                    raise FreezeMLError(
-                        f"λ-binder `{mono}` would become polymorphic through "
-                        f"`{variable} := {type_}` (annotate the lambda binder)"
-                    )
-        self.subst[variable] = type_
-
-    # -- instantiation / generalisation -----------------------------------
-
-    def _fresh_skolem(self, hint: str) -> str:
-        name = self.supply.fresh(hint + "_sk")
-        self.skolems.add(name)
-        return name
-
-    def instantiate(self, scheme: Type) -> Type:
-        """ML-style eager instantiation of the top quantifiers."""
-        scheme = self.zonk(scheme)
-        binders, body = strip_forall(scheme)
-        if not binders:
-            return scheme
-        mapping = {name: self.fresh() for name in binders}
-        return subst_tvars(mapping, body)
-
-    def generalize(self, env_types: list[Type], type_: Type) -> Type:
-        type_ = self.zonk(type_)
-        env_vars: set[UVar] = set()
-        for env_type in env_types:
-            env_vars.update(fuv(self.zonk(env_type)))
-        free = [v for v in _ordered_vars(type_) if v not in env_vars]
-        names: list[str] = []
-        used = set(ftv(type_))
-        supply = letters()
-        for variable in free:
-            for candidate in supply:
-                if candidate not in used:
-                    used.add(candidate)
-                    names.append(candidate)
-                    self.subst[variable] = TVar(candidate)
-                    break
-        return forall(names, self.zonk(type_))
-
-    def subsume(self, expected: Type, offered: Type) -> None:
-        """``offered`` must instantiate to ``expected`` (σ ⊑ check for
-        the annotation rule; FreezeML instance is top-level only)."""
-        expected = self.zonk(expected)
-        binders, body = strip_forall(expected)
-        if binders:
-            mapping = {name: TVar(self._fresh_skolem(name)) for name in binders}
-            body = subst_tvars(mapping, body)
-            outer_before = list(fuv(self.zonk(offered)))
-            self.unify(self.instantiate(offered), body)
-            introduced = {
-                mapped.name for mapped in mapping.values() if isinstance(mapped, TVar)
-            }
-            for variable in outer_before:
-                leaked = introduced & ftv(self.zonk(variable))
-                if leaked:
-                    raise SkolemEscapeError(sorted(leaked)[0], self.zonk(variable))
-        else:
-            self.unify(self.instantiate(offered), body)
-
-    # -- inference ----------------------------------------------------------
-
-    def infer(self, term: Term) -> Type:
-        """The FreezeML type of a term (generalised, canonically renamed)."""
-        if self.budget is not None:
-            self.budget.start()
-        self.subst = {}
-        local: dict[str, Type] = {}
-        type_ = self._infer(term, local)
-        return rename_canonical(self.generalize(list(local.values()), type_))
-
-    def accepts(self, term: Term) -> bool:
-        try:
-            self.infer(term)
-            return True
-        except GIError:
-            return False
-
-    def _lookup(self, name: str, local: dict[str, Type]) -> Type:
-        if name in local:
-            return local[name]
-        return self.env.lookup(name)
 
     def _infer(self, term: Term, local: dict[str, Type]) -> Type:
         if isinstance(term, Var):
@@ -284,7 +121,7 @@ class FreezeMLInferencer:
             # signature is returned verbatim — no eager instantiation.
             offered = self._infer(term.expr, local)
             offered_sigma = self.generalize(list(local.values()), offered)
-            self.subsume(term.annotation, offered_sigma)
+            self.subsume(offered_sigma, term.annotation)
             return term.annotation
         if isinstance(term, Let):
             # Classic ML let-generalisation (unlike GI's §3.5 `let`).
@@ -298,55 +135,12 @@ class FreezeMLInferencer:
         raise TypeError(f"unknown term node: {term!r}")
 
     def _infer_case(self, term: Case, local: dict[str, Type]) -> Type:
-        scrutinee = self._infer(term.scrutinee, local)
-        first = self.env.lookup_datacon(term.alts[0].constructor)
-        alphas = {name: self.fresh() for name in first.universals}
-        scrutinee = self.zonk(scrutinee)
-        if isinstance(scrutinee, Forall):
-            scrutinee = self.instantiate(scrutinee)
-        self.unify(
-            scrutinee,
-            TCon(first.result_con, tuple(alphas[n] for n in first.universals)),
-        )
+        first, alphas = self._open_case(term, self._infer(term.scrutinee, local))
         result = self.fresh()
         for alt in term.alts:
-            datacon = self.env.lookup_datacon(alt.constructor)
-            if datacon.result_con != first.result_con:
-                raise FreezeMLError("mixed constructors in case")
-            mapping: dict[str, Type] = dict(alphas)
-            mapping.update(
-                {name: TVar(self._fresh_skolem(name)) for name in datacon.existentials}
-            )
-            fields = [subst_tvars(mapping, field) for field in datacon.fields]
-            inner = dict(local)
-            inner.update(dict(zip(alt.binders, fields)))
+            inner = self._alt_scope(alt, first, alphas, local)
             self.unify(result, self._infer(alt.rhs, inner))
         return self.zonk(result)
-
-
-def _mentions_forall(type_: Type) -> bool:
-    if isinstance(type_, Forall):
-        return True
-    if isinstance(type_, TCon):
-        return any(_mentions_forall(argument) for argument in type_.args)
-    return False
-
-
-def _ordered_vars(type_: Type) -> list[UVar]:
-    seen: list[UVar] = []
-
-    def go(node: Type) -> None:
-        if isinstance(node, UVar):
-            if node not in seen:
-                seen.append(node)
-        elif isinstance(node, TCon):
-            for argument in node.args:
-                go(argument)
-        elif isinstance(node, Forall):
-            go(node.body)
-
-    go(type_)
-    return seen
 
 
 def freezeml_infer(term: Term, env: Environment) -> Type:

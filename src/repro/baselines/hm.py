@@ -9,16 +9,9 @@ unification — and completely independent of the GI machinery.
 
 from __future__ import annotations
 
+from repro.baselines.kernel import Kernel
 from repro.core.env import Environment
-from repro.core.errors import (
-    GIError,
-    OccursCheckError,
-    ScopeError,
-    TypeError_,
-    UnificationError,
-)
-from repro.core.names import NameSupply, letters
-from repro.core.sorts import Sort
+from repro.core.errors import TypeError_
 from repro.core.terms import (
     Ann,
     AnnLam,
@@ -32,17 +25,11 @@ from repro.core.terms import (
 )
 from repro.core.types import (
     Forall,
-    TCon,
     TVar,
     Type,
-    UVar,
-    contains_uvar,
-    forall,
     ftv,
     fun,
-    fuv,
     is_fully_monomorphic,
-    rename_canonical,
     strip_forall,
     subst_tvars,
 )
@@ -52,59 +39,17 @@ class HMError(TypeError_):
     """A rank-1 type error."""
 
 
-class HMInferencer:
+class HMInferencer(Kernel):
     """Algorithm W over the shared term/type ASTs.
 
     Environment entries must be rank-1 (``∀ā.τ``); looking up a binding
     with nested polymorphism raises, keeping the baseline honest about its
-    own expressiveness.
+    own expressiveness.  Every binding is admitted: no type it unifies
+    contains a quantifier.
     """
 
-    def __init__(self, env: Environment, budget=None) -> None:
-        self.env = env
-        self.budget = budget
-        self.supply = NameSupply("w")
-        self.subst: dict[UVar, Type] = {}
-
-    # -- plumbing --------------------------------------------------------
-
-    def fresh(self) -> UVar:
-        return UVar(self.supply.fresh(), Sort.M)
-
-    def zonk(self, type_: Type) -> Type:
-        if isinstance(type_, UVar):
-            bound = self.subst.get(type_)
-            return type_ if bound is None else self.zonk(bound)
-        if isinstance(type_, TCon):
-            return TCon(type_.name, tuple(self.zonk(a) for a in type_.args))
-        if isinstance(type_, Forall):
-            return Forall(type_.binders, self.zonk(type_.body), type_.context)
-        return type_
-
-    def unify(self, left: Type, right: Type, depth: int = 0) -> None:
-        if self.budget is not None:
-            self.budget.check_unify_depth(depth, left, right)
-        left, right = self.zonk(left), self.zonk(right)
-        if left == right:
-            return
-        if isinstance(left, UVar):
-            if contains_uvar(right, left):
-                raise OccursCheckError(left, right)
-            self.subst[left] = right
-            return
-        if isinstance(right, UVar):
-            self.unify(right, left, depth)
-            return
-        if (
-            isinstance(left, TCon)
-            and isinstance(right, TCon)
-            and left.name == right.name
-            and len(left.args) == len(right.args)
-        ):
-            for left_argument, right_argument in zip(left.args, right.args):
-                self.unify(left_argument, right_argument, depth + 1)
-            return
-        raise UnificationError(left, right)
+    PREFIX = "w"
+    Error = HMError
 
     def instantiate(self, scheme: Type) -> Type:
         binders, body = strip_forall(scheme)
@@ -115,49 +60,9 @@ class HMInferencer:
                 f"environment type `{scheme}` is not rank-1; outside the "
                 f"Hindley-Milner fragment"
             )
-        mapping = {name: self.fresh() for name in binders}
-        return subst_tvars(mapping, body)
-
-    def generalize(self, env_types: list[Type], type_: Type) -> Type:
-        type_ = self.zonk(type_)
-        env_vars: set[UVar] = set()
-        for env_type in env_types:
-            env_vars.update(fuv(self.zonk(env_type)))
-        free = [variable for variable in _ordered_vars(type_) if variable not in env_vars]
-        names = []
-        used = ftv(type_)
-        supply = letters()
-        for variable in free:
-            for candidate in supply:
-                if candidate not in used:
-                    used.add(candidate)
-                    names.append(candidate)
-                    self.subst[variable] = TVar(candidate)
-                    break
-        return forall(names, self.zonk(type_))
+        return super().instantiate(scheme)
 
     # -- inference --------------------------------------------------------
-
-    def infer(self, term: Term) -> Type:
-        """The principal rank-1 type of a term (generalised)."""
-        if self.budget is not None:
-            self.budget.start()
-        self.subst = {}
-        local: dict[str, Type] = {}
-        type_ = self._infer(term, local)
-        return rename_canonical(self.generalize(list(local.values()), type_))
-
-    def accepts(self, term: Term) -> bool:
-        try:
-            self.infer(term)
-            return True
-        except GIError:
-            return False
-
-    def _lookup(self, name: str, local: dict[str, Type]) -> Type:
-        if name in local:
-            return local[name]
-        return self.env.lookup(name)
 
     def _infer(self, term: Term, local: dict[str, Type]) -> Type:
         if isinstance(term, Var):
@@ -215,16 +120,9 @@ class HMInferencer:
 
     def _infer_case(self, term: Case, local: dict[str, Type]) -> Type:
         scrutinee = self._infer(term.scrutinee, local)
-        try:
-            first = self.env.lookup_datacon(term.alts[0].constructor)
-        except ScopeError:
-            raise
-        if first.existentials:
+        if self.env.lookup_datacon(term.alts[0].constructor).existentials:
             raise HMError("existential data constructors are outside HM")
-        alphas = {name: self.fresh() for name in first.universals}
-        self.unify(
-            scrutinee, TCon(first.result_con, tuple(alphas[n] for n in first.universals))
-        )
+        first, alphas = self._open_case(term, scrutinee)
         result = self.fresh()
         for alt in term.alts:
             datacon = self.env.lookup_datacon(alt.constructor)
@@ -237,23 +135,6 @@ class HMInferencer:
             inner.update(dict(zip(alt.binders, fields)))
             self.unify(result, self._infer(alt.rhs, inner))
         return result
-
-
-def _ordered_vars(type_: Type) -> list[UVar]:
-    seen: list[UVar] = []
-
-    def go(node: Type) -> None:
-        if isinstance(node, UVar):
-            if node not in seen:
-                seen.append(node)
-        elif isinstance(node, TCon):
-            for argument in node.args:
-                go(argument)
-        elif isinstance(node, Forall):
-            go(node.body)
-
-    go(type_)
-    return seen
 
 
 def hm_infer(term: Term, env: Environment) -> Type:

@@ -34,18 +34,8 @@ impredicatively — declared quantifiers from the environment may be.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.baselines.kernel import Kernel
 from repro.core.env import Environment
-from repro.core.errors import (
-    GIError,
-    OccursCheckError,
-    SkolemEscapeError,
-    TypeError_,
-    UnificationError,
-)
-from repro.core.names import NameSupply, letters
-from repro.core.sorts import Sort
 from repro.core.terms import (
     Ann,
     AnnLam,
@@ -57,19 +47,17 @@ from repro.core.terms import (
     Term,
     Var,
 )
+from repro.core.errors import TypeError_
+from repro.core.sorts import Sort
 from repro.core.types import (
     Forall,
     TCon,
     TVar,
     Type,
     UVar,
-    alpha_equal,
-    contains_uvar,
-    forall,
-    ftv,
     fun,
-    fuv,
-    is_fully_monomorphic,
+    is_arrow,
+    mentions_forall,
     rename_canonical,
     strip_forall,
     subst_tvars,
@@ -87,85 +75,25 @@ class HMFError(TypeError_):
 #   Sort.U — a declared quantifier's instantiation: unrestricted.
 
 
-class HMFInferencer:
-    """One HMF inference engine over the shared ASTs."""
+class HMFInferencer(Kernel):
+    """One HMF inference engine over the shared ASTs.
+
+    Skolemisation is shallow; the quantifiers :meth:`generalize`
+    introduces carry a ``%`` mark, which is how re-instantiation tells an
+    inferred quantifier from a declared one.
+    """
+
+    PREFIX = "h"
+    FRESH_SORT = Sort.U
+    QUANTIFIER_MARK = "%"
+    Error = HMFError
 
     def __init__(self, env: Environment, nary: bool = False, budget=None) -> None:
-        self.env = env
+        super().__init__(env, budget)
         self.nary = nary
-        self.budget = budget
-        self.supply = NameSupply("h")
-        self.subst: dict[UVar, Type] = {}
-        self.skolems: set[str] = set()
-        # Quantifiers introduced by our own generalisation (as opposed to
-        # declared in the environment or an annotation): re-instantiating
-        # these must stay predicative.
-        self.inferred_quantifiers: set[str] = set()
 
-    # -- plumbing --------------------------------------------------------
-
-    def fresh(self, sort: Sort = Sort.U) -> UVar:
-        return UVar(self.supply.fresh(), sort)
-
-    def zonk(self, type_: Type) -> Type:
-        if isinstance(type_, UVar):
-            bound = self.subst.get(type_)
-            return type_ if bound is None else self.zonk(bound)
-        if isinstance(type_, TCon):
-            return TCon(type_.name, tuple(self.zonk(a) for a in type_.args))
-        if isinstance(type_, Forall):
-            return Forall(type_.binders, self.zonk(type_.body), type_.context)
-        return type_
-
-    # -- unification ------------------------------------------------------
-
-    def unify(self, left: Type, right: Type, depth: int = 0) -> None:
-        if self.budget is not None:
-            self.budget.check_unify_depth(depth, left, right)
-        left, right = self.zonk(left), self.zonk(right)
-        if left == right:
-            return
-        if isinstance(left, UVar):
-            self._bind(left, right)
-            return
-        if isinstance(right, UVar):
-            self._bind(right, left)
-            return
-        if (
-            isinstance(left, TCon)
-            and isinstance(right, TCon)
-            and left.name == right.name
-            and len(left.args) == len(right.args)
-        ):
-            for left_argument, right_argument in zip(left.args, right.args):
-                self.unify(left_argument, right_argument, depth + 1)
-            return
-        if isinstance(left, Forall) and isinstance(right, Forall):
-            if not alpha_equal(left, right):
-                self._unify_forall(left, right)
-            return
-        raise UnificationError(left, right)
-
-    def _unify_forall(self, left: Forall, right: Forall) -> None:
-        if len(left.binders) != len(right.binders):
-            raise UnificationError(left, right, "different numbers of quantifiers")
-        shared = [self._fresh_skolem(name) for name in left.binders]
-        left_map = {n: TVar(s) for n, s in zip(left.binders, shared)}
-        right_map = {n: TVar(s) for n, s in zip(right.binders, shared)}
-        self.unify(subst_tvars(left_map, left.body), subst_tvars(right_map, right.body))
-        # The shared skolems must not leak into the substitution images of
-        # any outer variable.
-        for skolem in shared:
-            for variable, image in list(self.subst.items()):
-                if skolem in ftv(self.zonk(image)) and variable not in fuv(
-                    self.zonk(left)
-                ):
-                    raise SkolemEscapeError(skolem, self.zonk(image))
-
-    def _bind(self, variable: UVar, type_: Type) -> None:
-        if contains_uvar(type_, variable):
-            raise OccursCheckError(variable, type_)
-        if variable.sort is Sort.M and _mentions_forall(type_):
+    def admit(self, variable: UVar, type_: Type) -> None:
+        if variable.sort is Sort.M and mentions_forall(type_):
             raise HMFError(
                 f"monomorphic variable `{variable}` cannot be `{type_}` "
                 f"(annotate the lambda binder)"
@@ -176,14 +104,6 @@ class HMFInferencer:
                 f"`{variable}` would become `{type_}` (minimal instantiation "
                 f"chooses the monomorphic alternative)"
             )
-        self.subst[variable] = type_
-
-    # -- instantiation / generalisation -----------------------------------
-
-    def _fresh_skolem(self, hint: str) -> str:
-        name = self.supply.fresh(hint + "_sk")
-        self.skolems.add(name)
-        return name
 
     def instantiate(self, scheme: Type, predicative: bool = False) -> Type:
         """Strip the top quantifiers with fresh variables.
@@ -200,79 +120,16 @@ class HMFInferencer:
         mapping = {}
         arrow_vars = _vars_under_arrow(body) if predicative else set()
         for name in binders:
-            if name in self.inferred_quantifiers or name in arrow_vars:
+            if name.endswith(self.QUANTIFIER_MARK) or name in arrow_vars:
                 sort = Sort.T
             else:
                 sort = Sort.U
             mapping[name] = self.fresh(sort)
         return subst_tvars(mapping, body)
 
-    def generalize(self, env_types: list[Type], type_: Type) -> Type:
-        type_ = self.zonk(type_)
-        env_vars: set[UVar] = set()
-        for env_type in env_types:
-            env_vars.update(fuv(self.zonk(env_type)))
-        free = [v for v in _ordered_vars(type_) if v not in env_vars]
-        names: list[str] = []
-        used = set(ftv(type_))
-        supply = letters()
-        for variable in free:
-            for candidate in supply:
-                fresh_name = f"{candidate}%"  # marked as inferred
-                if fresh_name not in used:
-                    used.add(fresh_name)
-                    names.append(fresh_name)
-                    self.inferred_quantifiers.add(fresh_name)
-                    self.subst[variable] = TVar(fresh_name)
-                    break
-        return forall(names, self.zonk(type_))
-
-    def subsume(self, expected: Type, offered: Type) -> None:
-        """``offered`` must be at least as polymorphic as ``expected``."""
-        expected = self.zonk(expected)
-        binders, body = strip_forall(expected)
-        if binders:
-            mapping = {name: TVar(self._fresh_skolem(name)) for name in binders}
-            body = subst_tvars(mapping, body)
-            outer_before = {
-                variable: self.zonk(variable) for variable in fuv(self.zonk(offered))
-            }
-            self.unify(self.instantiate(offered), body)
-            introduced = {
-                mapped.name for mapped in mapping.values() if isinstance(mapped, TVar)
-            }
-            for variable in outer_before:
-                if introduced & ftv(self.zonk(variable)):
-                    raise SkolemEscapeError(
-                        next(iter(introduced & ftv(self.zonk(variable)))),
-                        self.zonk(variable),
-                    )
-        else:
-            self.unify(self.instantiate(offered), body)
-
-    # -- inference ----------------------------------------------------------
-
     def infer(self, term: Term) -> Type:
         """The HMF type of a term (generalised, canonically renamed)."""
-        if self.budget is not None:
-            self.budget.start()
-        self.subst = {}
-        local: dict[str, Type] = {}
-        type_ = self._infer(term, local)
-        result = self.generalize(list(local.values()), type_)
-        return rename_canonical(_strip_marks(result))
-
-    def accepts(self, term: Term) -> bool:
-        try:
-            self.infer(term)
-            return True
-        except GIError:
-            return False
-
-    def _lookup(self, name: str, local: dict[str, Type]) -> Type:
-        if name in local:
-            return local[name]
-        return self.env.lookup(name)
+        return rename_canonical(_strip_marks(self._infer_closed(term)))
 
     def _infer(self, term: Term, local: dict[str, Type]) -> Type:
         if isinstance(term, Var):
@@ -295,7 +152,7 @@ class HMFInferencer:
             return self.generalize(list(local.values()), fun(term.annotation, body))
         if isinstance(term, Ann):
             offered = self._infer(term.expr, local)
-            self.subsume(term.annotation, offered)
+            self.subsume(offered, term.annotation)
             return term.annotation
         if isinstance(term, Let):
             bound = self._infer(term.bound, local)
@@ -321,7 +178,7 @@ class HMFInferencer:
                 parameter, result = self.fresh(), self.fresh()
                 self.unify(current, fun(parameter, result))
                 current = result
-            elif isinstance(current, TCon) and current.name == "->":
+            elif is_arrow(current):
                 parameter, current = current.args
             else:
                 raise HMFError(f"too many arguments for type `{current}`")
@@ -347,19 +204,11 @@ class HMFInferencer:
 
     def _argument_order(self, params: list[Type]) -> list[int]:
         """Leijen's n-ary extension: arguments facing a bare variable are
-        postponed, iterating as earlier arguments fix types."""
-        remaining = list(range(len(params)))
-        order: list[int] = []
-        while remaining:
-            ready = [
-                index
-                for index in remaining
-                if not isinstance(self.zonk(params[index]), UVar)
-            ]
-            chosen = ready[0] if ready else remaining[0]
-            order.append(chosen)
-            remaining.remove(chosen)
-        return order
+        postponed behind the others, each group in source order."""
+        return sorted(
+            range(len(params)),
+            key=lambda index: isinstance(self.zonk(params[index]), UVar),
+        )
 
     def _check_arg(self, argument: Term, parameter: Type, local: dict[str, Type]) -> None:
         parameter = self.zonk(parameter)
@@ -375,7 +224,7 @@ class HMFInferencer:
             list(local.values()), self.instantiate(offered)
         ) if not isinstance(argument, Var) else self.zonk(offered)
         if isinstance(parameter, Forall):
-            self.subsume(parameter, offered_gen)
+            self.subsume(offered_gen, parameter)
         elif isinstance(parameter, UVar):
             # Predicative preference: a bare expected variable takes the
             # *instantiated* argument type at restricted variables
@@ -385,28 +234,15 @@ class HMFInferencer:
             self.unify(self.instantiate(offered_gen), parameter)
 
     def _infer_case(self, term: Case, local: dict[str, Type]) -> Type:
-        scrutinee = self._infer(term.scrutinee, local)
-        first = self.env.lookup_datacon(term.alts[0].constructor)
-        alphas = {name: self.fresh() for name in first.universals}
-        self.unify(
-            self.instantiate(scrutinee),
-            TCon(first.result_con, tuple(alphas[n] for n in first.universals)),
-        )
+        first, alphas = self._open_case(term, self._infer(term.scrutinee, local))
         result = self.fresh()
         for alt in term.alts:
-            datacon = self.env.lookup_datacon(alt.constructor)
-            mapping: dict[str, Type] = dict(alphas)
-            mapping.update(
-                {name: TVar(self._fresh_skolem(name)) for name in datacon.existentials}
-            )
-            fields = [subst_tvars(mapping, field) for field in datacon.fields]
-            inner = dict(local)
-            inner.update(dict(zip(alt.binders, fields)))
+            inner = self._alt_scope(alt, first, alphas, local)
             self.unify(result, self.instantiate(self._infer(alt.rhs, inner)))
         return self.zonk(result)
 
 
-def _vars_under_arrow(type_: Type, under_arrow: bool = False) -> set[str]:
+def _vars_under_arrow(type_: Type) -> set[str]:
     """Variables whose nearest enclosing constructor is the function arrow.
 
     The minimal-instantiation restriction only bites at function-typed
@@ -419,56 +255,49 @@ def _vars_under_arrow(type_: Type, under_arrow: bool = False) -> set[str]:
     is not).
     """
     result: set[str] = set()
-    if isinstance(type_, TVar):
-        if under_arrow:
-            result.add(type_.name)
-    elif isinstance(type_, TCon):
-        is_fun = type_.name == "->"
-        for argument in type_.args:
-            result |= _vars_under_arrow(argument, is_fun)
-    elif isinstance(type_, Forall):
-        result |= _vars_under_arrow(type_.body, under_arrow) - set(type_.binders)
+    stack: list[tuple[Type, bool, frozenset[str]]] = [(type_, False, frozenset())]
+    while stack:
+        node, under_arrow, bound = stack.pop()
+        if isinstance(node, TVar):
+            if under_arrow and node.name not in bound:
+                result.add(node.name)
+        elif isinstance(node, TCon):
+            is_fun = node.name == "->"
+            stack.extend((argument, is_fun, bound) for argument in node.args)
+        elif isinstance(node, Forall):
+            stack.append((node.body, under_arrow, bound | frozenset(node.binders)))
     return result
 
-
-def _mentions_forall(type_: Type) -> bool:
-    if isinstance(type_, Forall):
-        return True
-    if isinstance(type_, TCon):
-        return any(_mentions_forall(argument) for argument in type_.args)
-    return False
-
-
-def _ordered_vars(type_: Type) -> list[UVar]:
-    seen: list[UVar] = []
-
-    def go(node: Type) -> None:
-        if isinstance(node, UVar):
-            if node not in seen:
-                seen.append(node)
-        elif isinstance(node, TCon):
-            for argument in node.args:
-                go(argument)
-        elif isinstance(node, Forall):
-            go(node.body)
-
-    go(type_)
-    return seen
-
-
 def _strip_marks(type_: Type) -> Type:
-    """Remove the ``%`` inferred-quantifier marks before display."""
-    if isinstance(type_, TVar):
-        return TVar(type_.name.rstrip("%"))
-    if isinstance(type_, TCon):
-        return TCon(type_.name, tuple(_strip_marks(a) for a in type_.args))
-    if isinstance(type_, Forall):
-        return Forall(
-            tuple(name.rstrip("%") for name in type_.binders),
-            _strip_marks(type_.body),
-            type_.context,
-        )
-    return type_
+    """Remove the ``%`` inferred-quantifier marks before display
+    (iteratively; unmarked subtrees are returned as they are)."""
+    done: list[Type] = []
+    stack: list[tuple[Type, bool]] = [(type_, False)]
+    while stack:
+        node, ready = stack.pop()
+        if isinstance(node, TVar):
+            done.append(TVar(node.name.rstrip("%")) if node.name.endswith("%") else node)
+        elif isinstance(node, TCon) and node.args:
+            if not ready:
+                stack.append((node, True))
+                stack.extend((argument, False) for argument in reversed(node.args))
+                continue
+            args = tuple(done[-len(node.args):])
+            del done[-len(node.args):]
+            changed = any(new is not old for new, old in zip(args, node.args))
+            done.append(TCon(node.name, args) if changed else node)
+        elif isinstance(node, Forall):
+            if not ready:
+                stack.append((node, True))
+                stack.append((node.body, False))
+                continue
+            body = done.pop()
+            binders = tuple(name.rstrip("%") for name in node.binders)
+            changed = body is not node.body or binders != node.binders
+            done.append(Forall(binders, body, node.context) if changed else node)
+        else:
+            done.append(node)
+    return done[0]
 
 
 def hmf_infer(term: Term, env: Environment, nary: bool = False) -> Type:

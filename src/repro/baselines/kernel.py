@@ -1,0 +1,369 @@
+"""The substitution kernel shared by the hand-written backends.
+
+HM, HMF, RankN, Quick Look and FreezeML are one machine with different
+term walks.  This module is that machine: a dict substitution, a name
+supply, zonking, unification (with α-equivalent ``∀``/``∀`` unification
+under shared skolems), instantiation, generalisation, deep or shallow
+skolemisation and the skolem-escape check.  The systems differ in where a
+unification variable may be bound, and that is the one hook:
+:meth:`Kernel.admit`, called by :meth:`Kernel._bind` after the occurs
+check.  It raises to refuse a binding:
+
+* HM accepts every binding (its types never contain a ``∀``);
+* RankN refuses polytypes (predicativity; Quick Look inherits this and
+  commits its polytypes outside unification);
+* HMF refuses a ``∀`` anywhere for λ-binder variables and a ``∀`` at the
+  top for re-instantiated inferred quantifiers;
+* FreezeML refuses a ``∀`` for λ-binder variables and for any variable
+  reachable from a λ-binder's image.
+
+Every traversal here is iterative, so type depth is bounded by memory and
+by the :class:`~repro.robustness.budget.Budget`, not by Python's
+recursion limit.
+"""
+
+from __future__ import annotations
+
+from itertools import repeat
+from operator import is_not
+from typing import Iterable, Iterator
+
+from repro.core.env import DataCon, Environment
+from repro.core.errors import (
+    GIError,
+    OccursCheckError,
+    SkolemEscapeError,
+    TypeError_,
+    UnificationError,
+)
+from repro.core.names import NameSupply, letters
+from repro.core.sorts import Sort
+from repro.core.terms import Case, CaseAlt, Term
+from repro.core.types import (
+    Forall,
+    TCon,
+    TVar,
+    Type,
+    UVar,
+    alpha_equal,
+    contains_uvar,
+    forall,
+    ftv,
+    fun,
+    fuv,
+    is_arrow,
+    rename_canonical,
+    strip_forall,
+    subst_tvars,
+)
+
+_ESCAPE = object()
+"""Marks a unification work item that runs a ``∀`` escape check."""
+
+
+class Kernel:
+    """Substitution, unification and generalisation for one backend.
+
+    Subclasses set the class attributes, implement ``_infer`` (the term
+    walk) and override :meth:`admit`.  ``_deep`` selects deep
+    skolemisation (to the right of arrows) in :meth:`skolemise`.
+    """
+
+    PREFIX = "k"
+    """Name-supply prefix of the backend's unification variables."""
+    FRESH_SORT = Sort.M
+    """Sort of a variable from :meth:`fresh` when none is given."""
+    QUANTIFIER_MARK = ""
+    """Suffix on the names :meth:`generalize` quantifies."""
+    Error: type[TypeError_] = TypeError_
+    """The backend's own type-error class."""
+
+    def __init__(self, env: Environment, budget=None) -> None:
+        self.env = env
+        self.budget = budget
+        self.supply = NameSupply(self.PREFIX)
+        self.subst: dict[UVar, Type] = {}
+        self._deep = False
+
+    # -- entry points -------------------------------------------------------
+
+    def infer(self, term: Term) -> Type:
+        """The generalised, canonically renamed type of a closed term."""
+        return rename_canonical(self._infer_closed(term))
+
+    def _infer_closed(self, term: Term) -> Type:
+        if self.budget is not None:
+            self.budget.start()
+        self.subst = {}
+        return self.generalize((), self._infer(term, {}))
+
+    def accepts(self, term: Term) -> bool:
+        try:
+            self.infer(term)
+            return True
+        except GIError:
+            return False
+
+    def _lookup(self, name: str, local: dict[str, Type]) -> Type:
+        if name in local:
+            return local[name]
+        return self.env.lookup(name)
+
+    # -- the substitution ---------------------------------------------------
+
+    def fresh(self, sort: Sort | None = None) -> UVar:
+        return UVar(self.supply.fresh(), self.FRESH_SORT if sort is None else sort)
+
+    def _fresh_skolem(self, hint: str) -> str:
+        return self.supply.fresh(hint + "_sk")
+
+    def zonk(self, type_: Type) -> Type:
+        """Apply the substitution exhaustively.
+
+        Variable chains are resolved inline, leaves are returned as they
+        are, and a node none of whose children changed is returned by
+        identity, so zonking a solved type allocates nothing.
+        """
+        subst = self.subst
+        while type_.__class__ is UVar:
+            bound = subst.get(type_)
+            if bound is None:
+                return type_
+            type_ = bound
+        if type_.__class__ is TCon:
+            if not type_.args:
+                return type_
+            children = iter(type_.args)
+        elif type_.__class__ is Forall:
+            children = iter((type_.body,))
+        else:
+            return type_
+        # The open composite nodes above ``node``, each with its children
+        # still to visit and its zonked children so far.
+        stack: list[tuple[Type, Iterator[Type], list[Type]]] = []
+        node, done = type_, []
+        while True:
+            for child in children:
+                while child.__class__ is UVar:
+                    bound = subst.get(child)
+                    if bound is None:
+                        break
+                    child = bound
+                if child.__class__ is TCon and child.args:
+                    stack.append((node, children, done))
+                    node, children, done = child, iter(child.args), []
+                    break
+                if child.__class__ is Forall:
+                    stack.append((node, children, done))
+                    node, children, done = child, iter((child.body,)), []
+                    break
+                done.append(child)
+            else:
+                if node.__class__ is TCon:
+                    if any(map(is_not, done, node.args)):
+                        node = TCon(node.name, tuple(done))
+                elif done[0] is not node.body:
+                    node = Forall(node.binders, done[0], node.context)
+                if not stack:
+                    return node
+                parent, children, done = stack.pop()
+                done.append(node)
+                node = parent
+
+    def _free_uvars(self, types: Iterable[Type]) -> dict[UVar, None]:
+        """The free unification variables of the zonked types, in order."""
+        found: dict[UVar, None] = {}
+        for type_ in types:
+            found.update(dict.fromkeys(fuv(self.zonk(type_))))
+        return found
+
+    # -- unification --------------------------------------------------------
+
+    def unify(self, left: Type, right: Type, depth: int = 0) -> None:
+        """Make two types equal, depth-first and left to right.
+
+        Every pair is budget-checked at its depth; a variable is bound
+        through :meth:`_bind`, two quantified types through
+        :meth:`_match_polytypes`.
+        """
+        budget = self.budget
+        work: list[tuple] = [(left, right, depth)]
+        while work:
+            item = work.pop()
+            if item[0] is _ESCAPE:
+                self._check_forall_escape(item[1], item[2])
+                continue
+            left, right, depth = item
+            if budget is not None:
+                budget.check_unify_depth(depth, left, right)
+            left, right = self.zonk(left), self.zonk(right)
+            if left == right:
+                continue
+            if isinstance(left, UVar):
+                self._bind(left, right)
+            elif isinstance(right, UVar):
+                self._bind(right, left)
+            elif (
+                isinstance(left, TCon)
+                and isinstance(right, TCon)
+                and left.name == right.name
+                and len(left.args) == len(right.args)
+            ):
+                pairs = zip(reversed(left.args), reversed(right.args), repeat(depth + 1))
+                work.extend(pairs)
+            elif isinstance(left, Forall) and isinstance(right, Forall):
+                work.extend(self._match_polytypes(left, right, depth))
+            else:
+                raise UnificationError(left, right)
+
+    def _match_polytypes(self, left: Forall, right: Forall, depth: int) -> list[tuple]:
+        """The unification work for two quantified types: equal up to
+        α-renaming, so their bodies unify one level deeper under shared
+        fresh skolems, which must not leak out afterwards."""
+        if alpha_equal(left, right):
+            return []
+        if len(left.binders) != len(right.binders):
+            raise UnificationError(left, right, "different numbers of quantifiers")
+        shared = [self._fresh_skolem(name) for name in left.binders]
+        left_map = {n: TVar(s) for n, s in zip(left.binders, shared)}
+        right_map = {n: TVar(s) for n, s in zip(right.binders, shared)}
+        bodies = (subst_tvars(left_map, left.body), subst_tvars(right_map, right.body))
+        return [(_ESCAPE, shared, left), (*bodies, depth + 1)]
+
+    def _check_forall_escape(self, shared: list[str], left: Forall) -> None:
+        """The shared skolems of a ``∀``/``∀`` unification must not reach
+        the image of any variable that is not free in the ``∀`` itself."""
+        inside = None
+        for skolem in shared:
+            for variable, image in list(self.subst.items()):
+                image = self.zonk(image)
+                if skolem not in ftv(image):
+                    continue
+                if inside is None:
+                    inside = fuv(self.zonk(left))
+                if variable not in inside:
+                    raise SkolemEscapeError(skolem, image)
+
+    def _bind(self, variable: UVar, type_: Type) -> None:
+        if contains_uvar(type_, variable):
+            raise OccursCheckError(variable, type_)
+        self.admit(variable, type_)
+        self.subst[variable] = type_
+
+    def admit(self, variable: UVar, type_: Type) -> None:
+        """Raise unless ``variable := type_`` is allowed (the occurs check
+        has passed).  The default admits every binding."""
+
+    # -- instantiation, generalisation, skolemisation -----------------------
+
+    def instantiate(self, scheme: Type) -> Type:
+        """Strip the top quantifiers with fresh variables."""
+        scheme = self.zonk(scheme)
+        binders, body = strip_forall(scheme)
+        if not binders:
+            return scheme
+        return subst_tvars({name: self.fresh() for name in binders}, body)
+
+    def generalize(self, env_types: Iterable[Type], type_: Type) -> Type:
+        """Quantify the variables of ``type_`` not free in ``env_types``,
+        in order of first occurrence, as ``a, b, …`` avoiding its rigid
+        variables."""
+        type_ = self.zonk(type_)
+        variables = fuv(type_)
+        # A type with no variables generalises to itself: skip the walk
+        # over the environment.
+        env_vars = self._free_uvars(env_types) if variables else {}
+        names: list[str] = []
+        used = set(ftv(type_))
+        supply = letters()
+        for variable in variables:
+            if variable in env_vars:
+                continue
+            for candidate in supply:
+                name = candidate + self.QUANTIFIER_MARK
+                if name not in used:
+                    used.add(name)
+                    names.append(name)
+                    self.subst[variable] = TVar(name)
+                    break
+        return forall(names, self.zonk(type_))
+
+    def skolemise(self, scheme: Type) -> tuple[list[str], Type]:
+        """Replace the top quantifiers by fresh skolems — and, when
+        ``_deep``, those to the right of arrows too.  Returns the skolems
+        and the ρ-type."""
+        body = self.zonk(scheme)
+        skolems: list[str] = []
+        arguments: list[Type] = []
+        while True:
+            binders, body = strip_forall(body)
+            mapping = {name: TVar(self._fresh_skolem(name)) for name in binders}
+            skolems.extend(variable.name for variable in mapping.values())
+            body = subst_tvars(mapping, body)
+            if not (self._deep and is_arrow(body)):
+                break
+            arguments.append(body.args[0])
+            body = body.args[1]
+        for argument in reversed(arguments):
+            body = fun(argument, body)
+        return skolems, body
+
+    def subsume(
+        self, offered: Type, expected: Type, local: dict[str, Type] | None = None
+    ) -> None:
+        """``offered ⊑ expected``: skolemise the expected side, check the
+        offered type against its ρ-type, and let no skolem escape into a
+        variable of ``offered`` or ``local``."""
+        outer = self._free_uvars([*(local or {}).values(), offered])
+        skolems, expected_rho = self.skolemise(expected)
+        self._subsume_rho(offered, expected_rho)
+        self._check_escape(skolems, outer)
+
+    def _subsume_rho(self, offered: Type, expected_rho: Type) -> None:
+        self.unify(self.instantiate(offered), expected_rho)
+
+    def _check_escape(self, skolems: list[str], outer: Iterable[UVar]) -> None:
+        """No skolem may leak into a variable visible outside its scope;
+        the first leaking variable names its least skolem."""
+        if not skolems:
+            return
+        for variable in outer:
+            image = self.zonk(variable)
+            leaked = set(skolems) & ftv(image)
+            if leaked:
+                raise SkolemEscapeError(sorted(leaked)[0], image)
+
+    # -- case ---------------------------------------------------------------
+
+    def _open_case(self, term: Case, scrutinee: Type) -> tuple[DataCon, dict[str, Type]]:
+        """Unify the scrutinee with the first constructor's result type at
+        fresh universals; returns that constructor and the universals."""
+        first = self.env.lookup_datacon(term.alts[0].constructor)
+        alphas = {name: self.fresh() for name in first.universals}
+        self.unify(
+            self.instantiate(scrutinee),
+            TCon(first.result_con, tuple(alphas[n] for n in first.universals)),
+        )
+        return first, alphas
+
+    def _alt_scope(
+        self,
+        alt: CaseAlt,
+        first: DataCon,
+        alphas: dict[str, Type],
+        local: dict[str, Type],
+    ) -> dict[str, Type]:
+        """The scope of one alternative: its binders at the constructor's
+        field types, existentials as fresh skolems."""
+        datacon = self.env.lookup_datacon(alt.constructor)
+        if datacon.result_con != first.result_con:
+            raise self.Error("mixed constructors in case")
+        mapping: dict[str, Type] = dict(alphas)
+        mapping.update(
+            {name: TVar(self._fresh_skolem(name)) for name in datacon.existentials}
+        )
+        inner = dict(local)
+        inner.update(
+            zip(alt.binders, (subst_tvars(mapping, field) for field in datacon.fields))
+        )
+        return inner

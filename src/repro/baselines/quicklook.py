@@ -35,41 +35,22 @@ while checking ``[]``.  The measured Figure-2 column lives in
 
 from __future__ import annotations
 
+from repro.baselines.kernel import Kernel
+from repro.baselines.rankn import RankNInferencer
 from repro.core.env import Environment
-from repro.core.errors import (
-    GIError,
-    OccursCheckError,
-    SkolemEscapeError,
-    TypeError_,
-    UnificationError,
-)
-from repro.core.names import NameSupply, letters
+from repro.core.errors import GIError, OccursCheckError, TypeError_
 from repro.core.sorts import Sort
-from repro.core.terms import (
-    Ann,
-    AnnLam,
-    App,
-    Case,
-    Lam,
-    Let,
-    Lit,
-    Term,
-    Var,
-)
+from repro.core.terms import Ann, App, Lit, Term, Var
 from repro.core.types import (
     Forall,
     TCon,
     TVar,
     Type,
     UVar,
-    alpha_equal,
     contains_uvar,
-    forall,
-    ftv,
     fun,
-    fuv,
-    rename_canonical,
-    strip_forall,
+    is_arrow,
+    mentions_forall,
     subst_tvars,
 )
 
@@ -86,116 +67,31 @@ class QuickLookError(TypeError_):
 #            commit them to polytypes before unification runs.
 
 
-class QuickLookInferencer:
-    """Bidirectional predicative inference + the quick-look spine pass.
+class QuickLookInferencer(RankNInferencer):
+    """RankN plus the quick-look spine pass.
 
     ``policy`` (an :class:`~repro.core.policy.InstantiationPolicy`, or
     ``None`` for the reference configuration) selects the instantiation
     discipline.  The published Quick Look sits on an *eager-deep*
     substrate; ``depth="shallow"`` stops skolemisation at top-level
     binders and ``speed="lazy"`` keeps ∀-headed spine results
-    uninstantiated (GHC 9's actual configuration).
+    uninstantiated (GHC 9's actual configuration).  Ordinary unification
+    stays predicative; polytypes reach instantiation variables only
+    through quick-look commits, which write the substitution directly.
     """
 
-    def __init__(self, env: Environment, budget=None, policy=None) -> None:
-        self.env = env
-        self.budget = budget
-        self.policy = policy
-        self._lazy = policy is not None and policy.lazy
-        self._deep = policy is None or policy.deep
-        self.supply = NameSupply("q")
-        self.subst: dict[UVar, Type] = {}
-        self.skolems: set[str] = set()
+    PREFIX = "q"
+    Error = QuickLookError
+    # Committed polytypes meet each other invariantly: equal up to
+    # α-renaming, checked by unifying under shared skolems.
+    _match_polytypes = Kernel._match_polytypes
 
-    # -- plumbing ---------------------------------------------------------
-
-    def fresh(self, sort: Sort = Sort.M) -> UVar:
-        return UVar(self.supply.fresh(), sort)
-
-    def zonk(self, type_: Type) -> Type:
-        if isinstance(type_, UVar):
-            bound = self.subst.get(type_)
-            return type_ if bound is None else self.zonk(bound)
-        if isinstance(type_, TCon):
-            return TCon(type_.name, tuple(self.zonk(a) for a in type_.args))
-        if isinstance(type_, Forall):
-            return Forall(type_.binders, self.zonk(type_.body), type_.context)
-        return type_
-
-    def unify(self, left: Type, right: Type, depth: int = 0) -> None:
-        if self.budget is not None:
-            self.budget.check_unify_depth(depth, left, right)
-        left, right = self.zonk(left), self.zonk(right)
-        if left == right:
-            return
-        if isinstance(left, UVar):
-            self._bind(left, right)
-            return
-        if isinstance(right, UVar):
-            self._bind(right, left)
-            return
-        if (
-            isinstance(left, TCon)
-            and isinstance(right, TCon)
-            and left.name == right.name
-            and len(left.args) == len(right.args)
-        ):
-            for left_argument, right_argument in zip(left.args, right.args):
-                self.unify(left_argument, right_argument, depth + 1)
-            return
-        if isinstance(left, Forall) and isinstance(right, Forall):
-            # Committed polytypes meet each other invariantly: equal up
-            # to α-renaming (checked by unifying under shared skolems).
-            if not alpha_equal(left, right):
-                self._unify_forall(left, right, depth)
-            return
-        raise UnificationError(left, right)
-
-    def _unify_forall(self, left: Forall, right: Forall, depth: int) -> None:
-        if len(left.binders) != len(right.binders):
-            raise UnificationError(left, right, "different numbers of quantifiers")
-        shared = [self._fresh_skolem(name) for name in left.binders]
-        left_map = {n: TVar(s) for n, s in zip(left.binders, shared)}
-        right_map = {n: TVar(s) for n, s in zip(right.binders, shared)}
-        self.unify(
-            subst_tvars(left_map, left.body),
-            subst_tvars(right_map, right.body),
-            depth + 1,
-        )
-        for skolem in shared:
-            for variable, image in list(self.subst.items()):
-                if skolem in ftv(self.zonk(image)) and variable not in fuv(
-                    self.zonk(left)
-                ):
-                    raise SkolemEscapeError(skolem, self.zonk(image))
-
-    def _bind(self, variable: UVar, type_: Type) -> None:
-        if contains_uvar(type_, variable):
-            raise OccursCheckError(variable, type_)
-        if _mentions_forall(type_):
-            # Ordinary unification stays predicative; polytypes reach
-            # instantiation variables only through quick-look commits.
+    def admit(self, variable: UVar, type_: Type) -> None:
+        if mentions_forall(type_):
             raise QuickLookError(
                 f"predicativity violation: `{variable}` cannot stand for the "
                 f"polymorphic type `{type_}` without a quick-look commit"
             )
-        self.subst[variable] = type_
-
-    def _fresh_skolem(self, hint: str) -> str:
-        name = self.supply.fresh(hint + "_sk")
-        self.skolems.add(name)
-        return name
-
-    # -- instantiation / skolemisation / subsumption -----------------------
-
-    def instantiate(self, scheme: Type) -> Type:
-        """``σ`` to ``ρ`` with ordinary (predicative) variables."""
-        scheme = self.zonk(scheme)
-        binders, body = strip_forall(scheme)
-        if not binders:
-            return scheme
-        mapping = {name: self.fresh() for name in binders}
-        return subst_tvars(mapping, body)
 
     def _instantiate_spine(self, scheme: Forall, spine_vars: set[UVar]) -> Type:
         """Instantiate with *instantiation* variables the quick look may
@@ -204,81 +100,41 @@ class QuickLookInferencer:
         spine_vars.update(mapping.values())
         return subst_tvars(mapping, scheme.body)
 
-    def deep_skolemise(self, scheme: Type) -> tuple[list[str], Type]:
-        scheme = self.zonk(scheme)
-        binders, body = strip_forall(scheme)
-        mapping = {name: TVar(self._fresh_skolem(name)) for name in binders}
-        skolems = [variable.name for variable in mapping.values()]
-        body = subst_tvars(mapping, body)
-        if self._deep and isinstance(body, TCon) and body.name == "->" and len(body.args) == 2:
-            argument, result = body.args
-            inner_skolems, inner_body = self.deep_skolemise(result)
-            return skolems + inner_skolems, fun(argument, inner_body)
-        return skolems, body
-
-    def subsume(
-        self, offered: Type, expected: Type, local: dict[str, Type] | None = None
-    ) -> None:
-        """``offered ⊑ expected`` (deep-skolemise the expected side)."""
-        outer = self._reachable_vars(local, offered)
-        skolems, expected_rho = self.deep_skolemise(expected)
-        self._subsume_rho(offered, expected_rho)
-        self._check_escape(skolems, outer)
-
     def _subsume_rho(
         self, offered: Type, expected_rho: Type, spine_result: bool = False
     ) -> None:
-        offered = self.zonk(offered)
-        expected_rho = self.zonk(expected_rho)
-        if isinstance(offered, Forall) and not isinstance(expected_rho, Forall):
-            if (
-                spine_result
-                and isinstance(expected_rho, UVar)
-                and expected_rho.sort is Sort.U
-            ):
-                # The spine's committed polytype result fills the
-                # enclosing spine's instantiation variable — the
-                # result-type side of the quick look.  This is what
-                # types `map head (single ids)` at `[∀a.a→a]` instead
-                # of instantiating `head`'s result away.  Only trusted
-                # spine results flow here; generalisation artifacts
-                # from checking fall through `subsume` (no flag) and
-                # instantiate predicatively, keeping RankN-accepted
-                # terms at their RankN types.
-                if contains_uvar(offered, expected_rho):
-                    raise OccursCheckError(expected_rho, offered)
-                self.subst[expected_rho] = offered
+        """RankN's ``offered ⊑ ρ``, except that polytypes meet each other
+        invariantly and a spine's ∀-headed result may fill the enclosing
+        spine's instantiation variable."""
+        while True:
+            offered = self.zonk(offered)
+            expected_rho = self.zonk(expected_rho)
+            if isinstance(offered, Forall) and not isinstance(expected_rho, Forall):
+                if (
+                    spine_result
+                    and isinstance(expected_rho, UVar)
+                    and expected_rho.sort is Sort.U
+                ):
+                    # The spine's committed polytype result fills the
+                    # enclosing spine's instantiation variable — the
+                    # result-type side of the quick look.  This is what
+                    # types `map head (single ids)` at `[∀a.a→a]` instead
+                    # of instantiating `head`'s result away.  Only trusted
+                    # spine results flow here; generalisation artifacts
+                    # from checking fall through `subsume` (no flag) and
+                    # instantiate predicatively, keeping RankN-accepted
+                    # terms at their RankN types.
+                    if contains_uvar(offered, expected_rho):
+                        raise OccursCheckError(expected_rho, offered)
+                    self.subst[expected_rho] = offered
+                    return
+                offered = self.instantiate(offered)
+            elif is_arrow(offered) and is_arrow(expected_rho):
+                self.subsume(expected_rho.args[0], offered.args[0])
+                offered, expected_rho = offered.args[1], expected_rho.args[1]
+            else:
+                self.unify(offered, expected_rho)
                 return
-            self._subsume_rho(self.instantiate(offered), expected_rho, spine_result)
-            return
-        if (
-            isinstance(offered, TCon)
-            and offered.name == "->"
-            and isinstance(expected_rho, TCon)
-            and expected_rho.name == "->"
-        ):
-            self.subsume(expected_rho.args[0], offered.args[0])
-            self._subsume_rho(offered.args[1], expected_rho.args[1], spine_result)
-            return
-        self.unify(offered, expected_rho)
-
-    def _reachable_vars(
-        self, local: dict[str, Type] | None, *types: Type
-    ) -> set[UVar]:
-        reachable: set[UVar] = set()
-        for type_ in (local or {}).values():
-            reachable.update(fuv(self.zonk(type_)))
-        for type_ in types:
-            reachable.update(fuv(self.zonk(type_)))
-        return reachable
-
-    def _check_escape(self, skolems: list[str], outer: set[UVar]) -> None:
-        if not skolems:
-            return
-        for variable in outer:
-            leaked = set(skolems) & ftv(self.zonk(variable))
-            if leaked:
-                raise SkolemEscapeError(sorted(leaked)[0], self.zonk(variable))
 
     # -- the quick look ----------------------------------------------------
 
@@ -329,7 +185,7 @@ class QuickLookInferencer:
             current = self.zonk(current)
             if isinstance(current, Forall):
                 current = self._instantiate_spine(current, spine_vars)
-            if isinstance(current, TCon) and current.name == "->":
+            if is_arrow(current):
                 parameter, current = current.args
             else:
                 return None
@@ -353,37 +209,37 @@ class QuickLookInferencer:
     ) -> None:
         """Structurally match a spine type (containing instantiation
         variables) against an argument's rough type, collecting candidate
-        bindings.  Purely informative: mismatches record nothing — the
-        real check reports them later."""
-        spine_type = self.zonk(spine_type)
-        against = self.zonk(against)
-        if isinstance(spine_type, UVar):
-            if spine_type in spine_vars and not isinstance(against, UVar):
-                out.append((spine_type, against))
-            return
-        if (
-            isinstance(spine_type, TCon)
-            and isinstance(against, TCon)
-            and spine_type.name == against.name
-            and len(spine_type.args) == len(against.args)
-        ):
-            for left, right in zip(spine_type.args, against.args):
-                self._quick_match(left, right, spine_vars, out)
-            return
-        if (
-            isinstance(spine_type, Forall)
-            and isinstance(against, Forall)
-            and len(spine_type.binders) == len(against.binders)
-        ):
-            shared = [TVar(self.supply.fresh(n)) for n in spine_type.binders]
-            left_map = dict(zip(spine_type.binders, shared))
-            right_map = dict(zip(against.binders, shared))
-            self._quick_match(
-                subst_tvars(left_map, spine_type.body),
-                subst_tvars(right_map, against.body),
-                spine_vars,
-                out,
-            )
+        bindings left to right.  Purely informative: mismatches record
+        nothing — the real check reports them later."""
+        pairs = [(spine_type, against)]
+        while pairs:
+            spine_type, against = pairs.pop()
+            spine_type = self.zonk(spine_type)
+            against = self.zonk(against)
+            if isinstance(spine_type, UVar):
+                if spine_type in spine_vars and not isinstance(against, UVar):
+                    out.append((spine_type, against))
+            elif (
+                isinstance(spine_type, TCon)
+                and isinstance(against, TCon)
+                and spine_type.name == against.name
+                and len(spine_type.args) == len(against.args)
+            ):
+                pairs.extend(zip(reversed(spine_type.args), reversed(against.args)))
+            elif (
+                isinstance(spine_type, Forall)
+                and isinstance(against, Forall)
+                and len(spine_type.binders) == len(against.binders)
+            ):
+                shared = [TVar(self.supply.fresh(n)) for n in spine_type.binders]
+                left_map = dict(zip(spine_type.binders, shared))
+                right_map = dict(zip(against.binders, shared))
+                pairs.append(
+                    (
+                        subst_tvars(left_map, spine_type.body),
+                        subst_tvars(right_map, against.body),
+                    )
+                )
 
     def _commit_quicks(
         self,
@@ -397,7 +253,7 @@ class QuickLookInferencer:
             if self.subst.get(variable) is not None:
                 continue
             image = self.zonk(image)
-            if not _mentions_forall(image):
+            if not mentions_forall(image):
                 continue  # monotype info: ordinary unification re-derives it
             if isinstance(image, Forall):
                 if guarded is None:
@@ -414,94 +270,27 @@ class QuickLookInferencer:
         """Instantiation variables occurring under at least one type
         constructor (arrows included) in the parameter/result types."""
         guarded: set[UVar] = set()
-
-        def go(node: Type, under_con: bool) -> None:
+        stack = [(type_, False) for type_ in spine_types]
+        while stack:
+            node, under_con = stack.pop()
             if isinstance(node, UVar):
                 bound = self.subst.get(node)
                 if bound is not None:
-                    go(bound, under_con)
+                    stack.append((bound, under_con))
                 elif under_con and node in spine_vars:
                     guarded.add(node)
             elif isinstance(node, TCon):
-                for argument in node.args:
-                    go(argument, True)
+                stack.extend((argument, True) for argument in node.args)
             elif isinstance(node, Forall):
-                go(node.body, under_con)
-
-        for type_ in spine_types:
-            go(type_, False)
+                stack.append((node.body, under_con))
         return guarded
 
     # -- inference ----------------------------------------------------------
 
-    def infer(self, term: Term) -> Type:
-        """The inferred σ-type of a term."""
-        if self.budget is not None:
-            self.budget.start()
-        self.subst = {}
-        local: dict[str, Type] = {}
-        rho = self._infer_rho(term, local)
-        return rename_canonical(self._generalize(local, rho))
-
-    def accepts(self, term: Term) -> bool:
-        try:
-            self.infer(term)
-            return True
-        except GIError:
-            return False
-
-    def _generalize(self, local: dict[str, Type], rho: Type) -> Type:
-        rho = self.zonk(rho)
-        env_vars: set[UVar] = set()
-        for type_ in local.values():
-            env_vars.update(fuv(self.zonk(type_)))
-        free = [v for v in _ordered_vars(rho) if v not in env_vars]
-        names: list[str] = []
-        used = set(ftv(rho))
-        supply = letters()
-        for variable in free:
-            for candidate in supply:
-                if candidate not in used:
-                    used.add(candidate)
-                    names.append(candidate)
-                    self.subst[variable] = TVar(candidate)
-                    break
-        return forall(names, self.zonk(rho))
-
-    def _lookup(self, name: str, local: dict[str, Type]) -> Type:
-        if name in local:
-            return local[name]
-        return self.env.lookup(name)
-
-    def _infer_rho(self, term: Term, local: dict[str, Type]) -> Type:
+    def _infer(self, term: Term, local: dict[str, Type]) -> Type:
         if isinstance(term, (Var, App)):
             return self._infer_app_spine(term, local)
-        if isinstance(term, Lit):
-            return term.type_
-        if isinstance(term, Lam):
-            binder = self.fresh()
-            inner = dict(local)
-            inner[term.var] = binder
-            body = self._infer_rho(term.body, inner)
-            return fun(binder, body)
-        if isinstance(term, AnnLam):
-            inner = dict(local)
-            inner[term.var] = term.annotation
-            body = self._infer_rho(term.body, inner)
-            return fun(term.annotation, body)
-        if isinstance(term, Ann):
-            self._check_sigma(term.expr, term.annotation, local)
-            if self._lazy:
-                return self.zonk(term.annotation)
-            return self.instantiate(term.annotation)
-        if isinstance(term, Let):
-            bound = self._infer_sigma(term.bound, local)
-            inner = dict(local)
-            inner[term.var] = bound
-            return self._infer_rho(term.body, inner)
-        if isinstance(term, Case):
-            return self._infer_case(term, local)
-        raise TypeError(f"unknown term node: {term!r}")
+        return super()._infer(term, local)
 
     def _infer_app_spine(
         self,
@@ -536,7 +325,7 @@ class QuickLookInferencer:
                     parameter, result = self.fresh(), self.fresh()
                 self.unify(current, fun(parameter, result))
                 current = result
-            elif isinstance(current, TCon) and current.name == "->":
+            elif is_arrow(current):
                 parameter, current = current.args
             else:
                 raise QuickLookError(f"too many arguments for `{current}`")
@@ -577,122 +366,38 @@ class QuickLookInferencer:
         if isinstance(head, Ann):
             self._check_sigma(head.expr, head.annotation, local)
             return head.annotation
-        return self._infer_rho(head, local)
-
-    def _infer_sigma(self, term: Term, local: dict[str, Type]) -> Type:
-        rho = self._infer_rho(term, local)
-        return self._generalize(local, rho)
+        return self._infer(head, local)
 
     def _check_arg(self, argument: Term, parameter: Type, local: dict[str, Type]) -> None:
         parameter = self.zonk(parameter)
-        if isinstance(parameter, Forall):
-            self._check_sigma(argument, parameter, local)
-            return
-        if isinstance(argument, Lam) and isinstance(parameter, TCon) and parameter.name == "->":
-            inner = dict(local)
-            inner[argument.var] = parameter.args[0]
-            self._check_arg(argument.body, parameter.args[1], inner)
-            return
-        if isinstance(argument, (Var, App)):
+        if isinstance(argument, (Var, App)) and not isinstance(parameter, Forall):
             self._infer_app_spine(argument, local, expected=parameter)
             return
-        offered = self._infer_sigma(argument, local)
-        self.subsume(offered, parameter, local)
-
-    def _check_sigma(self, term: Term, expected: Type, local: dict[str, Type]) -> None:
-        outer = self._reachable_vars(local)
-        skolems, rho = self.deep_skolemise(expected)
-        self._check_rho(term, rho, local)
-        self._check_escape(skolems, outer)
-        env_free: set[str] = set()
-        for type_ in local.values():
-            env_free.update(ftv(self.zonk(type_)))
-        leaked = set(skolems) & env_free
-        if leaked:
-            raise SkolemEscapeError(sorted(leaked)[0])
+        super()._check_arg(argument, parameter, local)
 
     def _check_rho(self, term: Term, expected_rho: Type, local: dict[str, Type]) -> None:
-        expected_rho = self.zonk(expected_rho)
-        if isinstance(term, Lam) and isinstance(expected_rho, TCon) and expected_rho.name == "->":
-            inner = dict(local)
-            inner[term.var] = expected_rho.args[0]
-            self._check_rho(term.body, expected_rho.args[1], inner)
-            return
-        if isinstance(term, AnnLam) and isinstance(expected_rho, TCon) and expected_rho.name == "->":
-            self.subsume(expected_rho.args[0], term.annotation, local)
-            inner = dict(local)
-            inner[term.var] = term.annotation
-            self._check_rho(term.body, expected_rho.args[1], inner)
-            return
         if isinstance(term, (Var, App)):
-            self._infer_app_spine(term, local, expected=expected_rho)
+            self._infer_app_spine(term, local, expected=self.zonk(expected_rho))
             return
-        offered = self._infer_rho(term, local)
-        self._subsume_rho(self._generalize(local, offered), expected_rho)
+        super()._check_rho(term, expected_rho, local)
 
-    def _infer_case(self, term: Case, local: dict[str, Type]) -> Type:
-        scrutinee = self.zonk(self._infer_rho(term.scrutinee, local))
-        if isinstance(scrutinee, Forall):
-            scrutinee = self.instantiate(scrutinee)
-        first = self.env.lookup_datacon(term.alts[0].constructor)
-        alphas = {name: self.fresh() for name in first.universals}
-        self.unify(
-            scrutinee, TCon(first.result_con, tuple(alphas[n] for n in first.universals))
-        )
-        result = self.fresh()
-        for alt in term.alts:
-            datacon = self.env.lookup_datacon(alt.constructor)
-            if datacon.result_con != first.result_con:
-                raise QuickLookError("mixed constructors in case")
-            mapping: dict[str, Type] = dict(alphas)
-            mapping.update(
-                {name: TVar(self._fresh_skolem(name)) for name in datacon.existentials}
-            )
-            fields = [subst_tvars(mapping, field) for field in datacon.fields]
-            inner = dict(local)
-            inner.update(dict(zip(alt.binders, fields)))
-            rhs = self.zonk(self._infer_rho(alt.rhs, inner))
-            resolved = self.zonk(result)
-            if isinstance(rhs, Forall) and not isinstance(resolved, Forall):
-                # A ∀-headed branch meeting a mono result instantiates
-                # (`case … of { _ -> inc ; _ -> id }` : Int → Int).
-                rhs = self.instantiate(rhs)
-            if (
-                isinstance(resolved, UVar)
-                and _mentions_forall(rhs)
-                and not contains_uvar(rhs, resolved)
-            ):
-                # The first branch with a polytype result fixes the
-                # case's σ; later branches must α-agree through unify.
-                self.subst[resolved] = rhs
-            else:
-                self.unify(result, rhs)
-        return self.zonk(result)
-
-
-def _mentions_forall(type_: Type) -> bool:
-    if isinstance(type_, Forall):
-        return True
-    if isinstance(type_, TCon):
-        return any(_mentions_forall(argument) for argument in type_.args)
-    return False
-
-
-def _ordered_vars(type_: Type) -> list[UVar]:
-    seen: list[UVar] = []
-
-    def go(node: Type) -> None:
-        if isinstance(node, UVar):
-            if node not in seen:
-                seen.append(node)
-        elif isinstance(node, TCon):
-            for argument in node.args:
-                go(argument)
-        elif isinstance(node, Forall):
-            go(node.body)
-
-    go(type_)
-    return seen
+    def _join_branch(self, result: Type, rhs: Type) -> None:
+        rhs = self.zonk(rhs)
+        resolved = self.zonk(result)
+        if isinstance(rhs, Forall) and not isinstance(resolved, Forall):
+            # A ∀-headed branch meeting a mono result instantiates
+            # (`case … of { _ -> inc ; _ -> id }` : Int → Int).
+            rhs = self.instantiate(rhs)
+        if (
+            isinstance(resolved, UVar)
+            and mentions_forall(rhs)
+            and not contains_uvar(rhs, resolved)
+        ):
+            # The first branch with a polytype result fixes the
+            # case's σ; later branches must α-agree through unify.
+            self.subst[resolved] = rhs
+        else:
+            self.unify(result, rhs)
 
 
 def quicklook_infer(term: Term, env: Environment) -> Type:

@@ -20,16 +20,9 @@ Architecture, following the JFP paper:
 
 from __future__ import annotations
 
+from repro.baselines.kernel import Kernel
 from repro.core.env import Environment
-from repro.core.errors import (
-    GIError,
-    OccursCheckError,
-    SkolemEscapeError,
-    TypeError_,
-    UnificationError,
-)
-from repro.core.names import NameSupply, letters
-from repro.core.sorts import Sort
+from repro.core.errors import SkolemEscapeError, TypeError_, UnificationError
 from repro.core.terms import (
     Ann,
     AnnLam,
@@ -43,18 +36,12 @@ from repro.core.terms import (
 )
 from repro.core.types import (
     Forall,
-    TCon,
-    TVar,
     Type,
     UVar,
-    contains_uvar,
-    forall,
     ftv,
     fun,
-    fuv,
-    rename_canonical,
-    strip_forall,
-    subst_tvars,
+    is_arrow,
+    mentions_forall,
 )
 
 
@@ -62,7 +49,7 @@ class RankNError(TypeError_):
     """A predicative higher-rank type error."""
 
 
-class RankNInferencer:
+class RankNInferencer(Kernel):
     """Bidirectional predicative arbitrary-rank inference.
 
     ``policy`` (an :class:`~repro.core.policy.InstantiationPolicy`, or
@@ -75,188 +62,45 @@ class RankNInferencer:
     forces instantiation (GHC 9's lazy instantiation).
     """
 
+    PREFIX = "r"
+    Error = RankNError
+
     def __init__(self, env: Environment, budget=None, policy=None) -> None:
-        self.env = env
-        self.budget = budget
+        super().__init__(env, budget)
         self.policy = policy
         self._lazy = policy is not None and policy.lazy
         self._deep = policy is None or policy.deep
-        self.supply = NameSupply("r")
-        self.subst: dict[UVar, Type] = {}
-        self.skolems: set[str] = set()
 
-    # -- plumbing ---------------------------------------------------------
-
-    def fresh(self) -> UVar:
-        return UVar(self.supply.fresh(), Sort.M)
-
-    def zonk(self, type_: Type) -> Type:
-        if isinstance(type_, UVar):
-            bound = self.subst.get(type_)
-            return type_ if bound is None else self.zonk(bound)
-        if isinstance(type_, TCon):
-            return TCon(type_.name, tuple(self.zonk(a) for a in type_.args))
-        if isinstance(type_, Forall):
-            return Forall(type_.binders, self.zonk(type_.body), type_.context)
-        return type_
-
-    def unify(self, left: Type, right: Type, depth: int = 0) -> None:
-        if self.budget is not None:
-            self.budget.check_unify_depth(depth, left, right)
-        left, right = self.zonk(left), self.zonk(right)
-        if left == right:
-            return
-        if isinstance(left, UVar):
-            self._bind(left, right)
-            return
-        if isinstance(right, UVar):
-            self._bind(right, left)
-            return
-        if (
-            isinstance(left, TCon)
-            and isinstance(right, TCon)
-            and left.name == right.name
-            and len(left.args) == len(right.args)
-        ):
-            for left_argument, right_argument in zip(left.args, right.args):
-                self.unify(left_argument, right_argument, depth + 1)
-            return
-        raise UnificationError(left, right)
-
-    def _bind(self, variable: UVar, type_: Type) -> None:
-        if contains_uvar(type_, variable):
-            raise OccursCheckError(variable, type_)
-        if _mentions_forall(type_):
+    def admit(self, variable: UVar, type_: Type) -> None:
+        if mentions_forall(type_):
             raise RankNError(
                 f"predicativity violation: `{variable}` cannot stand for the "
                 f"polymorphic type `{type_}`"
             )
-        self.subst[variable] = type_
 
-    def _fresh_skolem(self, hint: str) -> str:
-        name = self.supply.fresh(hint + "_sk")
-        self.skolems.add(name)
-        return name
-
-    # -- instantiation / skolemisation / subsumption -----------------------
-
-    def instantiate(self, scheme: Type) -> Type:
-        """``σ`` to ``ρ`` with fresh (monotype) unification variables."""
-        scheme = self.zonk(scheme)
-        binders, body = strip_forall(scheme)
-        if not binders:
-            return scheme
-        mapping = {name: self.fresh() for name in binders}
-        return subst_tvars(mapping, body)
-
-    def deep_skolemise(self, scheme: Type) -> tuple[list[str], Type]:
-        """Peel quantifiers at the top — and, under a deep policy, to the
-        right of arrows too."""
-        scheme = self.zonk(scheme)
-        binders, body = strip_forall(scheme)
-        mapping = {name: TVar(self._fresh_skolem(name)) for name in binders}
-        skolems = [variable.name for variable in mapping.values()]
-        body = subst_tvars(mapping, body)
-        if (
-            self._deep
-            and isinstance(body, TCon)
-            and body.name == "->"
-            and len(body.args) == 2
-        ):
-            argument, result = body.args
-            inner_skolems, inner_body = self.deep_skolemise(result)
-            return skolems + inner_skolems, fun(argument, inner_body)
-        return skolems, body
-
-    def subsume(
-        self, offered: Type, expected: Type, local: dict[str, Type] | None = None
-    ) -> None:
-        """``offered ⊑ expected`` (dsk: deep-skolemise the expected side)."""
-        outer = self._reachable_vars(local, offered)
-        skolems, expected_rho = self.deep_skolemise(expected)
-        self._subsume_rho(offered, expected_rho)
-        self._check_escape(skolems, outer)
+    def _match_polytypes(self, left: Forall, right: Forall, depth: int) -> list[tuple]:
+        """The JFP 2007 unifier never looks inside a polytype: two
+        quantified types unify only when syntactically equal."""
+        raise UnificationError(left, right)
 
     def _subsume_rho(self, offered: Type, expected_rho: Type) -> None:
-        offered = self.zonk(offered)
-        expected_rho = self.zonk(expected_rho)
-        if isinstance(offered, Forall):
-            self._subsume_rho(self.instantiate(offered), expected_rho)
-            return
-        if (
-            isinstance(offered, TCon)
-            and offered.name == "->"
-            and isinstance(expected_rho, TCon)
-            and expected_rho.name == "->"
-        ):
-            # Contravariant in the argument, covariant in the result.
-            self.subsume(expected_rho.args[0], offered.args[0])
-            self._subsume_rho(offered.args[1], expected_rho.args[1])
-            return
-        self.unify(offered, expected_rho)
-
-    def _reachable_vars(
-        self, local: dict[str, Type] | None, *types: Type
-    ) -> set[UVar]:
-        """Unification variables visible outside a skolemisation scope."""
-        reachable: set[UVar] = set()
-        for type_ in (local or {}).values():
-            reachable.update(fuv(self.zonk(type_)))
-        for type_ in types:
-            reachable.update(fuv(self.zonk(type_)))
-        return reachable
-
-    def _check_escape(self, skolems: list[str], outer: set[UVar]) -> None:
-        """No skolem may leak into a variable visible outside its scope."""
-        if not skolems:
-            return
-        for variable in outer:
-            leaked = set(skolems) & ftv(self.zonk(variable))
-            if leaked:
-                raise SkolemEscapeError(sorted(leaked)[0], self.zonk(variable))
+        """``offered ⊑ ρ``: instantiate the offered side, contravariant
+        in arrow arguments and covariant in results."""
+        while True:
+            offered = self.zonk(offered)
+            expected_rho = self.zonk(expected_rho)
+            if isinstance(offered, Forall):
+                offered = self.instantiate(offered)
+            elif is_arrow(offered) and is_arrow(expected_rho):
+                self.subsume(expected_rho.args[0], offered.args[0])
+                offered, expected_rho = offered.args[1], expected_rho.args[1]
+            else:
+                self.unify(offered, expected_rho)
+                return
 
     # -- inference ----------------------------------------------------------
 
-    def infer(self, term: Term) -> Type:
-        """The inferred σ-type of a term."""
-        if self.budget is not None:
-            self.budget.start()
-        self.subst = {}
-        local: dict[str, Type] = {}
-        rho = self._infer_rho(term, local)
-        return rename_canonical(self._generalize(local, rho))
-
-    def accepts(self, term: Term) -> bool:
-        try:
-            self.infer(term)
-            return True
-        except GIError:
-            return False
-
-    def _generalize(self, local: dict[str, Type], rho: Type) -> Type:
-        rho = self.zonk(rho)
-        env_vars: set[UVar] = set()
-        for type_ in local.values():
-            env_vars.update(fuv(self.zonk(type_)))
-        free = [v for v in _ordered_vars(rho) if v not in env_vars]
-        names: list[str] = []
-        used = set(ftv(rho))
-        supply = letters()
-        for variable in free:
-            for candidate in supply:
-                if candidate not in used:
-                    used.add(candidate)
-                    names.append(candidate)
-                    self.subst[variable] = TVar(candidate)
-                    break
-        return forall(names, self.zonk(rho))
-
-    def _lookup(self, name: str, local: dict[str, Type]) -> Type:
-        if name in local:
-            return local[name]
-        return self.env.lookup(name)
-
-    def _infer_rho(self, term: Term, local: dict[str, Type]) -> Type:
+    def _infer(self, term: Term, local: dict[str, Type]) -> Type:
         if isinstance(term, Var):
             if self._lazy:
                 # Lazy instantiation: keep the polytype; elimination
@@ -266,7 +110,7 @@ class RankNInferencer:
         if isinstance(term, Lit):
             return term.type_
         if isinstance(term, App):
-            fn_rho = self._infer_rho(term.head, local)
+            fn_rho = self._infer(term.head, local)
             for argument in term.args:
                 fn_rho = self.zonk(fn_rho)
                 if isinstance(fn_rho, Forall):
@@ -274,7 +118,7 @@ class RankNInferencer:
                 if isinstance(fn_rho, UVar):
                     parameter, result = self.fresh(), self.fresh()
                     self.unify(fn_rho, fun(parameter, result))
-                elif isinstance(fn_rho, TCon) and fn_rho.name == "->":
+                elif is_arrow(fn_rho):
                     parameter, result = fn_rho.args
                 else:
                     raise RankNError(f"too many arguments for `{fn_rho}`")
@@ -285,12 +129,12 @@ class RankNInferencer:
             binder = self.fresh()
             inner = dict(local)
             inner[term.var] = binder
-            body = self._infer_rho(term.body, inner)
+            body = self._infer(term.body, inner)
             return fun(binder, body)
         if isinstance(term, AnnLam):
             inner = dict(local)
             inner[term.var] = term.annotation
-            body = self._infer_rho(term.body, inner)
+            body = self._infer(term.body, inner)
             return fun(term.annotation, body)
         if isinstance(term, Ann):
             # Annotations switch to checking mode (the whole point of the
@@ -303,14 +147,14 @@ class RankNInferencer:
             bound = self._infer_sigma(term.bound, local)
             inner = dict(local)
             inner[term.var] = bound
-            return self._infer_rho(term.body, inner)
+            return self._infer(term.body, inner)
         if isinstance(term, Case):
             return self._infer_case(term, local)
         raise TypeError(f"unknown term node: {term!r}")
 
     def _infer_sigma(self, term: Term, local: dict[str, Type]) -> Type:
-        rho = self._infer_rho(term, local)
-        return self._generalize(local, rho)
+        rho = self._infer(term, local)
+        return self.generalize(local.values(), rho)
 
     def _check_arg(self, argument: Term, parameter: Type, local: dict[str, Type]) -> None:
         parameter = self.zonk(parameter)
@@ -318,7 +162,7 @@ class RankNInferencer:
             # Checking mode: push the polymorphic expected type inwards.
             self._check_sigma(argument, parameter, local)
             return
-        if isinstance(argument, Lam) and isinstance(parameter, TCon) and parameter.name == "->":
+        if isinstance(argument, Lam) and is_arrow(parameter):
             inner = dict(local)
             inner[argument.var] = parameter.args[0]
             self._check_arg(argument.body, parameter.args[1], inner)
@@ -327,8 +171,8 @@ class RankNInferencer:
         self.subsume(offered, parameter, local)
 
     def _check_sigma(self, term: Term, expected: Type, local: dict[str, Type]) -> None:
-        outer = self._reachable_vars(local)
-        skolems, rho = self.deep_skolemise(expected)
+        outer = self._free_uvars(local.values())
+        skolems, rho = self.skolemise(expected)
         self._check_rho(term, rho, local)
         self._check_escape(skolems, outer)
         # A skolem appearing rigidly in the environment types themselves
@@ -342,71 +186,36 @@ class RankNInferencer:
 
     def _check_rho(self, term: Term, expected_rho: Type, local: dict[str, Type]) -> None:
         expected_rho = self.zonk(expected_rho)
-        if isinstance(term, Lam) and isinstance(expected_rho, TCon) and expected_rho.name == "->":
+        if isinstance(term, Lam) and is_arrow(expected_rho):
             inner = dict(local)
             inner[term.var] = expected_rho.args[0]
             self._check_rho(term.body, expected_rho.args[1], inner)
             return
-        if isinstance(term, AnnLam) and isinstance(expected_rho, TCon) and expected_rho.name == "->":
+        if isinstance(term, AnnLam) and is_arrow(expected_rho):
             self.subsume(expected_rho.args[0], term.annotation, local)
             inner = dict(local)
             inner[term.var] = term.annotation
             self._check_rho(term.body, expected_rho.args[1], inner)
             return
-        offered = self._infer_rho(term, local)
-        self._subsume_rho(self._generalize(local, offered), expected_rho)
+        offered = self._infer(term, local)
+        self._subsume_rho(self.generalize(local.values(), offered), expected_rho)
 
     def _infer_case(self, term: Case, local: dict[str, Type]) -> Type:
-        scrutinee = self._infer_rho(term.scrutinee, local)
-        if isinstance(self.zonk(scrutinee), Forall):
-            # Reachable only under a lazy policy: matching forces
-            # instantiation.
-            scrutinee = self.instantiate(scrutinee)
-        first = self.env.lookup_datacon(term.alts[0].constructor)
-        alphas = {name: self.fresh() for name in first.universals}
-        self.unify(
-            scrutinee, TCon(first.result_con, tuple(alphas[n] for n in first.universals))
-        )
+        # Under a lazy policy the scrutinee may be ∀-headed: matching
+        # forces instantiation.
+        scrutinee = self.instantiate(self._infer(term.scrutinee, local))
+        first, alphas = self._open_case(term, scrutinee)
         result = self.fresh()
         for alt in term.alts:
-            datacon = self.env.lookup_datacon(alt.constructor)
-            mapping: dict[str, Type] = dict(alphas)
-            mapping.update(
-                {name: TVar(self._fresh_skolem(name)) for name in datacon.existentials}
-            )
-            fields = [subst_tvars(mapping, field) for field in datacon.fields]
-            inner = dict(local)
-            inner.update(dict(zip(alt.binders, fields)))
-            rhs = self._infer_rho(alt.rhs, inner)
-            if isinstance(self.zonk(rhs), Forall):
-                rhs = self.instantiate(rhs)
-            self.unify(result, rhs)
+            inner = self._alt_scope(alt, first, alphas, local)
+            self._join_branch(result, self._infer(alt.rhs, inner))
         return self.zonk(result)
 
-
-def _mentions_forall(type_: Type) -> bool:
-    if isinstance(type_, Forall):
-        return True
-    if isinstance(type_, TCon):
-        return any(_mentions_forall(argument) for argument in type_.args)
-    return False
-
-
-def _ordered_vars(type_: Type) -> list[UVar]:
-    seen: list[UVar] = []
-
-    def go(node: Type) -> None:
-        if isinstance(node, UVar):
-            if node not in seen:
-                seen.append(node)
-        elif isinstance(node, TCon):
-            for argument in node.args:
-                go(argument)
-        elif isinstance(node, Forall):
-            go(node.body)
-
-    go(type_)
-    return seen
+    def _join_branch(self, result: Type, rhs: Type) -> None:
+        """Unify one case branch's type into the case's result."""
+        if isinstance(self.zonk(rhs), Forall):
+            rhs = self.instantiate(rhs)
+        self.unify(result, rhs)
 
 
 def rankn_infer(term: Term, env: Environment) -> Type:

@@ -888,6 +888,18 @@ def type_size(type_: Type) -> int:
     raise TypeError(f"unknown type node: {type_!r}")
 
 
+def mentions_forall(type_: Type) -> bool:
+    """Whether a quantifier occurs anywhere in the type (iterative)."""
+    stack: list[Type] = [type_]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Forall):
+            return True
+        if isinstance(node, TCon):
+            stack.extend(node.args)
+    return False
+
+
 def contains_uvar(type_: Type, variable: UVar) -> bool:
     """Occurs check helper (iterative — deep types must not overflow)."""
     stack: list[Type] = [type_]

@@ -53,6 +53,7 @@ from repro.core.types import (
     UVar,
     ftv,
     fuv,
+    mentions_forall,
     subst_tvars,
     subst_uvars,
 )
@@ -601,7 +602,7 @@ class Unifier:
             return type_
         # Sort.M — demote every unification variable in the type (eqfully)
         # and reject any quantifier hiding under a constructor.
-        if _mentions_forall(type_):
+        if mentions_forall(type_):
             raise SortError(variable, type_, Sort.M)
         mapping: dict[UVar, Type] = {}
         for inner in self.fuv_of(type_):
@@ -626,14 +627,3 @@ class Unifier:
         for name in self.ftv_of(type_):
             if self.skolem_level(name) > variable.level:
                 raise SkolemEscapeError(name, type_)
-
-
-def _mentions_forall(type_: Type) -> bool:
-    stack: list[Type] = [type_]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Forall):
-            return True
-        if isinstance(node, TCon):
-            stack.extend(node.args)
-    return False

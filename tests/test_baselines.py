@@ -15,7 +15,7 @@ from repro.baselines import (
     get_system,
 )
 from repro.core import Inferencer
-from repro.core.errors import GIError
+from repro.core.errors import GIError, SkolemEscapeError
 from repro.core.terms import Lam, free_vars
 from repro.core.types import alpha_equal, rename_canonical
 from repro.syntax import parse_term, parse_type
@@ -134,6 +134,13 @@ class TestHMF:
         assert str(hmf_type("runST argST")) == "Int"
         assert str(hmf_type("app runST argST")) == "Int"
 
+    def test_skolem_escape_names_least_skolem(self):
+        # Two skolems leak through one variable; the message must not
+        # depend on set iteration order (i.e. on PYTHONHASHSEED).
+        with pytest.raises(SkolemEscapeError) as info:
+            hmf_type(r"\x -> (x :: forall a b. a -> b)")
+        assert info.value.skolem == "a_sk1"
+
 
 class TestRankN:
     def test_higher_rank_checking(self):
@@ -162,6 +169,29 @@ class TestRankN:
     def test_skolem_escape(self):
         with pytest.raises(GIError):
             rankn_type(r"\y -> (\x -> y :: forall a. a -> a)")
+
+
+class TestKernel:
+    """Behaviour the shared backend kernel gives all five baselines."""
+
+    def test_mixed_constructor_case_rejected_everywhere(self):
+        # Alternatives over two different data types are ill-typed in
+        # every system, whichever error the scrutinee would raise later.
+        term = parse_term(r"\x -> case x of { Nothing -> 1 ; Nil -> 2 }")
+        for name in ("HM", "HMF", "HMF-N", "RankN", "FreezeML", "QuickLook"):
+            outcome = SYSTEMS[name].run(term, ENV)
+            assert outcome.rejected, name
+            assert outcome.detail == "mixed constructors in case", name
+
+    def test_rankn_unifies_polytypes_only_when_syntactically_equal(self):
+        # JFP 2007's unifier never looks inside a polytype; Quick Look
+        # (which commits polytypes) unifies them up to α-renaming.
+        source = "(ids :: [forall b. b -> b])"
+        with pytest.raises(GIError):
+            rankn_type(source)
+        assert str(get_system("QuickLook").infer(parse_term(source), ENV)) == (
+            "[forall a. a -> a]"
+        )
 
 
 class TestRegistry:

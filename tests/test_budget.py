@@ -9,6 +9,7 @@ escaping as a raw Python exception.
 
 import pytest
 
+from repro.baselines import FreezeMLInferencer, HMFInferencer, QuickLookInferencer
 from repro.core import Inferencer, InferOptions
 from repro.core.errors import (
     BudgetExceededError,
@@ -18,7 +19,7 @@ from repro.core.errors import (
 )
 from repro.core.names import NameSupply
 from repro.core.sorts import Sort
-from repro.core.types import INT, list_of
+from repro.core.types import BOOL, INT, TVar, forall, fun, list_of
 from repro.core.unify import Unifier
 from repro.robustness import Budget, FaultPlan, InjectedFaultError
 from repro.syntax import parse_term
@@ -95,6 +96,25 @@ class TestUnifyDepthBudget:
         with pytest.raises(BudgetExceededError) as info:
             gi.infer(parse_term("single id"))
         assert info.value.phase == "unify"
+
+    @pytest.mark.parametrize(
+        "backend", [HMFInferencer, FreezeMLInferencer, QuickLookInferencer]
+    )
+    def test_nested_forall_unification_stays_in_budget(self, backend):
+        # ∀-bodies unify one level below their quantifiers, so 40 nested
+        # quantifiers that differ only at the leaf exhaust a depth budget
+        # of 10 in every backend that unifies polytypes.
+        def nested(leaf):
+            type_ = leaf
+            for index in range(40):
+                type_ = forall([f"a{index}"], fun(TVar(f"a{index}"), type_))
+            return type_
+
+        budget = Budget(max_unify_depth=10).start()
+        with pytest.raises(BudgetExceededError) as info:
+            backend(ENV, budget=budget).unify(nested(INT), nested(BOOL))
+        assert info.value.limit_name == "max_unify_depth"
+        assert budget.peak_unify_depth == 11
 
     def test_peak_depth_recorded(self):
         budget = Budget()

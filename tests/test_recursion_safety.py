@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+from repro.baselines.registry import SYSTEMS
 from repro.core.errors import BudgetExceededError, UnificationError
 from repro.core.sorts import Sort
 from repro.core.types import (
@@ -28,6 +29,8 @@ from repro.core.types import (
     subst_uvars,
 )
 from repro.core.unify import Unifier
+from repro.evalsuite.figure2 import figure2_env
+from repro.evalsuite.workloads import deep_chain_term
 from repro.robustness.budget import Budget
 
 DEPTH = 50_000
@@ -117,3 +120,27 @@ class TestDeepUnifier:
         unifier = Unifier(budget=budget)
         with pytest.raises(BudgetExceededError):
             unifier.unify(deep_arrow(DEPTH), deep_arrow(DEPTH))
+
+
+class TestDeepBackends:
+    """``λf. f 1 … 1`` at depth 3000 through every registered system.
+
+    RankN and Quick Look re-collect the environment's free variables once
+    per argument, which is quadratic in the spine length; they may run
+    out of a short deadline instead of answering.  The others accept.
+    """
+
+    QUADRATIC = ("RankN", "QuickLook")
+
+    @pytest.mark.parametrize("name", list(SYSTEMS))
+    def test_deep_chain(self, name):
+        wall_clock = 2.0 if name in self.QUADRATIC else 60.0
+        outcome = SYSTEMS[name].run(
+            deep_chain_term(3000), figure2_env(), budget=Budget(wall_clock=wall_clock)
+        )
+        summary = (outcome.status, outcome.error, (outcome.detail or "")[:200])
+        assert outcome.error != "RecursionError" and not outcome.crashed, summary
+        if name in self.QUADRATIC:
+            assert outcome.accepted or outcome.error == "BudgetExceededError", summary
+        else:
+            assert outcome.accepted, summary
