@@ -42,7 +42,6 @@ from repro.core.terms import (
     subst_type_vars_in_term,
 )
 from repro.core.types import (
-    Forall,
     Pred,
     TCon,
     TVar,
@@ -52,6 +51,7 @@ from repro.core.types import (
     fun,
     fuv,
     is_rank1,
+    open_forall,
     strip_forall,
     subst_tvars,
 )
@@ -259,27 +259,17 @@ class Generator:
     @staticmethod
     def _vargen_applicable(var_type: Type) -> bool:
         """Rule VarGen needs a *closed* rank-1 type ``∀p̄. τ``."""
-        binders, body = strip_forall(var_type)
-        if isinstance(var_type, Forall) and var_type.context:
-            # Qualified rank-1 types are still fine: the instantiated
-            # context becomes wanted constraints in the scheme.
-            pass
         return is_rank1(var_type) and not ftv(var_type) and not fuv(var_type)
 
     def _vargen(self, var_type: Type, expected: Type, path: Path) -> list[Constraint]:
-        binders, body = strip_forall(var_type)
+        binders, _ = strip_forall(var_type)
         alphas = [self.fresh(Sort.U) for _ in binders]
-        mapping = {name: alpha for name, alpha in zip(binders, alphas)}
-        instantiated = subst_tvars(mapping, body)
-        wanted: list[Constraint] = []
-        if isinstance(var_type, Forall):
-            for predicate in var_type.context:
-                wanted.append(
-                    ClassC(
-                        predicate.class_name,
-                        tuple(subst_tvars(mapping, a) for a in predicate.args),
-                    )
-                )
+        # A qualified rank-1 type is fine: its instantiated context becomes
+        # wanted constraints in the scheme.
+        context, instantiated = open_forall(var_type, alphas)
+        wanted: list[Constraint] = [
+            ClassC(predicate.class_name, predicate.args) for predicate in context
+        ]
         info = self.evidence.gen_info(path)
         info.star = True
         info.star_type_args = list(alphas)
@@ -292,31 +282,22 @@ class Generator:
 
     def gen_ann(self, env: Environment, term: Ann, path: Path) -> tuple[Type, list[Constraint]]:
         annotation = term.annotation
-        binders, body = strip_forall(annotation)
-        context = annotation.context if isinstance(annotation, Forall) else ()
+        binders, _ = strip_forall(annotation)
 
         # Rename the annotation's binders to fresh skolems for the inner
         # constraint, so nested annotations with the same binder names do
         # not collide.
         skolems = tuple(self.fresh_skolem(name) for name in binders)
-        renaming: dict[str, Type] = {
-            name: TVar(skolem) for name, skolem in zip(binders, skolems)
-        }
-        inner_body = subst_tvars(renaming, body)
+        images = [TVar(skolem) for skolem in skolems]
+        context, inner_body = open_forall(annotation, images)
         # Lexically scoped type variables: the binders scope over the
         # annotated expression, including its nested annotations.
-        scoped_expr = subst_type_vars_in_term(renaming, term.expr)
+        scoped_expr = subst_type_vars_in_term(dict(zip(binders, images)), term.expr)
         if isinstance(scoped_expr, App):
             head, args = scoped_expr.head, scoped_expr.args
         else:
             head, args = scoped_expr, ()
-        givens = tuple(
-            ClassC(
-                predicate.class_name,
-                tuple(subst_tvars(renaming, a) for a in predicate.args),
-            )
-            for predicate in context
-        )
+        givens = tuple(ClassC(predicate.class_name, predicate.args) for predicate in context)
 
         snapshot = len(self.created)
         head_type, head_constraints = self.gen_fun(env, head, path + (0,))

@@ -54,7 +54,7 @@ from repro.core.types import (
     ftv,
     fun,
     is_arrow,
-    subst_tvars,
+    open_forall,
 )
 
 SPEEDS = ("eager", "lazy")
@@ -176,7 +176,7 @@ def deep_prenex(type_: Type, intern=None) -> Type:
     current = type_
     while True:
         if isinstance(current, Forall):
-            renaming: dict[str, Type] = {}
+            images: list[Type] = []
             for binder in current.binders:
                 name = binder
                 if name in used:
@@ -184,20 +184,11 @@ def deep_prenex(type_: Type, intern=None) -> Type:
                     while f"{binder}{suffix}" in used:
                         suffix += 1
                     name = f"{binder}{suffix}"
-                    renaming[binder] = TVar(name)
                 used.add(name)
                 binders.append(name)
-            for predicate in current.context:
-                context.append(
-                    Pred(
-                        predicate.class_name,
-                        tuple(
-                            subst_tvars(renaming, argument)
-                            for argument in predicate.args
-                        ),
-                    )
-                )
-            current = subst_tvars(renaming, current.body)
+                images.append(TVar(name))
+            opened, current = open_forall(current, images)
+            context.extend(opened)
         elif is_arrow(current):
             argument, result = arrow_parts(current)
             spine.append(argument)

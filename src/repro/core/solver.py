@@ -50,7 +50,6 @@ from repro.core.policy import DEFAULT_POLICY, InstantiationPolicy, deep_prenex
 from repro.core.sorts import Sort
 from repro.core.types import (
     Forall,
-    Pred,
     TCon,
     TVar,
     Type,
@@ -58,6 +57,7 @@ from repro.core.types import (
     alpha_equal,
     fun,
     fuv,
+    open_forall,
     subst_tvars,
 )
 from repro.core.unify import Unifier
@@ -433,24 +433,14 @@ class Solver:
                 },
                 bits="".join(str(bit) for bit in constraint.bits),
             )
-        mapping: dict[str, Type] = {}
-        fresh_vars: list[Type] = []
-        for binder in lhs.binders:
-            variable = self.unifier.fresh(assignment.get(binder, Sort.M), scope.level)
-            mapping[binder] = variable
-            fresh_vars.append(variable)
+        fresh_vars: list[Type] = [
+            self.unifier.fresh(assignment.get(binder, Sort.M), scope.level)
+            for binder in lhs.binders
+        ]
         self._record_inst_event(constraint, TypeArgs(fresh_vars))
-        for predicate in lhs.context:
-            self.queue.append(
-                (
-                    ClassC(
-                        predicate.class_name,
-                        tuple(subst_tvars(mapping, a) for a in predicate.args),
-                    ),
-                    scope,
-                )
-            )
-        body = subst_tvars(mapping, lhs.body)
+        context, body = open_forall(lhs, fresh_vars)
+        for predicate in context:
+            self.queue.append((ClassC(predicate.class_name, predicate.args), scope))
         self.queue.append(
             (
                 Inst(
@@ -510,20 +500,11 @@ class Solver:
                     skolems=list(skolems),
                     level=inner.level,
                 )
-            renaming = {
-                binder: TVar(skolem)
-                for binder, skolem in zip(rhs.binders, skolems)
-            }
-            for predicate in rhs.context:
-                inner.class_givens.append(
-                    ClassC(
-                        predicate.class_name,
-                        tuple(subst_tvars(renaming, a) for a in predicate.args),
-                    )
-                )
+            context, body = open_forall(rhs, [TVar(skolem) for skolem in skolems])
+            for predicate in context:
+                inner.class_givens.append(ClassC(predicate.class_name, predicate.args))
             if constraint.evidence is not None:
                 self.evidence.gen_info(constraint.evidence).skolems.extend(skolems)
-            body = subst_tvars(renaming, rhs.body)
             self.queue.append(
                 (
                     Gen(constraint.scheme, body, constraint.star, constraint.evidence),

@@ -21,7 +21,9 @@ promotion (rule float of Figure 10) and skolem-escape checking.  Skolem
 from __future__ import annotations
 
 from collections.abc import Set as AbstractSet
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
+from operator import is_not
 from typing import Callable, Generic, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from repro.core.names import letters
@@ -207,14 +209,14 @@ class Pred:
         return f"{self.class_name} {rendered}"
 
 
-def _composite_children(node: Type) -> Iterator[Type]:
-    """Direct sub-*types* of a composite node (context args before body)."""
-    if isinstance(node, TCon):
-        yield from node.args
-    elif isinstance(node, Forall):
-        for predicate in node.context:
-            yield from predicate.args
-        yield node.body
+def _forall_children(node: Forall) -> Iterator[Type]:
+    """The context arguments, then the body, of a ``Forall`` — a plain
+    iterator, which is cheaper than a generator on the hot walks."""
+    if not node.context:
+        return iter((node.body,))
+    children = [argument for predicate in node.context for argument in predicate.args]
+    children.append(node.body)
+    return iter(children)
 
 
 def _hash_type(root: Type) -> int:
@@ -225,9 +227,10 @@ def _hash_type(root: Type) -> int:
         if "_hash" in node.__dict__ or not isinstance(node, (TCon, Forall)):
             stack.pop()
             continue
+        children = node.args if isinstance(node, TCon) else _forall_children(node)
         pending = [
             child
-            for child in _composite_children(node)
+            for child in children
             if isinstance(child, (TCon, Forall)) and "_hash" not in child.__dict__
         ]
         if pending:
@@ -484,17 +487,6 @@ def ftv(type_: Type) -> OrderedSet[str]:
     return result
 
 
-def _forall_children(node: Forall) -> Iterator[Type]:
-    """The context arguments, then the body, of a ``Forall`` — what
-    :func:`_composite_children` yields, as a plain iterator, which is
-    cheaper than a generator on the free-variable walks' hot path."""
-    if not node.context:
-        return iter((node.body,))
-    children = [argument for predicate in node.context for argument in predicate.args]
-    children.append(node.body)
-    return iter(children)
-
-
 def fuv(type_: Type) -> OrderedSet[UVar]:
     """Free unification variables, in first-occurrence pre-order (all
     unification variables are free; binders only ever bind skolems).  A
@@ -522,55 +514,131 @@ def fuv(type_: Type) -> OrderedSet[UVar]:
     return result
 
 
+# A scope maps what a walk replaces (a ``TVar`` by name, a ``UVar`` by
+# itself) to its image.  At each ``Forall`` the walk's one hook returns the
+# node's new binders and the scope under them, or ``None`` to keep the node.
+Scope = Mapping[object, Type]
+Opened = tuple[tuple[str, ...], Scope] | None
+OpenForall = Callable[[Forall, Scope], Opened]
+
+
+def _rebuild(type_: Type, scope: Scope, open_forall: OpenForall) -> Type:
+    """The substitution walk behind :func:`subst_tvars`, :func:`subst_uvars`
+    and :func:`rename_canonical`, which differ only in ``open_forall``.
+
+    The walk is iterative, with one children iterator per open node (as in
+    :func:`ftv`).  A node whose children come back unchanged is returned as
+    is, and a quantifier-free composite subtree is rebuilt once per scope
+    it occurs in, so DAG sharing survives.  A subtree with a quantifier is
+    rebuilt at every occurrence: the hook may draw fresh names each time.
+    """
+    # Frames: [node (None above a leaf or ``Forall`` root), scope, memo
+    # (id(node) -> result under that scope), children, rebuilt, quantified, binders].
+    if type_.__class__ is TCon:
+        stack: list[list] = [[type_, scope, {}, iter(type_.args), [], False, None]]
+    else:
+        stack = [[None, scope, {}, iter((type_,)), [], False, None]]
+    while True:
+        frame = stack[-1]
+        scope = frame[1]
+        memo = frame[2]
+        built = frame[4]
+        for node in frame[3]:
+            kind = node.__class__
+            if kind is TVar:
+                built.append(scope.get(node.name, node))
+            elif kind is TCon:
+                if not node.args:
+                    built.append(node)
+                    continue
+                cached = memo.get(id(node))
+                if cached is not None:
+                    built.append(cached)
+                    continue
+                stack.append([node, scope, memo, iter(node.args), [], False, None])
+                break
+            elif kind is Forall:
+                frame[5] = True
+                opened = open_forall(node, scope)
+                if opened is None:
+                    built.append(node)
+                    continue
+                binders, inner = opened
+                inner_memo = memo if inner is scope else {}
+                children = _forall_children(node)
+                stack.append([node, inner, inner_memo, children, [], True, binders])
+                break
+            elif kind is UVar:
+                built.append(scope.get(node, node))
+            else:
+                raise TypeError(f"unknown type node: {node!r}")
+        else:
+            stack.pop()
+            node = frame[0]
+            if node is None:
+                return built[0]
+            if node.__class__ is TCon:
+                changed = any(map(is_not, built, node.args))
+                result: Type = TCon(node.name, tuple(built)) if changed else node
+                if not frame[5]:
+                    memo[id(node)] = result
+            else:  # Forall: the context arguments, then the body
+                body = built.pop()
+                flat = iter(built)
+                context = tuple(
+                    Pred(predicate.class_name, tuple(islice(flat, len(predicate.args))))
+                    for predicate in node.context
+                )
+                same = body is node.body and context == node.context
+                if same and frame[6] == node.binders:
+                    result = node
+                else:
+                    result = Forall(frame[6], body, context)
+            if not stack:
+                return result
+            parent = stack[-1]
+            parent[4].append(result)
+            parent[5] = parent[5] or frame[5]
+
+
 def subst_tvars(mapping: Mapping[str, Type], type_: Type) -> Type:
-    """Capture-avoiding substitution of skolem variables ``[a ↦ σ]``."""
+    """Capture-avoiding, simultaneous substitution of skolem variables
+    ``[ā ↦ σ̄]``.
+
+    Under a ``Forall`` the names it binds drop out of the mapping, and a
+    binder free in one of the remaining images is renamed apart.
+    """
     if not mapping:
         return type_
-    if isinstance(type_, TVar):
+    kind = type_.__class__
+    if kind is TVar:
         return mapping.get(type_.name, type_)
-    if isinstance(type_, UVar):
+    if kind is UVar:
         return type_
-    if isinstance(type_, TCon):
-        return TCon(type_.name, tuple(subst_tvars(mapping, a) for a in type_.args))
-    if isinstance(type_, Forall):
-        relevant = {
-            name: image
-            for name, image in mapping.items()
-            if name not in type_.binders
-        }
-        if not relevant:
-            return type_
-        image_ftvs: set[str] = set()
-        for image in relevant.values():
-            image_ftvs |= ftv(image)
-        binders = list(type_.binders)
-        body = type_.body
-        clashing = [name for name in binders if name in image_ftvs]
-        if clashing:
-            avoid = image_ftvs | ftv(body) | set(binders)
-            renaming: dict[str, Type] = {}
-            for name in clashing:
-                fresh_name = _fresh_tvar_name(name, avoid)
-                avoid.add(fresh_name)
-                renaming[name] = TVar(fresh_name)
-                binders[binders.index(name)] = fresh_name
-            body = subst_tvars(renaming, body)
-        context = tuple(
-            _subst_pred(renaming, predicate) for predicate in type_.context
-        ) if clashing else type_.context
-        return Forall(
-            tuple(binders),
-            subst_tvars(relevant, body),
-            tuple(_subst_pred(relevant, predicate) for predicate in context),
-        )
-    raise TypeError(f"unknown type node: {type_!r}")
+    return _rebuild(type_, mapping, _open_avoiding_capture)
 
 
-def _subst_pred(mapping: Mapping[str, Type], predicate: "Pred") -> "Pred":
-    return Pred(
-        predicate.class_name,
-        tuple(subst_tvars(mapping, argument) for argument in predicate.args),
-    )
+def _open_avoiding_capture(node: Forall, scope: Scope) -> Opened:
+    binders = node.binders
+    if not binders:  # shadows and captures nothing
+        return binders, scope
+    inner = {name: image for name, image in scope.items() if name not in binders}
+    if not inner:
+        return None
+    image_ftvs: set[str] = set()
+    for image in inner.values():
+        image_ftvs |= ftv(image)
+    if not any(name in image_ftvs for name in binders):
+        return binders, inner
+    avoid = image_ftvs | ftv(node) | set(binders)
+    renamed = list(binders)
+    for index, name in enumerate(binders):
+        if name in image_ftvs:
+            fresh_name = _fresh_tvar_name(name, avoid)
+            avoid.add(fresh_name)
+            inner[name] = TVar(fresh_name)
+            renamed[index] = fresh_name
+    return tuple(renamed), inner
 
 
 def _fresh_tvar_name(base: str, avoid: set[str]) -> str:
@@ -581,72 +649,25 @@ def _fresh_tvar_name(base: str, avoid: set[str]) -> str:
     return f"{base}{index}"
 
 
-def _rebuild_uvars(function: Callable[[UVar], Type], type_: Type) -> Type:
-    """Iterative post-order rebuild replacing every :class:`UVar` via
-    ``function``; unchanged subtrees are returned identically (no fresh
-    allocation), so a no-op substitution is cheap and preserves sharing."""
-    results: list[Type] = []
-    stack: list[tuple[Type, bool]] = [(type_, False)]
-    while stack:
-        node, ready = stack.pop()
-        if not ready:
-            if isinstance(node, UVar):
-                results.append(function(node))
-            elif isinstance(node, TVar):
-                results.append(node)
-            elif isinstance(node, TCon):
-                stack.append((node, True))
-                for argument in reversed(node.args):
-                    stack.append((argument, False))
-            elif isinstance(node, Forall):
-                stack.append((node, True))
-                stack.append((node.body, False))
-                for predicate in reversed(node.context):
-                    for argument in reversed(predicate.args):
-                        stack.append((argument, False))
-            else:
-                raise TypeError(f"unknown type node: {node!r}")
-        elif isinstance(node, TCon):
-            count = len(node.args)
-            if count:
-                args = tuple(results[-count:])
-                del results[-count:]
-                if all(a is b for a, b in zip(args, node.args)):
-                    results.append(node)
-                else:
-                    results.append(TCon(node.name, args))
-            else:
-                results.append(node)
-        else:  # Forall
-            body = results.pop()
-            count = sum(len(predicate.args) for predicate in node.context)
-            flat = results[-count:] if count else []
-            if count:
-                del results[-count:]
-            changed = body is not node.body
-            context: list[Pred] = []
-            index = 0
-            for predicate in node.context:
-                width = len(predicate.args)
-                new_args = tuple(flat[index : index + width])
-                index += width
-                if all(a is b for a, b in zip(new_args, predicate.args)):
-                    context.append(predicate)
-                else:
-                    context.append(Pred(predicate.class_name, new_args))
-                    changed = True
-            if changed:
-                results.append(Forall(node.binders, body, tuple(context)))
-            else:
-                results.append(node)
-    return results[0]
-
-
 def subst_uvars(mapping: Mapping[UVar, Type], type_: Type) -> Type:
-    """Substitution of unification variables (zonking one step)."""
+    """Substitution of unification variables (zonking one step); binders
+    are kept as they are."""
     if not mapping:
         return type_
-    return _rebuild_uvars(lambda variable: mapping.get(variable, variable), type_)
+    return _rebuild(type_, mapping, lambda node, scope: (node.binders, scope))
+
+
+def open_forall(type_: Type, images: Sequence[Type]) -> tuple[tuple[Pred, ...], Type]:
+    """Open ``∀ā. Q ⇒ µ`` at ``images`` (one per binder): ``(Q, µ)`` with
+    ``ā ↦ images`` substituted in both, in one walk.  A type without a
+    quantifier opens to ``((), type_)``."""
+    if not isinstance(type_, Forall):
+        return (), type_
+    mapping = dict(zip(type_.binders, images))
+    if not type_.context:
+        return (), subst_tvars(mapping, type_.body)
+    opened = subst_tvars(mapping, Forall((), type_.body, type_.context))
+    return opened.context, opened.body  # type: ignore[attr-defined]
 
 
 def respects(type_: Type, sort: Sort) -> bool:
@@ -660,22 +681,22 @@ def respects(type_: Type, sort: Sort) -> bool:
     """
     if sort is Sort.U:
         return True
-    if sort is Sort.T:
-        if isinstance(type_, Forall):
+    deep = sort is Sort.M  # sort T looks at the top node only
+    stack = [type_]
+    while stack:
+        node = stack.pop()
+        kind = node.__class__
+        if kind is TCon:
+            if deep:
+                stack.extend(node.args)
+        elif kind is UVar:
+            if node.sort > sort:
+                return False
+        elif kind is Forall:
             return False
-        if isinstance(type_, UVar):
-            return type_.sort <= Sort.T
-        return True
-    # Sort.M: fully monomorphic.
-    if isinstance(type_, Forall):
-        return False
-    if isinstance(type_, UVar):
-        return type_.sort is Sort.M
-    if isinstance(type_, TVar):
-        return True
-    if isinstance(type_, TCon):
-        return all(respects(argument, Sort.M) for argument in type_.args)
-    raise TypeError(f"unknown type node: {type_!r}")
+        elif kind is not TVar:
+            raise TypeError(f"unknown type node: {node!r}")
+    return True
 
 
 def sort_of(type_: Type) -> Sort:
@@ -777,115 +798,34 @@ def rename_canonical(type_: Type) -> Type:
     supply = letters()
     used = set(ftv(type_))
 
-    def next_name() -> str:
-        for candidate in supply:
-            if candidate not in used:
-                used.add(candidate)
-                return candidate
-        raise RuntimeError("unreachable")
+    def draw(node: Forall, scope: Scope) -> tuple[tuple[str, ...], Scope]:
+        inner = dict(scope)
+        fresh = []
+        for binder in node.binders:
+            name = next(candidate for candidate in supply if candidate not in used)
+            used.add(name)
+            fresh.append(name)
+            if name == binder:
+                inner.pop(binder, None)
+            else:
+                inner[binder] = TVar(name)
+        return tuple(fresh), inner
 
-    # A scope maps each binder in force to its renamed occurrence.  A
-    # result is memoised per (node, scope) only when it is quantifier-free;
-    # ``scopes`` keeps every scope alive so its id is never reused.
-    # Frames are (node, scope, None) on entry and (node, scope, binders)
-    # once the children are queued; ``results`` holds (type, quantified).
-    top: dict[str, TVar] = {}
-    scopes = [top]
-    memo: dict[tuple[int, int], Type] = {}
-    results: list[tuple[Type, bool]] = []
-    stack: list[tuple[Type, dict[str, TVar], tuple[str, ...] | None]] = [
-        (type_, top, None)
-    ]
-    while stack:
-        node, scope, binders = stack.pop()
-        kind = node.__class__
-        if binders is None:
-            if kind is TVar:
-                replaced = scope.get(node.name)
-                if replaced is None or replaced.name == node.name:
-                    results.append((node, False))
-                else:
-                    results.append((replaced, False))
-            elif kind is TCon:
-                if not node.args:
-                    results.append((node, False))
-                    continue
-                cached = memo.get((id(node), id(scope)))
-                if cached is not None:
-                    results.append((cached, False))
-                    continue
-                stack.append((node, scope, ()))
-                for argument in reversed(node.args):
-                    stack.append((argument, scope, None))
-            elif kind is Forall:
-                inner = dict(scope)
-                fresh = []
-                for binder in node.binders:
-                    name = next_name()
-                    fresh.append(name)
-                    inner[binder] = TVar(name)
-                scopes.append(inner)
-                stack.append((node, inner, tuple(fresh)))
-                stack.append((node.body, inner, None))
-                for predicate in reversed(node.context):
-                    for argument in reversed(predicate.args):
-                        stack.append((argument, inner, None))
-            elif kind is UVar:
-                results.append((node, False))
-            else:
-                raise TypeError(f"unknown type node: {node!r}")
-        elif kind is TCon:
-            count = len(node.args)
-            children = results[-count:]
-            del results[-count:]
-            has_forall = False
-            changed = False
-            for (new, quantified), old in zip(children, node.args):
-                has_forall = has_forall or quantified
-                changed = changed or new is not old
-            if changed:
-                built: Type = TCon(node.name, tuple(new for new, _ in children))
-            else:
-                built = node
-            if not has_forall:
-                memo[(id(node), id(scope))] = built
-            results.append((built, has_forall))
-        else:  # Forall: the context arguments, then the body
-            body = results.pop()[0]
-            changed = binders != node.binders or body is not node.body
-            context = node.context
-            count = sum(len(predicate.args) for predicate in context)
-            if count:
-                flat = [new for new, _ in results[-count:]]
-                del results[-count:]
-                renamed: list[Pred] = []
-                for predicate in context:
-                    width = len(predicate.args)
-                    args, flat = tuple(flat[:width]), flat[width:]
-                    if any(a is not b for a, b in zip(args, predicate.args)):
-                        predicate = Pred(predicate.class_name, args)
-                        changed = True
-                    renamed.append(predicate)
-                context = tuple(renamed)
-            built = Forall(binders, body, context) if changed else node
-            results.append((built, True))
-    return results[0][0]
+    return _rebuild(type_, {}, draw)
 
 
 def type_size(type_: Type) -> int:
     """Number of AST nodes; used by benchmarks and fuzzers."""
-    if isinstance(type_, (TVar, UVar)):
-        return 1
-    if isinstance(type_, TCon):
-        return 1 + sum(type_size(argument) for argument in type_.args)
-    if isinstance(type_, Forall):
-        extra = sum(
-            type_size(argument)
-            for predicate in type_.context
-            for argument in predicate.args
-        )
-        return 1 + extra + type_size(type_.body)
-    raise TypeError(f"unknown type node: {type_!r}")
+    size = 0
+    stack = [type_]
+    while stack:
+        node = stack.pop()
+        size += 1
+        if isinstance(node, TCon):
+            stack.extend(node.args)
+        elif isinstance(node, Forall):
+            stack.extend(_forall_children(node))
+    return size
 
 
 def mentions_forall(type_: Type) -> bool:
@@ -915,21 +855,6 @@ def contains_uvar(type_: Type, variable: UVar) -> bool:
             for predicate in node.context:
                 stack.extend(predicate.args)
     return False
-
-
-def walk(type_: Type) -> Iterator[Type]:
-    """Pre-order traversal of all type nodes."""
-    yield type_
-    if isinstance(type_, TCon):
-        for argument in type_.args:
-            yield from walk(argument)
-    elif isinstance(type_, Forall):
-        yield from walk(type_.body)
-
-
-def map_uvars(function: Callable[[UVar], Type], type_: Type) -> Type:
-    """Rebuild the type, replacing every unification variable via ``function``."""
-    return _rebuild_uvars(function, type_)
 
 
 def render_type(type_: Type, precedence: int = 0) -> str:
@@ -973,10 +898,3 @@ def render_type(type_: Type, precedence: int = 0) -> str:
         return f"({rendered})" if precedence > 2 else rendered
     raise TypeError(f"unknown type node: {type_!r}")
 
-
-def free_uvar_names(types: Iterable[Type]) -> set[str]:
-    """Names of unification variables free in any of the given types."""
-    result: set[str] = set()
-    for type_ in types:
-        result |= {variable.name for variable in fuv(type_)}
-    return result

@@ -54,7 +54,7 @@ from repro.core.types import (
     ftv,
     fuv,
     mentions_forall,
-    subst_tvars,
+    open_forall,
     subst_uvars,
 )
 
@@ -478,30 +478,18 @@ class Unifier:
             raise UnificationError(left, right, "different class contexts")
         inner = level + 1
         shared = [self.fresh_skolem(name, inner) for name in left.binders]
-        left_map = {name: TVar(skolem) for name, skolem in zip(left.binders, shared)}
-        right_map = {name: TVar(skolem) for name, skolem in zip(right.binders, shared)}
+        images = [TVar(skolem) for skolem in shared]
         pairs: list[tuple[Type, Type]] = []
         try:
-            for left_pred, right_pred in zip(left.context, right.context):
+            left_context, left_body = open_forall(left, images)
+            right_context, right_body = open_forall(right, images)
+            for left_pred, right_pred in zip(left_context, right_context):
                 if left_pred.class_name != right_pred.class_name or len(
                     left_pred.args
                 ) != len(right_pred.args):
                     raise UnificationError(left, right, "different class contexts")
-                for left_argument, right_argument in zip(
-                    left_pred.args, right_pred.args
-                ):
-                    pairs.append(
-                        (
-                            subst_tvars(left_map, left_argument),
-                            subst_tvars(right_map, right_argument),
-                        )
-                    )
-            pairs.append(
-                (
-                    subst_tvars(left_map, left.body),
-                    subst_tvars(right_map, right.body),
-                )
-            )
+                pairs.extend(zip(left_pred.args, right_pred.args))
+            pairs.append((left_body, right_body))
         except BaseException:
             self.prune_skolems(shared)
             raise

@@ -12,7 +12,7 @@ lifted to process scope here.
   name a ``session`` explicitly to share one namespace across
   connections.  All sessions share a single hash-consed
   :class:`~repro.core.types.InternTable` (bounded by
-  ``intern_capacity``), so common prelude types are allocated once per
+  ``INTERN_CAPACITY``), so common prelude types are allocated once per
   process, not once per client.
 * **Crash containment per request** — the worker-side executor converts
   *any* non-:class:`~repro.core.errors.GIError` escape (engine bugs,
@@ -63,6 +63,9 @@ from repro.robustness import protocol
 from repro.robustness.budget import Budget
 from repro.robustness.faultinject import FaultPlan
 
+INTERN_CAPACITY = 1_000_000
+"""Bound on the shared hash-consing table (entries, not bytes)."""
+
 
 @dataclass
 class ServeConfig:
@@ -103,9 +106,6 @@ class ServeConfig:
 
     trace_path: str | None = None
     """Stream JSONL trace events (schema v1) here; flushed on drain."""
-
-    intern_capacity: int | None = 1_000_000
-    """Bound on the shared hash-consing table (entries, not bytes)."""
 
 
 class ModuleReadError(GIError):
@@ -155,7 +155,7 @@ class GIServer:
         self._base_env = env
         self.instances = instances
         self.options = options
-        self.intern = InternTable(capacity=config.intern_capacity)
+        self.intern = InternTable(capacity=INTERN_CAPACITY)
         self.sessions: dict[str, Session] = {}
         self.address: tuple[str, int] | str | None = None
         self.tracer = None

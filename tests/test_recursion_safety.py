@@ -1,8 +1,9 @@
 """Deep types must never escape as ``RecursionError``.
 
-The core traversals (``ftv``/``fuv``/``contains_uvar``/``subst_uvars``/
-``zonk``/``unify``/``render_type``/``alpha_equal``) are iterative with
-explicit stacks, so type depth is bounded by memory — not by Python's
+The core traversals (``ftv``/``fuv``/``contains_uvar``/``subst_tvars``/
+``subst_uvars``/``rename_canonical``/``respects``/``type_size``/``zonk``/
+``unify``/``alpha_equal``, and ``render_type`` on arrow spines) are
+iterative with explicit stacks, so type depth is bounded by memory — not by Python's
 recursion limit.  These tests drive each one at depths far beyond
 ``sys.getrecursionlimit()``; a regression to recursive form fails them
 immediately.  Budgets still apply: a depth *budget* must trip as a
@@ -18,15 +19,24 @@ from repro.core.errors import BudgetExceededError, UnificationError
 from repro.core.sorts import Sort
 from repro.core.types import (
     INT,
+    Forall,
     TCon,
+    TVar,
     UVar,
     alpha_equal,
     contains_uvar,
     ftv,
     fun,
     fuv,
+    is_fully_monomorphic,
+    is_rank1,
+    list_of,
     render_type,
+    rename_canonical,
+    respects,
+    subst_tvars,
     subst_uvars,
+    type_size,
 )
 from repro.core.unify import Unifier
 from repro.evalsuite.figure2 import figure2_env
@@ -44,7 +54,75 @@ def deep_arrow(depth: int, leaf=INT):
     return type_
 
 
+def deep_list(depth: int, leaf):
+    """``[[…leaf…]]``: ``depth`` list constructors."""
+    type_ = leaf
+    for _ in range(depth):
+        type_ = list_of(type_)
+    return type_
+
+
+def deep_forall_list(depth: int, leaf):
+    """``depth`` layers alternating ``∀a. a -> _`` and ``[_]``, a list at
+    the root; each layer adds three nodes (``∀``, ``->``, ``a``) or one."""
+    type_ = leaf
+    for index in range(depth):
+        if index % 2:
+            type_ = list_of(type_)
+        else:
+            type_ = Forall(("a",), fun(TVar("a"), type_))
+    return type_
+
+
+SHAPES = [deep_list, deep_forall_list]
+
+
+def expected_size(shape, depth: int) -> int:
+    return 1 + (depth if shape is deep_list else 3 * ((depth + 1) // 2) + depth // 2)
+
+
 class TestDeepTraversals:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_subst_tvars_deep(self, shape):
+        type_ = shape(DEPTH, TVar("x"))
+        image = subst_tvars({"x": TCon("Bool")}, type_)
+        assert image == shape(DEPTH, TCon("Bool"))
+        assert subst_tvars({"zz": INT}, type_) is type_
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_subst_uvars_deep(self, shape):
+        variable = UVar("u0", Sort.M)
+        image = subst_uvars({variable: INT}, shape(DEPTH, variable))
+        assert image == shape(DEPTH, INT)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_rename_canonical_deep(self, shape):
+        renamed = rename_canonical(shape(DEPTH, TVar("x")))
+        assert type_size(renamed) == expected_size(shape, DEPTH)
+        # Walk the spine by hand: ``ftv``'s per-scope key grows with the
+        # number of distinct enclosing binders.
+        names, node = [], renamed
+        while not isinstance(node, TVar):
+            if isinstance(node, Forall):
+                names.extend(node.binders)
+                node = node.body
+            node = node.args[-1]
+        assert node == TVar("x")
+        assert len(set(names)) == len(names) == (0 if shape is deep_list else DEPTH // 2)
+        assert names[:3] == ([] if shape is deep_list else ["a", "b", "c"])
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_respects_deep(self, shape):
+        monomorphic = shape is deep_list
+        assert is_fully_monomorphic(shape(DEPTH, INT)) is monomorphic
+        assert is_rank1(shape(DEPTH, INT)) is monomorphic
+        assert not respects(shape(DEPTH, UVar("u0", Sort.T)), Sort.M)
+        assert respects(shape(DEPTH, UVar("u0", Sort.M)), Sort.M) is monomorphic
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_type_size_deep(self, shape):
+        assert type_size(shape(DEPTH, INT)) == expected_size(shape, DEPTH)
+
     def test_ftv_fuv_contains(self):
         variable = UVar("u0", Sort.M)
         type_ = deep_arrow(DEPTH, leaf=variable)
