@@ -71,29 +71,31 @@ def test_bench_mixed_program(benchmark, size):
 
 
 def test_scaling_is_roughly_linear(benchmark):
-    """Sanity: doubling the impredicative pipeline roughly doubles the
-    constraint count (no accidental quadratic blow-up in generation)."""
+    """Sanity: doubling the impredicative pipeline roughly doubles both
+    the constraint count (no accidental quadratic blow-up in generation)
+    and the variables the schemes capture (each scheme captures only the
+    variables created directly under it, so releases do linear work)."""
     gi = Inferencer(ENV)
     benchmark(lambda: gi.infer(impredicative_pipeline(16)).type_)
+    from repro.core.constraints import Gen, Quant
     from repro.core.generate import Generator
 
-    def constraints_for(size: int) -> int:
-        generator = Generator()
-        _, constraints = generator.gen(ENV, impredicative_pipeline(size))
+    def work_for(size: int) -> tuple[int, int]:
+        """Constraints and captured variables, nested ones included."""
+        _, constraints = Generator().gen(ENV, impredicative_pipeline(size))
+        total = captured = 0
+        stack = list(constraints)
+        while stack:
+            c = stack.pop()
+            total += 1
+            if isinstance(c, Gen):
+                captured += len(c.scheme.captured)
+                stack.extend(c.scheme.constraints)
+            elif isinstance(c, Quant):
+                captured += len(c.existentials)
+                stack.extend(c.wanteds)
+        return total, captured
 
-        def count(cs) -> int:
-            from repro.core.constraints import Gen, Quant
-
-            total = 0
-            for c in cs:
-                total += 1
-                if isinstance(c, Gen):
-                    total += count(c.scheme.constraints)
-                elif isinstance(c, Quant):
-                    total += count(c.wanteds)
-            return total
-
-        return count(constraints)
-
-    small, large = constraints_for(16), constraints_for(32)
+    (small, small_captured), (large, large_captured) = work_for(16), work_for(32)
     assert large <= 2.5 * small
+    assert large_captured <= 2.5 * small_captured

@@ -313,9 +313,14 @@ class Kernel:
     ) -> None:
         """``offered ⊑ expected``: skolemise the expected side, check the
         offered type against its ρ-type, and let no skolem escape into a
-        variable of ``offered`` or ``local``."""
-        outer = self._free_uvars([*(local or {}).values(), offered])
+        variable of ``offered`` or ``local``.
+
+        Skolemising binds no variable, so the escape candidates are
+        collected after it, and only when there are skolems: a ρ-typed
+        ``expected`` (every argument of a long spine) costs no walk of
+        ``local``."""
         skolems, expected_rho = self.skolemise(expected)
+        outer = self._free_uvars([*(local or {}).values(), offered]) if skolems else ()
         self._subsume_rho(offered, expected_rho)
         self._check_escape(skolems, outer)
 

@@ -171,8 +171,13 @@ class RankNInferencer(Kernel):
         self.subsume(offered, parameter, local)
 
     def _check_sigma(self, term: Term, expected: Type, local: dict[str, Type]) -> None:
-        outer = self._free_uvars(local.values())
+        # Skolemise first, as in ``Kernel.subsume``: without skolems
+        # nothing can escape, and the environment is not walked.
         skolems, rho = self.skolemise(expected)
+        if not skolems:
+            self._check_rho(term, rho, local)
+            return
+        outer = self._free_uvars(local.values())
         self._check_rho(term, rho, local)
         self._check_escape(skolems, outer)
         # A skolem appearing rigidly in the environment types themselves

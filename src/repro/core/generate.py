@@ -73,10 +73,16 @@ class GenOptions:
 class Generator:
     """One constraint-generation run.
 
-    Tracks every unification variable it creates (in creation order) so
+    Tracks the unification variables it creates (in creation order) so
     that rule ArgGen can capture "the variables created while processing
     this argument" — which coincides with the paper's
     ``υ' = fuv(ϕ, C) − υ`` because names are globally fresh.
+
+    Each variable has exactly one owner: the innermost scheme or
+    implication it was created under, which takes it out of ``created``
+    (:meth:`_take_created`).  Its owner's release refreshes it, so an
+    enclosing release need not, and nested application costs linear
+    rather than quadratic work.
     """
 
     def __init__(
@@ -100,6 +106,14 @@ class Generator:
 
     def fresh_skolem(self, hint: str) -> str:
         return self.skolem_supply.fresh(hint + "_")
+
+    def _take_created(self, snapshot: int) -> tuple[UVar, ...]:
+        """Hand the variables created since ``snapshot`` to a new owner
+        and drop them from ``created``, so no enclosing owner captures
+        them again."""
+        owned = tuple(self.created[snapshot:])
+        del self.created[snapshot:]
+        return owned
 
     # ------------------------------------------------------------------
     # Main judgement  Γ ⊢ e : σ ⇝ C
@@ -240,10 +254,10 @@ class Generator:
                     )
                 return Bit.STAR, self._vargen(var_type, expected, path)
         # Rule ArgGen: type the argument as an expression and capture
-        # every variable created along the way in a generalisation scheme.
+        # the variables created along the way that no nested scheme owns.
         snapshot = len(self.created)
         arg_type, constraints = self.gen(env, argument, path)
-        captured = tuple(self.created[snapshot:])
+        captured = self._take_created(snapshot)
         scheme = Scheme(captured, tuple(constraints), arg_type)
         if tracing:
             self.tracer.inc("gen.args.gen")
@@ -263,6 +277,7 @@ class Generator:
 
     def _vargen(self, var_type: Type, expected: Type, path: Path) -> list[Constraint]:
         binders, _ = strip_forall(var_type)
+        snapshot = len(self.created)
         alphas = [self.fresh(Sort.U) for _ in binders]
         # A qualified rank-1 type is fine: its instantiated context becomes
         # wanted constraints in the scheme.
@@ -273,7 +288,7 @@ class Generator:
         info = self.evidence.gen_info(path)
         info.star = True
         info.star_type_args = list(alphas)
-        scheme = Scheme(tuple(alphas), tuple(wanted), instantiated)
+        scheme = Scheme(self._take_created(snapshot), tuple(wanted), instantiated)
         return [Gen(scheme, expected, star=True, evidence=path)]
 
     # ------------------------------------------------------------------
@@ -311,7 +326,7 @@ class Generator:
             bits.append(bit)
             arg_constraints.extend(constraints)
         inst = Inst(head_type, Sort.U, tuple(bits), expected, inner_body, evidence=path)
-        existentials = tuple(self.created[snapshot:])
+        existentials = self._take_created(snapshot)
         wanteds = tuple(head_constraints + [inst] + arg_constraints)
         quant = Quant(skolems, existentials, givens, wanteds, evidence=path)
         info = self.evidence.gen_info(("ann",) + path)
@@ -365,7 +380,7 @@ class Generator:
             rhs_type, rhs_constraints = self.gen(branch_env, alt.rhs, path + (index,))
             branch_wanteds = tuple(rhs_constraints + [Eq(result, rhs_type)])
             if skolems or givens:
-                existentials = tuple(self.created[snapshot:])
+                existentials = self._take_created(snapshot)
                 constraints.append(Quant(skolems, existentials, givens, branch_wanteds))
             else:
                 constraints.extend(branch_wanteds)

@@ -203,22 +203,16 @@ class TestDeepUnifier:
 class TestDeepBackends:
     """``λf. f 1 … 1`` at depth 3000 through every registered system.
 
-    RankN and Quick Look re-collect the environment's free variables once
-    per argument, which is quadratic in the spine length; they may run
-    out of a short deadline instead of answering.  The others accept.
+    Every system must accept within the same deadline.  RankN and Quick
+    Look skolemise before they collect escape candidates, so a spine of
+    ρ-typed arguments costs them no environment walk per argument.
     """
-
-    QUADRATIC = ("RankN", "QuickLook")
 
     @pytest.mark.parametrize("name", list(SYSTEMS))
     def test_deep_chain(self, name):
-        wall_clock = 2.0 if name in self.QUADRATIC else 60.0
         outcome = SYSTEMS[name].run(
-            deep_chain_term(3000), figure2_env(), budget=Budget(wall_clock=wall_clock)
+            deep_chain_term(3000), figure2_env(), budget=Budget(wall_clock=60.0)
         )
         summary = (outcome.status, outcome.error, (outcome.detail or "")[:200])
         assert outcome.error != "RecursionError" and not outcome.crashed, summary
-        if name in self.QUADRATIC:
-            assert outcome.accepted or outcome.error == "BudgetExceededError", summary
-        else:
-            assert outcome.accepted, summary
+        assert outcome.accepted, summary
