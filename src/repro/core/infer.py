@@ -285,7 +285,7 @@ class Inferencer:
         avoid: set[str] | None = None
         supply = letters()
         for type_ in _evidence_types(evidence):
-            for variable in fuv(solver.unifier.zonk(type_)):
+            for variable in solver.unifier.fuv_of(solver.unifier.zonk(type_)):
                 if avoid is None:
                     avoid = set(self.env.free_type_vars())
                 for candidate in supply:

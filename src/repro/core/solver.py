@@ -357,13 +357,14 @@ class Solver:
 
     def _step_inst(self, constraint: Inst, scope: Scope) -> None:
         tracing = self.tracer is not None and self.tracer.enabled
-        lhs = self.unifier.zonk(constraint.lhs)
+        # The rule depends only on the head; unification resolves the rest.
+        lhs = self.unifier.zonk_head(constraint.lhs)
         if self.policy.deep and not isinstance(lhs, UVar):
             # Deep instantiation: hoist quantifiers buried to the right
             # of arrows before deciding which rule fires, so e.g.
             # ``Int -> ∀a. a -> a`` instantiates like ``∀a. Int -> a -> a``
             # (GHC ≤ 8.10's ``deeplyInstantiate``).
-            lhs = deep_prenex(lhs, intern=self.unifier._intern)
+            lhs = deep_prenex(self.unifier.zonk(lhs), intern=self.unifier._intern)
         if isinstance(lhs, Forall):
             self._inst_forall_left(lhs, constraint, scope)
             return

@@ -26,9 +26,15 @@ escape, reported as such.
 
 Both :meth:`Unifier.unify` and :meth:`Unifier.zonk` run on explicit
 worklists — a deep type exhausts the budget (or fails honestly), never
-the interpreter stack — and the unifier memoises free-variable queries
-per hash-consed type node, so occurs checks, promotion sweeps and
-zonk-cleanliness tests cost one cache lookup on repeated types.
+the interpreter stack.  The unifier *summarises* each type node once:
+its free unification variables (by name, first-occurrence order), their
+maximum level and its free rigid names, built from its children's
+summaries.  A new node on top of already-summarised suffixes costs one
+merge of its children's name tuples, not a walk of the whole type.  The
+checks of :meth:`Unifier.bind` read the summary: cleanliness is one
+disjointness test against the set of solved names, the occurs check is
+a name lookup, promotion is skipped when the maximum level allows it,
+and the skolem check iterates the cached rigid names.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro.core.errors import (
+    InternalError,
     OccursCheckError,
     SkolemEscapeError,
     SortError,
@@ -51,8 +58,6 @@ from repro.core.types import (
     TVar,
     Type,
     UVar,
-    ftv,
-    fuv,
     mentions_forall,
     open_forall,
     subst_uvars,
@@ -64,6 +69,24 @@ if TYPE_CHECKING:  # pragma: no cover — avoids a runtime import cycle
     from repro.robustness.faultinject import FaultPlan
 
 TVarResolver = Callable[[str], Type | None]
+
+# A node's summary: ``(node, names, level, rigid)``.  ``names`` are the
+# names of its free unification variables and ``rigid`` its free rigid
+# names, both in first-occurrence pre-order; ``level`` is the deepest
+# level of a variable in ``names`` (-1 when there is none).  The node is
+# kept so that its ``id`` — the table key — cannot be reused.
+Summary = tuple[Type, tuple[str, ...], int, tuple[str, ...]]
+
+
+def _merged(left: tuple[str, ...], right: tuple[str, ...]) -> tuple[str, ...]:
+    """Ordered union of two name tuples, reusing ``left`` when it already
+    holds every name of ``right``."""
+    if not left:
+        return right
+    if len(right) == 1:
+        return left if right[0] in left else left + right
+    merged = tuple(dict.fromkeys(left + right))
+    return left if len(merged) == len(left) else merged
 
 
 class _PruneSkolems:
@@ -167,8 +190,16 @@ class Unifier:
         """Current structural depth of :meth:`unify` (0 when idle)."""
         self.on_bind: Callable[[UVar], None] | None = None
         """Solver wake-up callback, fired after any variable is solved."""
-        self._fuv_cache: dict[Type, tuple[UVar, ...]] = {}
-        self._ftv_cache: dict[Type, tuple[str, ...]] = {}
+        self._solved: set[str] = set()
+        """Names of the variables in ``_parent`` or ``_binding``."""
+        self._summaries: dict[int, Summary] = {}
+        """Summary of every node seen, keyed by ``id`` (see :data:`Summary`)."""
+        self._variables: dict[str, UVar] = {}
+        """The one variable each summarised name stands for."""
+        self._zonked: dict[int, tuple[Type, Type]] = {}
+        """``id(node) → (node, zonked node)``, valid while ``bindings``
+        equals ``_zonked_at``."""
+        self._zonked_at = 0
         self._intern = intern if intern is not None else InternTable()
         self.subst = SubstitutionView(self)
 
@@ -191,31 +222,86 @@ class Unifier:
         for name in names:
             self.skolem_levels.pop(name, None)
 
-    # -- memoized free-variable queries ---------------------------------
+    # -- node summaries -------------------------------------------------
 
     def fuv_of(self, type_: Type) -> tuple[UVar, ...]:
-        """Free unification variables, first-occurrence order, memoized."""
+        """Free unification variables, first-occurrence order."""
         if isinstance(type_, UVar):
             return (type_,)
         if isinstance(type_, TVar):
             return ()
-        cached = self._fuv_cache.get(type_)
-        if cached is None:
-            cached = tuple(fuv(type_))
-            self._fuv_cache[type_] = cached
-        return cached
+        return tuple(map(self._variables.__getitem__, self._summary(type_)[1]))
 
     def ftv_of(self, type_: Type) -> tuple[str, ...]:
-        """Free rigid variables, first-occurrence order, memoized."""
+        """Free rigid variables, first-occurrence order."""
         if isinstance(type_, TVar):
             return (type_.name,)
         if isinstance(type_, UVar):
             return ()
-        cached = self._ftv_cache.get(type_)
-        if cached is None:
-            cached = tuple(ftv(type_))
-            self._ftv_cache[type_] = cached
-        return cached
+        return self._summary(type_)[3]
+
+    def _summary(self, type_: Type) -> Summary:
+        """The summary of ``type_``, summarising each node not yet seen
+        in one iterative post-order walk."""
+        table = self._summaries
+        summary = table.get(id(type_))
+        if summary is not None:
+            return summary
+        stack = [type_]
+        while stack:
+            node = stack[-1]
+            if id(node) in table:
+                stack.pop()
+                continue
+            kind = node.__class__
+            if kind is TCon:
+                children = node.args
+            elif kind is Forall:
+                children = (
+                    *(argument for predicate in node.context for argument in predicate.args),
+                    node.body,
+                )
+            else:
+                stack.pop()
+                table[id(node)] = self._leaf(node)
+                continue
+            pending = [child for child in children if id(child) not in table]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            names: tuple[str, ...] = ()
+            level = -1
+            rigid: tuple[str, ...] = ()
+            for child in children:
+                _, child_names, child_level, child_rigid = table[id(child)]
+                if child_names:
+                    names = _merged(names, child_names)
+                    if child_level > level:
+                        level = child_level
+                if child_rigid:
+                    rigid = _merged(rigid, child_rigid)
+            if kind is Forall and rigid:
+                binders = node.binders
+                if not set(binders).isdisjoint(rigid):
+                    rigid = tuple(name for name in rigid if name not in binders)
+            table[id(node)] = (node, names, level, rigid)
+        return table[id(type_)]
+
+    def _leaf(self, node: Type) -> Summary:
+        if isinstance(node, TVar):
+            return (node, (), -1, (node.name,))
+        if not isinstance(node, UVar):
+            raise TypeError(f"unknown type node: {node!r}")
+        # The solved set and the summaries key variables by name, which
+        # is sound only while a name denotes one variable per unifier.
+        known = self._variables.setdefault(node.name, node)
+        if known != node:
+            raise InternalError(
+                ValueError(f"two unification variables named {node.name}: {known}, {node}"),
+                "unify",
+            )
+        return (node, (node.name,), node.level, ())
 
     # -- substitution ---------------------------------------------------
 
@@ -242,12 +328,8 @@ class Unifier:
 
     def _is_clean(self, type_: Type) -> bool:
         """Whether the substitution has nothing to say about ``type_``."""
-        parent = self._parent
-        binding = self._binding
-        for variable in self.fuv_of(type_):
-            if variable in parent or variable in binding:
-                return False
-        return True
+        solved = self._solved
+        return not solved or solved.isdisjoint(self._summary(type_)[1])
 
     def zonk(self, type_: Type) -> Type:
         """Fully apply the current substitution to a type."""
@@ -274,10 +356,16 @@ class Unifier:
         Frames: ``("visit", node)`` dispatches on a node, ``("build",
         node)`` reassembles a composite from its children's results, and
         ``("memo", root)`` writes a representative's expansion back into
-        the store so the work is never repeated.
+        the store so the work is never repeated.  Each composite's result
+        is also remembered until the store next changes (``bindings``
+        moves), so a node shared by many zonked types is rebuilt once.
         """
         intern = self._intern.intern
         binding = self._binding
+        zonked = self._zonked
+        if self._zonked_at != self.bindings:
+            zonked.clear()
+            self._zonked_at = self.bindings
         results: list[Type] = []
         stack: list[tuple[str, Type]] = [("visit", type_)]
         while stack:
@@ -295,6 +383,8 @@ class Unifier:
                         stack.append(("visit", bound))
                 elif isinstance(node, TVar):
                     results.append(node)
+                elif id(node) in zonked:
+                    results.append(zonked[id(node)][1])
                 elif isinstance(node, TCon):
                     stack.append(("build", node))
                     for argument in reversed(node.args):
@@ -343,6 +433,7 @@ class Unifier:
                         )
                     else:
                         results.append(node)
+                zonked[id(node)] = (node, results[-1])
             else:  # memo
                 expansion = results[-1]
                 binding[node] = expansion
@@ -432,10 +523,10 @@ class Unifier:
                             if rewritten is not None:
                                 stack.append((l, rewritten, lvl, depth + 1))
                                 continue
-                    raise UnificationError(l, r, "rigid type variable")
+                    raise self._mismatch(l, r, "rigid type variable")
                 if isinstance(l, TCon) and isinstance(r, TCon):
                     if l.name != r.name or len(l.args) != len(r.args):
-                        raise UnificationError(l, r, "different type constructors")
+                        raise self._mismatch(l, r, "different type constructors")
                     for la, ra in zip(reversed(l.args), reversed(r.args)):
                         stack.append((la, ra, lvl, depth + 1))
                     continue
@@ -443,13 +534,13 @@ class Unifier:
                     self._push_forall(stack, l, r, lvl, depth)
                     continue
                 if isinstance(l, Forall) or isinstance(r, Forall):
-                    raise UnificationError(
+                    raise self._mismatch(
                         l,
                         r,
                         "a polymorphic type can only equal another polymorphic type; "
                         "all constructors in GI are invariant",
                     )
-                raise UnificationError(l, r)
+                raise self._mismatch(l, r)
         except BaseException:
             # The call failed: none of the pending forall scopes will be
             # closed by the loop, so drop their skolems here.
@@ -459,6 +550,12 @@ class Unifier:
             raise
         finally:
             self.depth = base
+
+    def _mismatch(self, left: Type, right: Type, reason: str = "") -> UnificationError:
+        """The error for two types that cannot be made equal.  Frames
+        resolve only their heads, so both sides are zonked for the
+        message."""
+        return UnificationError(self.zonk(left), self.zonk(right), reason)
 
     def _push_forall(
         self, stack: list, left: Forall, right: Forall, level: int, depth: int
@@ -473,9 +570,9 @@ class Unifier:
         skolems again once they are solved.
         """
         if len(left.binders) != len(right.binders):
-            raise UnificationError(left, right, "different numbers of quantifiers")
+            raise self._mismatch(left, right, "different numbers of quantifiers")
         if len(left.context) != len(right.context):
-            raise UnificationError(left, right, "different class contexts")
+            raise self._mismatch(left, right, "different class contexts")
         inner = level + 1
         shared = [self.fresh_skolem(name, inner) for name in left.binders]
         images = [TVar(skolem) for skolem in shared]
@@ -487,7 +584,7 @@ class Unifier:
                 if left_pred.class_name != right_pred.class_name or len(
                     left_pred.args
                 ) != len(right_pred.args):
-                    raise UnificationError(left, right, "different class contexts")
+                    raise self._mismatch(left, right, "different class contexts")
                 pairs.extend(zip(left_pred.args, right_pred.args))
             pairs.append((left_body, right_body))
         except BaseException:
@@ -508,12 +605,13 @@ class Unifier:
         if isinstance(type_, UVar):
             self._bind_var_var(root, type_)
             return
-        if root in self.fuv_of(type_):
+        if root.name in self._summary(type_)[1]:
             raise OccursCheckError(root, type_)
         type_ = self._enforce_sort(root, type_)
         type_ = self._promote(root, type_)
         self._check_skolems(root, type_)
         self._binding[root] = type_
+        self._solved.add(root.name)
         self.bindings += 1
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.inc("unify.binds")
@@ -540,12 +638,14 @@ class Unifier:
             self._union(root, target)
             return
         self._binding[root] = image
+        self._solved.add(root.name)
         self.bindings += 1
         self._notify(root)
 
     def _union(self, eliminated: UVar, kept: UVar) -> None:
         """Point ``eliminated`` at ``kept``; rank stays a height bound."""
         self._parent[eliminated] = kept
+        self._solved.add(eliminated.name)
         rank = self._rank
         kept_rank = rank.get(kept, 0)
         eliminated_rank = rank.get(eliminated, 0)
@@ -603,8 +703,11 @@ class Unifier:
     def _promote(self, variable: UVar, type_: Type) -> Type:
         """Rule float: deeper unification variables in the image of an
         outer variable are replaced by fresh outer ones."""
+        _, names, level, _ = self._summary(type_)
+        if level <= variable.level:
+            return type_
         mapping: dict[UVar, Type] = {}
-        for inner in self.fuv_of(type_):
+        for inner in map(self._variables.__getitem__, names):
             if inner.level > variable.level:
                 promoted = self.fresh(inner.sort, variable.level)
                 self._union(inner, promoted)
@@ -612,6 +715,6 @@ class Unifier:
         return subst_uvars(mapping, type_) if mapping else type_
 
     def _check_skolems(self, variable: UVar, type_: Type) -> None:
-        for name in self.ftv_of(type_):
+        for name in self._summary(type_)[3]:
             if self.skolem_level(name) > variable.level:
                 raise SkolemEscapeError(name, type_)

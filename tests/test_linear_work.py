@@ -8,6 +8,9 @@ add up to O(n) and so do the solver's bindings.  Capturing the variables
 of nested schemes again in every enclosing one made both grow as n² on
 nested application (``inc (inc … 0)``, ``tail (tail … ids)``).
 
+The unifier summarises each type node once, so the nodes it summarises
+grow linearly too, even where every binding extends one long type.
+
 Sizes stay below the depth at which the recursive term walk of the
 generator runs out of Python stack (about 330 nested applications).
 """
@@ -103,6 +106,21 @@ def test_work_counts_grow_linearly(family):
     large_captured, large_bindings = work(family, 2 * size)
     assert large_captured <= 2.5 * small_captured, (small_captured, large_captured)
     assert large_bindings <= 2.5 * small_bindings, (small_bindings, large_bindings)
+
+
+def summarised(family: str, size: int) -> int:
+    """How many type nodes the unifier summarised for one term."""
+    result = Inferencer(ENV).infer(getattr(workloads, family)(size))
+    return len(result.solver.unifier._summaries)
+
+
+@pytest.mark.parametrize("family", ["defaulting_fan", "lambda_tower"])
+def test_unifier_summarises_each_node_once(family):
+    # Re-walking every new suffix of a growing type made the equivalent
+    # count grow about fourfold per doubling.
+    size = FAMILIES[family]
+    small, large = summarised(family, size), summarised(family, 2 * size)
+    assert large <= 2.5 * small, (small, large)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

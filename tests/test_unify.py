@@ -60,6 +60,17 @@ class TestStructural:
         with pytest.raises(UnificationError):
             Unifier().unify(TCon("T", (INT,)), TCon("T", (INT, BOOL)))
 
+    def test_mismatch_message_shows_zonked_sides(self):
+        # Frames resolve only heads; the message still shows solved
+        # variables inside the failing types.
+        unifier = Unifier()
+        alpha, beta = uvar("x"), uvar("y")
+        unifier.unify(alpha, fun(INT, beta))
+        unifier.unify(beta, BOOL)
+        with pytest.raises(UnificationError) as error:
+            unifier.unify(list_of(alpha), list_of(ID))
+        assert "`Int -> Bool`" in str(error.value)
+
     def test_rigid_variables_only_match_themselves(self):
         Unifier().unify(A, A)
         with pytest.raises(UnificationError):
