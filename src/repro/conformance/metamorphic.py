@@ -27,17 +27,16 @@ from repro.core.infer import InferenceResult
 from repro.core.policy import InstantiationPolicy, has_nested_forall
 from repro.core.terms import (
     Ann,
-    AnnLam,
     App,
-    Case,
-    CaseAlt,
     Lam,
     Let,
-    Lit,
     Term,
     Var,
     app,
     free_vars,
+    subst_term,
+    term_binders,
+    walk_terms,
 )
 from repro.core.types import Forall, is_fully_monomorphic, split_arrows
 
@@ -164,7 +163,10 @@ def applicable_transforms(
 
 
 def _fresh_name(term: Term, prefix: str = "mv") -> str:
-    used = free_vars(term) | _bound_names(term)
+    used = free_vars(term)
+    for node in walk_terms(term):
+        for names in term_binders(node):
+            used.update(names)
     index = 1
     while f"{prefix}{index}" in used:
         index += 1
@@ -179,74 +181,6 @@ def _fresh_name(term: Term, prefix: str = "mv") -> str:
 # each point of the eager/lazy × deep/shallow grid does, so the battery
 # depends on the active :class:`~repro.core.policy.InstantiationPolicy`.
 # ---------------------------------------------------------------------
-
-
-def _bound_names(term: Term) -> set[str]:
-    """Every name bound anywhere inside the term."""
-    out: set[str] = set()
-    stack = [term]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, App):
-            stack.append(node.head)
-            stack.extend(node.args)
-        elif isinstance(node, (Lam, AnnLam)):
-            out.add(node.var)
-            stack.append(node.body)
-        elif isinstance(node, Ann):
-            stack.append(node.expr)
-        elif isinstance(node, Let):
-            out.add(node.var)
-            stack.append(node.bound)
-            stack.append(node.body)
-        elif isinstance(node, Case):
-            stack.append(node.scrutinee)
-            for alt in node.alts:
-                out.update(alt.binders)
-                stack.append(alt.rhs)
-    return out
-
-
-def _rename_free(term: Term, old: str, new: str) -> Term:
-    """Replace free occurrences of variable ``old`` with ``new``.
-
-    Callers guarantee ``new`` is not bound anywhere inside ``term``, so
-    the rewrite cannot capture.
-    """
-    if isinstance(term, Var):
-        return Var(new) if term.name == old else term
-    if isinstance(term, Lit):
-        return term
-    if isinstance(term, App):
-        return App(
-            _rename_free(term.head, old, new),
-            tuple(_rename_free(argument, old, new) for argument in term.args),
-        )
-    if isinstance(term, Lam):
-        if term.var == old:
-            return term
-        return Lam(term.var, _rename_free(term.body, old, new))
-    if isinstance(term, AnnLam):
-        if term.var == old:
-            return term
-        return AnnLam(term.var, term.annotation, _rename_free(term.body, old, new))
-    if isinstance(term, Ann):
-        return Ann(_rename_free(term.expr, old, new), term.annotation)
-    if isinstance(term, Let):
-        bound = _rename_free(term.bound, old, new)
-        body = term.body if term.var == old else _rename_free(term.body, old, new)
-        return Let(term.var, bound, body)
-    if isinstance(term, Case):
-        return Case(
-            _rename_free(term.scrutinee, old, new),
-            tuple(
-                alt
-                if old in alt.binders
-                else CaseAlt(alt.constructor, alt.binders, _rename_free(alt.rhs, old, new))
-                for alt in term.alts
-            ),
-        )
-    raise TypeError(f"unknown term node: {term!r}")
 
 
 def stability_let_inline(
@@ -271,9 +205,9 @@ def stability_let_inline(
     alias = term.bound.name
     if alias == term.var or alias not in env:
         return None
-    if alias in _bound_names(term.body):
+    if any(alias in names for node in walk_terms(term.body) for names in term_binders(node)):
         return None
-    return _rename_free(term.body, term.var, alias)
+    return subst_term(term.body, term.var, Var(alias))
 
 
 def stability_let_extract(
@@ -295,7 +229,7 @@ def stability_let_extract(
         return None
     alias = candidates[0]
     fresh = _fresh_name(term, prefix="sv")
-    return Let(fresh, Var(alias), _rename_free(term, alias, fresh))
+    return Let(fresh, Var(alias), subst_term(term, alias, Var(fresh)))
 
 
 def stability_signature(

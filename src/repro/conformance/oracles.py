@@ -51,7 +51,7 @@ from repro.core.env import Environment
 from repro.core.errors import BudgetExceededError, GIError, InternalError
 from repro.core.infer import InferenceResult, Inferencer, InferOptions
 from repro.core.policy import DEFAULT_POLICY, InstantiationPolicy, has_nested_forall
-from repro.core.terms import Term
+from repro.core.terms import Ann, AnnLam, Term, walk_terms
 from repro.core.types import alpha_equal, rename_canonical
 from repro.interp import evaluate, prelude_env
 from repro.syntax.parser import parse_term
@@ -268,7 +268,7 @@ def oracle_systemf(ctx: OracleContext, term: Term) -> Violation | None:
 
 
 def oracle_hm(ctx: OracleContext, term: Term) -> Violation | None:
-    if not _annotation_free(term):
+    if any(isinstance(node, (Ann, AnnLam)) for node in walk_terms(term)):
         # Theorem 3.1 quantifies over the unannotated λ→ fragment; on
         # annotated terms HM instantiates the annotation where GI keeps
         # (and scopes) its σ, so the types legitimately diverge.
@@ -425,10 +425,11 @@ def oracle_differential(ctx: OracleContext, term: Term) -> Violation | None:
         # an experimental policy every backend with a policy axis runs a
         # variant configuration, so only crash containment is asserted.
         return None
+    annotated = any(isinstance(node, (Ann, AnnLam)) for node in walk_terms(term))
     for premise, conclusion, level in PAIRWISE_IMPLICATIONS:
         if premise not in ctx.systems or conclusion not in ctx.systems:
             continue
-        if premise in ("HM", "GI") and not _annotation_free(term):
+        if premise in ("HM", "GI") and annotated:
             # The theorems behind the HM and GI implications quantify
             # over the *unannotated* language: each backend gives `::`
             # its own checking semantics (HMF skolemises where HM
@@ -449,7 +450,7 @@ def oracle_differential(ctx: OracleContext, term: Term) -> Violation | None:
                 f"`{conclusion}` rejects: {conclusion_outcome.detail}",
                 conclusion_outcome.error,
             )
-        if level == "type" and not _annotation_free(term):
+        if level == "type" and annotated:
             # Acceptance is settled above; the type-equality half only
             # quantifies over the annotation-free language (Quick Look
             # commits annotated σ-arguments impredicatively where the
@@ -466,28 +467,6 @@ def oracle_differential(ctx: OracleContext, term: Term) -> Violation | None:
                 f"`{rename_canonical(conclusion_outcome.type_)}`",
             )
     return None
-
-
-def _annotation_free(term: Term) -> bool:
-    """Whether the term is in the shared unannotated language the
-    HM-conservativity implications quantify over."""
-    from repro.core.terms import Ann, AnnLam, App, Case, Lam, Let
-
-    if isinstance(term, (Ann, AnnLam)):
-        return False
-    if isinstance(term, App):
-        return _annotation_free(term.head) and all(
-            _annotation_free(argument) for argument in term.args
-        )
-    if isinstance(term, Lam):
-        return _annotation_free(term.body)
-    if isinstance(term, Let):
-        return _annotation_free(term.bound) and _annotation_free(term.body)
-    if isinstance(term, Case):
-        return _annotation_free(term.scrutinee) and all(
-            _annotation_free(alt.rhs) for alt in term.alts
-        )
-    return True
 
 
 #: Registry, in battery order — cheap structural checks first, then the

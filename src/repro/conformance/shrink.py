@@ -24,6 +24,7 @@ sees a term the fuzzer could have generated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterator
 
 from repro.core.terms import (
@@ -31,14 +32,15 @@ from repro.core.terms import (
     AnnLam,
     App,
     Case,
-    CaseAlt,
     Lam,
     Let,
-    Lit,
     Term,
     Var,
-    free_vars,
+    rebuild_term,
+    term_binders,
+    term_children,
     term_size,
+    walk_terms,
 )
 
 #: Hard cap on predicate evaluations per shrink run.
@@ -54,10 +56,6 @@ class ShrinkResult:
     final_size: int
     steps: int
     checks: int
-
-    @property
-    def reduced(self) -> bool:
-        return self.final_size < self.original_size
 
 
 def shrink(
@@ -107,87 +105,79 @@ def candidates(term: Term) -> Iterator[Term]:
     """Strictly smaller closed variants of ``term``, deterministic order.
 
     Smallest-first within each family, so the greedy loop takes the
-    biggest available jump (hoisted deep subterms come out of
-    :func:`_subterms` roughly inside-out).
+    biggest available jump.  Hoisted subterms of equal size keep their
+    pre-order (the same as post-order, since neither contains the other).
     """
-    size = term_size(term)
+    keys: dict[Term, str] = {}
+    facts = _facts(term, keys)
+    size, free, _ = facts[id(term)]
     seen: set[str] = set()
-    hoisted = [
-        sub
-        for sub in _subterms(term)
-        if term_size(sub) < size and not free_vars(sub) - free_vars(term)
-    ]
-    hoisted.sort(key=term_size)
+    hoisted = [sub for sub in islice(walk_terms(term), 1, None) if facts[id(sub)][1] <= free]
+    hoisted.sort(key=lambda sub: facts[id(sub)][0])
     for sub in hoisted:
-        key = repr(sub)
+        key = facts[id(sub)][2]
         if key not in seen:
             seen.add(key)
             yield sub
     for variant in _rewrites(term):
-        if term_size(variant) >= size:
-            continue
-        if free_vars(variant) - free_vars(term):
-            continue
-        key = repr(variant)
-        if key not in seen:
+        variant_size, variant_free, key = _facts(variant, keys)[id(variant)]
+        if variant_size < size and variant_free <= free and key not in seen:
             seen.add(key)
             yield variant
 
 
-def _subterms(term: Term) -> Iterator[Term]:
-    """Proper subterms, depth-first."""
-    for child in _children(term):
-        yield from _subterms(child)
-        yield child
+def _facts(term: Term, keys: dict[Term, str]) -> dict[int, tuple[int, frozenset[str], str]]:
+    """``id(node) -> (size, free variables, key)`` for every node of
+    ``term``, children before parents.
 
-
-def _children(term: Term) -> tuple[Term, ...]:
-    if isinstance(term, App):
-        return (term.head, *term.args)
-    if isinstance(term, (Lam, AnnLam)):
-        return (term.body,)
-    if isinstance(term, Ann):
-        return (term.expr,)
-    if isinstance(term, Let):
-        return (term.bound, term.body)
-    if isinstance(term, Case):
-        return (term.scrutinee, *(alt.rhs for alt in term.alts))
-    return ()
+    Two nodes get the same key exactly when they are equal terms: a key
+    interns the node rebuilt with its children's keys as placeholder
+    variables, so no step hashes or compares a whole subtree.
+    """
+    facts: dict[int, tuple[int, frozenset[str], str]] = {}
+    for node in reversed(list(walk_terms(term))):
+        if id(node) in facts:
+            continue
+        size = 1
+        free = {node.name} if node.__class__ is Var else set()
+        placeholders = []
+        for child, names in zip(term_children(node), term_binders(node)):
+            child_size, child_free, child_key = facts[id(child)]
+            size += child_size
+            free |= child_free.difference(names)
+            placeholders.append(Var(child_key))
+        shallow = rebuild_term(node, placeholders)
+        facts[id(node)] = (size, frozenset(free), keys.setdefault(shallow, str(len(keys))))
+    return facts
 
 
 def _rewrites(term: Term) -> Iterator[Term]:
-    """One-node simplifications applied at every position, outside-in."""
-    yield from _local(term)
-    if isinstance(term, App):
-        for index, argument in enumerate(term.args):
-            for replacement in _rewrites(argument):
-                args = list(term.args)
-                args[index] = replacement
-                yield App(term.head, tuple(args))
-        for replacement in _rewrites(term.head):
-            yield App(replacement, term.args)
-    elif isinstance(term, Lam):
-        for replacement in _rewrites(term.body):
-            yield Lam(term.var, replacement)
-    elif isinstance(term, AnnLam):
-        for replacement in _rewrites(term.body):
-            yield AnnLam(term.var, term.annotation, replacement)
-    elif isinstance(term, Ann):
-        for replacement in _rewrites(term.expr):
-            yield Ann(replacement, term.annotation)
-    elif isinstance(term, Let):
-        for replacement in _rewrites(term.bound):
-            yield Let(term.var, replacement, term.body)
-        for replacement in _rewrites(term.body):
-            yield Let(term.var, term.bound, replacement)
-    elif isinstance(term, Case):
-        for replacement in _rewrites(term.scrutinee):
-            yield Case(replacement, term.alts)
-        for index, alt in enumerate(term.alts):
-            for replacement in _rewrites(alt.rhs):
-                alts = list(term.alts)
-                alts[index] = CaseAlt(alt.constructor, alt.binders, replacement)
-                yield Case(term.scrutinee, tuple(alts))
+    """One-node simplifications applied at every position, outside-in; an
+    application's arguments are visited before its head."""
+    # Frames: [node, its children, remaining child indices, index visited];
+    # the frames are the path from the root to the current position.
+    path: list[list] = []
+    node = term
+    while True:
+        for variant in _local(node):
+            for frame in reversed(path):
+                children = list(frame[1])
+                children[frame[3]] = variant
+                variant = rebuild_term(frame[0], children)
+            yield variant
+        children = term_children(node)
+        order = [*range(1, len(children)), 0] if node.__class__ is App else range(len(children))
+        path.append([node, children, iter(order), None])
+        while path:
+            frame = path[-1]
+            index = next(frame[2], None)
+            if index is not None:
+                frame[3] = index
+                node = frame[1][index]
+                break
+            path.pop()
+        else:
+            return
 
 
 def _local(term: Term) -> Iterator[Term]:

@@ -24,7 +24,6 @@ instantiations and skolemisations needed to elaborate into System F.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
 
 from repro.core.classify import Bit
 from repro.core.sorts import Sort
@@ -151,14 +150,6 @@ def constraint_fuv(constraint: Constraint) -> set[UVar]:
     return result
 
 
-def constraints_fuv(constraints: Iterable[Constraint]) -> set[UVar]:
-    """Free unification variables of a collection of constraints."""
-    result: set[UVar] = set()
-    for constraint in constraints:
-        _collect(constraint, result)
-    return result
-
-
 def _collect(constraint: Constraint, out: set[UVar]) -> None:
     if isinstance(constraint, Eq):
         out.update(fuv(constraint.left))
@@ -238,8 +229,3 @@ def _rename_var(mapping: dict[UVar, Type], variable: UVar) -> UVar:
     raise ValueError(
         f"cannot substitute bound unification variable {variable} by non-variable {image}"
     )
-
-
-def iter_constraints(constraints: Sequence[Constraint]) -> Iterator[Constraint]:
-    """Flat iteration (conjunction is represented by sequencing)."""
-    return iter(constraints)

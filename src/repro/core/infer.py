@@ -355,7 +355,7 @@ def _solver_snapshot(solver: "Solver | None") -> dict:
         "pending_constraints": len(solver.queue),
         "deferred_constraints": len(solver.deferred),
         "current_level": solver.current_level,
-        "substitution_size": len(solver.unifier.subst),
+        "substitution_size": len(solver.unifier._parent) + len(solver.unifier._binding),
         "solver_steps": solver.steps,
     }
 

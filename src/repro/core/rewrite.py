@@ -60,10 +60,6 @@ class Configuration:
         return variable
 
 
-class Stuck(Exception):
-    """No rule applies and the configuration is not in solved form."""
-
-
 def step(config: Configuration) -> bool:
     """Apply the first applicable rule; returns False at normal form."""
     for index, constraint in enumerate(config.constraints):

@@ -308,8 +308,6 @@ class Solver:
         return None
 
     def _zonk_constraint_for_report(self, constraint: Constraint) -> Constraint:
-        from repro.core.constraints import subst_constraint  # local to avoid cycle
-
         # Reporting only: zonk the visible types for a readable error.
         if isinstance(constraint, Eq):
             return Eq(self.unifier.zonk(constraint.left), self.unifier.zonk(constraint.right))

@@ -15,14 +15,27 @@ Application is *n-ary*: :class:`App` stores a head (never itself an
 :class:`App`; the smart constructor :func:`app` flattens) plus a tuple of
 arguments.  A lone variable is treated as a nullary application by the
 typing rules, not by the syntax.
+
+The shape of a node is described once, by three helpers:
+:func:`term_children` (the immediate subterms), :func:`term_binders` (the
+term names bound over each child) and :func:`rebuild_term` (the node with
+new children, the node itself when none changed, through :func:`app` so a
+rewritten head flattens).  Two iterative walks sit on them: the pre-order
+:func:`walk_terms` and a scoped, identity-preserving rebuild behind
+:func:`free_vars`, :func:`subst_term` and :func:`subst_type_vars_in_term`.
+Neither recurses in Python, so term depth is bounded by memory.  Other
+term walks (``pretty_term``, the constraint generator, the backends, the
+System F translation) still recurse; a port of them must reuse these
+helpers rather than describe the shape again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from operator import is_, is_not
+from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
-from repro.core.types import BOOL, CHAR, INT, STRING, Type
+from repro.core.types import BOOL, CHAR, INT, STRING, Forall, Type, subst_tvars
 
 
 @dataclass(frozen=True)
@@ -182,38 +195,176 @@ def lam(*binders_and_body) -> Term:
     return result
 
 
+# ---------------------------------------------------------------------
+# The term shape, written once: each node's children, the term names bound
+# over each child, and a rebuild from new children.  Every structural walk
+# below (and the conformance shrinker) goes through these three.
+# ---------------------------------------------------------------------
+
+
+def term_children(term: Term) -> tuple[Term, ...]:
+    """The immediate subterms, in source order (an application's head
+    first, a case's scrutinee before its right-hand sides)."""
+    kind = term.__class__
+    if kind is App:
+        return (term.head, *term.args)
+    if kind is Var or kind is Lit:
+        return ()
+    if kind is Lam or kind is AnnLam:
+        return (term.body,)
+    if kind is Let:
+        return (term.bound, term.body)
+    if kind is Ann:
+        return (term.expr,)
+    if kind is Case:
+        return (term.scrutinee, *[alt.rhs for alt in term.alts])
+    raise TypeError(f"unknown term node: {term!r}")
+
+
+def term_binders(term: Term) -> tuple[tuple[str, ...], ...]:
+    """The term names bound over each child, aligned with
+    :func:`term_children`: a λ binds over its body, ``let`` over its body
+    only, and a case alternative over its right-hand side."""
+    kind = term.__class__
+    if kind is App:
+        return ((),) * (1 + len(term.args))
+    if kind is Var or kind is Lit:
+        return ()
+    if kind is Lam or kind is AnnLam:
+        return ((term.var,),)
+    if kind is Let:
+        return ((), (term.var,))
+    if kind is Ann:
+        return ((),)
+    if kind is Case:
+        return ((), *[alt.binders for alt in term.alts])
+    raise TypeError(f"unknown term node: {term!r}")
+
+
+def rebuild_term(term: Term, children: Sequence[Term]) -> Term:
+    """``term`` with its children (as :func:`term_children` lists them)
+    replaced; ``term`` itself when every child is the same object.
+
+    An application is rebuilt through :func:`app`, so a head that became an
+    application flattens into the node.
+    """
+    if all(map(is_, children, term_children(term))):
+        return term
+    kind = term.__class__
+    if kind is App:
+        return app(*children)
+    if kind is Lam:
+        return Lam(term.var, children[0])
+    if kind is AnnLam:
+        return AnnLam(term.var, term.annotation, children[0])
+    if kind is Ann:
+        return Ann(children[0], term.annotation)
+    if kind is Let:
+        return Let(term.var, children[0], children[1])
+    return Case(
+        children[0],
+        tuple(
+            alt if rhs is alt.rhs else CaseAlt(alt.constructor, alt.binders, rhs)
+            for alt, rhs in zip(term.alts, children[1:])
+        ),
+    )
+
+
+# ---------------------------------------------------------------------
+# The two walks.  Neither recurses in Python, so term depth is bounded by
+# memory, not by the interpreter's recursion limit.
+# ---------------------------------------------------------------------
+
+
+def walk_terms(term: Term) -> Iterator[Term]:
+    """Pre-order traversal of all term nodes."""
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        yield node
+        children = term_children(node)
+        if children:
+            stack.extend(reversed(children))
+
+
+S = TypeVar("S")
+
+#: ``visit(node, scope)`` for :func:`_rebuild`: either ``(finished, None)``
+#: for a node that is not descended into, or ``(node, scopes)`` with one
+#: scope per child (``None`` keeps that child as is); ``node`` may be a copy
+#: of the input with a rewritten annotation, but has the input's children.
+Visit = Callable[[Term, S], tuple[Term, Sequence[S | None] | None]]
+
+
+def _rebuild(term: Term, scope: S, visit: Visit) -> Term:
+    """The scoped rebuild behind :func:`free_vars`, :func:`subst_term` and
+    :func:`subst_type_vars_in_term`, which differ only in ``visit``.
+
+    Iterative, with one children iterator per open node (as in
+    :func:`repro.core.types._rebuild`); a node whose children come back
+    unchanged is returned as is.
+    """
+    node, scopes = visit(term, scope)
+    if not scopes:
+        return node
+    children = term_children(node)
+    # Frames: [node, its children, iterator over (child, child scope),
+    # rebuilt children].
+    stack: list[list] = [[node, children, zip(children, scopes), []]]
+    while True:
+        frame = stack[-1]
+        built = frame[3]
+        for child, child_scope in frame[2]:
+            if child_scope is None:
+                built.append(child)
+                continue
+            node, scopes = visit(child, child_scope)
+            if not scopes:
+                built.append(node)
+                continue
+            children = term_children(node)
+            stack.append([node, children, zip(children, scopes), []])
+            break
+        else:
+            stack.pop()
+            node = frame[0]
+            if any(map(is_not, built, frame[1])):
+                node = rebuild_term(node, built)
+            if not stack:
+                return node
+            stack[-1][3].append(node)
+
+
 def free_vars(term: Term) -> set[str]:
-    """Free term variables of an expression."""
-    result: set[str] = set()
-    _collect_free(term, frozenset(), result)
-    return result
+    """Free term variables of an expression.
 
+    The rebuild visits nodes in pre-order, so a child's scope need only be
+    its depth and the names bound over it: a binder stays open until the
+    walk visits a node at its depth or above, which is where its subtree
+    ends.  One shared count per name then makes the walk linear in the
+    term, however deeply its binders nest.
+    """
+    free: set[str] = set()
+    counts: dict[str, int] = {}
+    opened: list[tuple[int, tuple[str, ...]]] = []
 
-def _collect_free(term: Term, bound: frozenset[str], out: set[str]) -> None:
-    if isinstance(term, Var):
-        if term.name not in bound:
-            out.add(term.name)
-    elif isinstance(term, Lit):
-        pass
-    elif isinstance(term, App):
-        _collect_free(term.head, bound, out)
-        for argument in term.args:
-            _collect_free(argument, bound, out)
-    elif isinstance(term, Lam):
-        _collect_free(term.body, bound | {term.var}, out)
-    elif isinstance(term, AnnLam):
-        _collect_free(term.body, bound | {term.var}, out)
-    elif isinstance(term, Ann):
-        _collect_free(term.expr, bound, out)
-    elif isinstance(term, Let):
-        _collect_free(term.bound, bound, out)
-        _collect_free(term.body, bound | {term.var}, out)
-    elif isinstance(term, Case):
-        _collect_free(term.scrutinee, bound, out)
-        for alt in term.alts:
-            _collect_free(alt.rhs, bound | set(alt.binders), out)
-    else:
-        raise TypeError(f"unknown term node: {term!r}")
+    def visit(node: Term, scope: tuple[int, tuple[str, ...]]):
+        depth, names = scope
+        while opened and opened[-1][0] >= depth:
+            for name in opened.pop()[1]:
+                counts[name] -= 1
+        if names:
+            opened.append(scope)
+            for name in names:
+                counts[name] = counts.get(name, 0) + 1
+        if node.__class__ is Var:
+            if not counts.get(node.name):
+                free.add(node.name)
+            return node, None
+        return node, [(depth + 1, names) for names in term_binders(node)]
+
+    _rebuild(term, (0, ()), visit)
+    return free
 
 
 def term_size(term: Term) -> int:
@@ -221,27 +372,7 @@ def term_size(term: Term) -> int:
     return sum(1 for _ in walk_terms(term))
 
 
-def walk_terms(term: Term) -> Iterator[Term]:
-    """Pre-order traversal of all term nodes."""
-    yield term
-    if isinstance(term, App):
-        yield from walk_terms(term.head)
-        for argument in term.args:
-            yield from walk_terms(argument)
-    elif isinstance(term, (Lam, AnnLam)):
-        yield from walk_terms(term.body)
-    elif isinstance(term, Ann):
-        yield from walk_terms(term.expr)
-    elif isinstance(term, Let):
-        yield from walk_terms(term.bound)
-        yield from walk_terms(term.body)
-    elif isinstance(term, Case):
-        yield from walk_terms(term.scrutinee)
-        for alt in term.alts:
-            yield from walk_terms(alt.rhs)
-
-
-def subst_type_vars_in_term(mapping, term: Term) -> Term:
+def subst_type_vars_in_term(mapping: Mapping[str, Type], term: Term) -> Term:
     """Rename free (skolem) type variables inside every annotation of a term.
 
     Used by rule AnnApp: the binders of a type annotation scope over the
@@ -249,100 +380,45 @@ def subst_type_vars_in_term(mapping, term: Term) -> Term:
     generator freshens them to unique skolems it must apply the same
     renaming to nested annotations.
     """
-    from repro.core.types import subst_tvars
+
+    def visit(node: Term, mapping: Mapping[str, Type]):
+        kind = node.__class__
+        if kind is Ann:
+            # A nested `forall` annotation re-binds its variables for the
+            # expression it annotates, shadowing the outer scoped variables —
+            # the same discipline subst_tvars applies to types (found by the
+            # conformance fuzzer: without this, the outer skolem leaks into
+            # open annotations under the inner quantifier).
+            inner = mapping
+            if node.annotation.__class__ is Forall and node.annotation.binders:
+                binders = node.annotation.binders
+                inner = {name: image for name, image in mapping.items() if name not in binders}
+            annotation = subst_tvars(mapping, node.annotation)
+            if annotation is not node.annotation:
+                node = Ann(node.expr, annotation)
+            return node, [inner or None]
+        if kind is AnnLam:
+            annotation = subst_tvars(mapping, node.annotation)
+            if annotation is not node.annotation:
+                node = AnnLam(node.var, annotation, node.body)
+        return node, [mapping] * len(term_children(node))
 
     if not mapping:
         return term
-    if isinstance(term, (Var, Lit)):
-        return term
-    if isinstance(term, App):
-        return App(
-            subst_type_vars_in_term(mapping, term.head),
-            tuple(subst_type_vars_in_term(mapping, argument) for argument in term.args),
-        )
-    if isinstance(term, Lam):
-        return Lam(term.var, subst_type_vars_in_term(mapping, term.body))
-    if isinstance(term, AnnLam):
-        return AnnLam(
-            term.var,
-            subst_tvars(mapping, term.annotation),
-            subst_type_vars_in_term(mapping, term.body),
-        )
-    if isinstance(term, Ann):
-        # A nested `forall` annotation re-binds its variables for the
-        # expression it annotates, shadowing the outer scoped variables —
-        # the same discipline subst_tvars applies to types (found by the
-        # conformance fuzzer: without this, the outer skolem leaks into
-        # open annotations under the inner quantifier).
-        from repro.core.types import Forall
-
-        inner_mapping = mapping
-        if isinstance(term.annotation, Forall) and term.annotation.binders:
-            inner_mapping = {
-                name: image
-                for name, image in mapping.items()
-                if name not in term.annotation.binders
-            }
-        return Ann(
-            subst_type_vars_in_term(inner_mapping, term.expr),
-            subst_tvars(mapping, term.annotation),
-        )
-    if isinstance(term, Let):
-        return Let(
-            term.var,
-            subst_type_vars_in_term(mapping, term.bound),
-            subst_type_vars_in_term(mapping, term.body),
-        )
-    if isinstance(term, Case):
-        return Case(
-            subst_type_vars_in_term(mapping, term.scrutinee),
-            tuple(
-                CaseAlt(
-                    alt.constructor,
-                    alt.binders,
-                    subst_type_vars_in_term(mapping, alt.rhs),
-                )
-                for alt in term.alts
-            ),
-        )
-    raise TypeError(f"unknown term node: {term!r}")
+    return _rebuild(term, mapping, visit)
 
 
 def subst_term(term: Term, name: str, replacement: Term) -> Term:
     """Capture-avoiding-enough substitution ``e[x := u]``.
 
-    Used by the metatheory tests (Theorem 3.4); we assume, as those tests
-    arrange, that the replacement's free variables are not captured.
+    Used by the metatheory tests (Theorem 3.4) and the stability
+    transforms; we assume, as their callers arrange, that the
+    replacement's free variables are not captured.
     """
-    if isinstance(term, Var):
-        return replacement if term.name == name else term
-    if isinstance(term, Lit):
-        return term
-    if isinstance(term, App):
-        new_head = subst_term(term.head, name, replacement)
-        new_args = tuple(subst_term(argument, name, replacement) for argument in term.args)
-        return app(new_head, *new_args)
-    if isinstance(term, Lam):
-        if term.var == name:
-            return term
-        return Lam(term.var, subst_term(term.body, name, replacement))
-    if isinstance(term, AnnLam):
-        if term.var == name:
-            return term
-        return AnnLam(term.var, term.annotation, subst_term(term.body, name, replacement))
-    if isinstance(term, Ann):
-        return Ann(subst_term(term.expr, name, replacement), term.annotation)
-    if isinstance(term, Let):
-        new_bound = subst_term(term.bound, name, replacement)
-        new_body = term.body if term.var == name else subst_term(term.body, name, replacement)
-        return Let(term.var, new_bound, new_body)
-    if isinstance(term, Case):
-        new_scrutinee = subst_term(term.scrutinee, name, replacement)
-        new_alts = []
-        for alt in term.alts:
-            if name in alt.binders:
-                new_alts.append(alt)
-            else:
-                new_alts.append(CaseAlt(alt.constructor, alt.binders, subst_term(alt.rhs, name, replacement)))
-        return Case(new_scrutinee, tuple(new_alts))
-    raise TypeError(f"unknown term node: {term!r}")
+
+    def visit(node: Term, _: bool):
+        if node.__class__ is Var:
+            return (replacement if node.name == name else node), None
+        return node, [None if name in names else True for names in term_binders(node)]
+
+    return _rebuild(term, True, visit)

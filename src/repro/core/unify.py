@@ -39,7 +39,7 @@ and the skolem check iterates the cached rigid names.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.core.errors import (
     InternalError,
@@ -100,59 +100,6 @@ class _PruneSkolems:
         self.names = names
 
 
-class SubstitutionView:
-    """Mapping-like facade over the union-find store.
-
-    Kept for backward compatibility with the old ``subst`` dict: ``len``,
-    truthiness, membership, lookup of a variable's immediate image, and
-    item assignment (which routes through :meth:`Unifier.assign` so
-    wake-up callbacks still fire).
-    """
-
-    __slots__ = ("_unifier",)
-
-    def __init__(self, unifier: "Unifier") -> None:
-        self._unifier = unifier
-
-    def __len__(self) -> int:
-        unifier = self._unifier
-        return len(unifier._parent) + len(unifier._binding)
-
-    def __bool__(self) -> bool:
-        unifier = self._unifier
-        return bool(unifier._parent) or bool(unifier._binding)
-
-    def __contains__(self, variable: object) -> bool:
-        unifier = self._unifier
-        return variable in unifier._parent or variable in unifier._binding
-
-    def __iter__(self) -> Iterator[UVar]:
-        unifier = self._unifier
-        yield from unifier._parent
-        yield from unifier._binding
-
-    def get(self, variable: UVar, default: Type | None = None) -> Type | None:
-        unifier = self._unifier
-        parent = unifier._parent.get(variable)
-        if parent is not None:
-            return parent
-        bound = unifier._binding.get(variable)
-        return bound if bound is not None else default
-
-    def __getitem__(self, variable: UVar) -> Type:
-        image = self.get(variable)
-        if image is None:
-            raise KeyError(variable)
-        return image
-
-    def __setitem__(self, variable: UVar, image: Type) -> None:
-        self._unifier.assign(variable, image)
-
-    def items(self) -> Iterator[tuple[UVar, Type]]:
-        for variable in self:
-            yield variable, self[variable]
-
-
 class Unifier:
     """Mutable unification state: union-find substitution, fresh supply,
     skolem levels.
@@ -201,7 +148,6 @@ class Unifier:
         equals ``_zonked_at``."""
         self._zonked_at = 0
         self._intern = intern if intern is not None else InternTable()
-        self.subst = SubstitutionView(self)
 
     # -- fresh variables and skolems -----------------------------------
 

@@ -114,17 +114,6 @@ def gen_chain_constraints(length: int):
     return constraints
 
 
-def fuzz_corpus(count: int, seed: int = 0) -> list[Term]:
-    """``count`` terms from the conformance generator's seeded sweep —
-    the same deterministic case list ``repro fuzz`` checks, usable as a
-    realistic mixed workload (most terms well-typed, some rejections)."""
-    from repro.conformance.generator import TermGenerator
-    from repro.evalsuite.figure2 import figure2_env
-
-    generator = TermGenerator(figure2_env())
-    return [case.term for case in generator.cases(seed, count)]
-
-
 def mixed_program(size: int, seed: int = 0) -> Term:
     """A random but deterministic program mixing all constructs."""
     rng = random.Random(seed)

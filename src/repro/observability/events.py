@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import IO, Iterable
+from typing import IO
 
 SCHEMA_VERSION = 1
 
@@ -110,16 +110,6 @@ class JsonlWriter:
     def close(self) -> None:
         with self._lock:
             self._handle.close()
-
-
-def write_trace(events: Iterable[dict], path: str) -> int:
-    """Write events to a JSONL file; returns the number of lines."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as handle:
-        for event in events:
-            handle.write(json.dumps(event, separators=(",", ":")) + "\n")
-            count += 1
-    return count
 
 
 def read_trace(path: str) -> list[dict]:

@@ -80,17 +80,6 @@ class Budget:
         self._deadline_at = min(candidates) if candidates else None
         return self
 
-    def remaining_seconds(self) -> float | None:
-        """Seconds until the armed deadline; ``None`` when unbounded.
-
-        Callers that dequeue work (the serve daemon) use this to reject a
-        request whose deadline expired while it waited, without paying
-        for a doomed inference run.
-        """
-        if self._deadline_at is None:
-            return None
-        return self._deadline_at - time.monotonic()
-
     # ------------------------------------------------------------------
     # Checks (called by the solver / unifier with their own counters)
     # ------------------------------------------------------------------

@@ -176,10 +176,6 @@ def _strip_ann(term: Term) -> Term:
     return term.expr if isinstance(term, Ann) else term
 
 
-def _ann_type(term: Term) -> Type | None:
-    return term.annotation if isinstance(term, Ann) else None
-
-
 def embed(term: FTerm, env: Environment) -> tuple[Term, Type]:
     """Convenience wrapper over :class:`Embedder`."""
     return Embedder(env).embed(term)

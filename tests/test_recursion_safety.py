@@ -1,20 +1,36 @@
-"""Deep types must never escape as ``RecursionError``.
+"""Deep types and terms must never escape as ``RecursionError``.
 
-The core traversals (``ftv``/``fuv``/``contains_uvar``/``subst_tvars``/
+The core type traversals (``ftv``/``fuv``/``contains_uvar``/``subst_tvars``/
 ``subst_uvars``/``rename_canonical``/``respects``/``type_size``/``zonk``/
-``unify``/``alpha_equal``, and ``render_type`` on arrow spines) are
-iterative with explicit stacks, so type depth is bounded by memory — not by Python's
-recursion limit.  These tests drive each one at depths far beyond
-``sys.getrecursionlimit()``; a regression to recursive form fails them
-immediately.  Budgets still apply: a depth *budget* must trip as a
+``unify``/``alpha_equal``, and ``render_type`` on arrow spines) and the
+structural term walks (``walk_terms``/``term_size``/``free_vars``/
+``subst_term``/``subst_type_vars_in_term`` and the shrinker's
+``candidates``) are iterative with explicit stacks, so depth is bounded
+by memory — not by Python's recursion limit.  These tests drive each one
+at depths far beyond ``sys.getrecursionlimit()``; a regression to
+recursive form fails them immediately.  They never compare, hash or print
+a deep term: term equality, ``repr`` and ``pretty_term`` still recurse.
+Budgets still apply: a depth *budget* must trip as a
 :class:`BudgetExceededError`, never as a raw ``RecursionError``.
 """
 
 import sys
+from itertools import islice
 
 import pytest
 
 from repro.baselines.registry import SYSTEMS
+from repro.conformance.shrink import candidates
+from repro.core.terms import (
+    Ann,
+    Lit,
+    Var,
+    free_vars,
+    subst_term,
+    subst_type_vars_in_term,
+    term_size,
+    walk_terms,
+)
 from repro.core.errors import BudgetExceededError, UnificationError
 from repro.core.sorts import Sort
 from repro.core.types import (
@@ -40,7 +56,12 @@ from repro.core.types import (
 )
 from repro.core.unify import Unifier
 from repro.evalsuite.figure2 import figure2_env
-from repro.evalsuite.workloads import deep_chain_term
+from repro.evalsuite.workloads import (
+    application_chain,
+    deep_chain_term,
+    lambda_tower,
+    let_chain,
+)
 from repro.robustness.budget import Budget
 
 DEPTH = 50_000
@@ -198,6 +219,54 @@ class TestDeepUnifier:
         unifier = Unifier(budget=budget)
         with pytest.raises(BudgetExceededError):
             unifier.unify(deep_arrow(DEPTH), deep_arrow(DEPTH))
+
+
+TERM_DEPTH = 10_000
+assert TERM_DEPTH > sys.getrecursionlimit()
+
+#: shape -> (node count, free variables) at ``TERM_DEPTH``
+TERM_SHAPES = {
+    application_chain: (2 * TERM_DEPTH + 1, {"inc"}),
+    let_chain: (4 * TERM_DEPTH + 1, {"inc"}),
+    lambda_tower: (2 * TERM_DEPTH + 2, set()),
+}
+
+
+class TestDeepTerms:
+    @pytest.mark.parametrize("shape", list(TERM_SHAPES))
+    def test_walk_size_and_free_vars(self, shape):
+        term = shape(TERM_DEPTH)
+        size, free = TERM_SHAPES[shape]
+        assert term_size(term) == size
+        assert next(walk_terms(term)) is term
+        assert free_vars(term) == free
+
+    @pytest.mark.parametrize("shape", list(TERM_SHAPES))
+    def test_subst_term(self, shape):
+        term = shape(TERM_DEPTH)
+        assert subst_term(term, "absent", Lit(0)) is term
+        renamed = subst_term(term, "inc", Var("dec"))
+        names = [node.name for node in walk_terms(renamed) if isinstance(node, Var)]
+        assert "inc" not in names
+        assert names.count("dec") == (0 if shape is lambda_tower else TERM_DEPTH)
+
+    @pytest.mark.parametrize("shape", list(TERM_SHAPES))
+    def test_subst_type_vars_in_term(self, shape):
+        term = shape(TERM_DEPTH)
+        assert subst_type_vars_in_term({"a": INT}, term) is term
+        annotated = subst_type_vars_in_term({"a": INT}, Ann(term, TVar("a")))
+        assert annotated.annotation == INT and annotated.expr is term
+
+    @pytest.mark.parametrize("shape", list(TERM_SHAPES))
+    def test_shrink_candidates(self, shape):
+        term = shape(TERM_DEPTH)
+        size = term_size(term)
+        own = {id(node) for node in walk_terms(term)}
+        offered = candidates(term)
+        assert id(next(offered)) in own  # the smallest hoisted subterm
+        # the first rewrite comes after the distinct hoisted subterms
+        rewrite = next(c for c in islice(offered, 2 * TERM_DEPTH) if id(c) not in own)
+        assert term_size(rewrite) < size
 
 
 class TestDeepBackends:

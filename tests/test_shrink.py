@@ -137,3 +137,24 @@ def _walk(term):
     from repro.core.terms import walk_terms
 
     return walk_terms(term)
+
+
+@pytest.mark.parametrize(
+    "source, rewritten",
+    [
+        # a λ head drops to its body, which is itself an application
+        (r"(\x -> inc x) 1", None),
+        # an annotated head drops its annotation
+        ("(plus 1 :: Int -> Int) 2", "plus 1 2"),
+    ],
+)
+def test_head_rewrite_to_an_application_flattens(source, rewritten):
+    from repro.syntax import parse_term
+
+    term = parse_term(source)
+    offered = list(candidates(term))
+    assert offered and all(term_size(candidate) < term_size(term) for candidate in offered)
+    if rewritten is not None:
+        assert parse_term(rewritten) in offered
+    result = shrink(term, lambda candidate: False)
+    assert result.term == term and result.checks == len(offered)

@@ -99,7 +99,7 @@ pool_types = st.recursive(
     max_leaves=6,
 )
 steps = st.tuples(
-    st.sampled_from(("bind", "assign", "view")), st.sampled_from(POOL), pool_types
+    st.sampled_from(("bind", "assign")), st.sampled_from(POOL), pool_types
 )
 
 
@@ -113,7 +113,7 @@ def reference_clean(unifier: Unifier, type_: Type) -> bool:
 
 def reference_zonk(unifier: Unifier, type_: Type) -> Type:
     if isinstance(type_, UVar):
-        image = unifier.subst.get(type_)
+        image = unifier._parent.get(type_, unifier._binding.get(type_))
         return type_ if image is None else reference_zonk(unifier, image)
     if isinstance(type_, TCon):
         return TCon(type_.name, tuple(reference_zonk(unifier, a) for a in type_.args))
@@ -134,10 +134,7 @@ def apply(unifier: Unifier, kind: str, target: UVar, image: Type) -> None:
         return
     if root in fuv(unifier.zonk(image)):
         return
-    if kind == "assign":
-        unifier.assign(target, image)
-    else:
-        unifier.subst[target] = image
+    unifier.assign(target, image)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,6 +1,9 @@
 """Tests for sort- and level-aware unification (the equality rules of
 Figure 8 plus float/promotion of Figure 10)."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given
 
@@ -43,7 +46,7 @@ class TestStructural:
     def test_eqrefl(self):
         unifier = Unifier()
         unifier.unify(INT, INT)
-        assert not unifier.subst
+        assert not unifier._parent and not unifier._binding
 
     def test_eqmono_decomposes(self):
         unifier = Unifier()
@@ -278,17 +281,6 @@ class TestUnionFind:
             not isinstance(image, UVar) for image in unifier._binding.values()
         )
 
-    def test_substitution_view_reports_all_entries(self):
-        unifier = Unifier()
-        a, b = uvar("a1"), uvar("b1")
-        unifier.unify(a, b)
-        unifier.unify(b, INT)
-        assert len(unifier.subst) == 2
-        # Entries keep the seed's link-at-a-time shape: ``a`` maps to its
-        # representative, the representative to the bound type.
-        assert a in unifier.subst and unifier.subst[b] == INT
-        assert unifier.zonk(unifier.subst[a]) == INT
-
     def test_assign_unions_variables(self):
         unifier = Unifier()
         a, b = uvar("a1"), uvar("b1")
@@ -357,7 +349,7 @@ def store_scenario() -> list[str]:
     unifier.assign(h, TCon("Char"))
     out.append(str(unifier.zonk(g)))
     out.append(f"bindings={unifier.bindings}")
-    out.append(f"subst={len(unifier.subst)}")
+    out.append(f"subst={len(unifier._parent) + len(unifier._binding)}")
     out.append(f"next={unifier.supply.fresh()}")
     out.append(f"skolems={sorted(unifier.skolem_levels)}")
     return out
@@ -366,7 +358,7 @@ def store_scenario() -> list[str]:
 class TestStoreContract:
     """Observables of the substitution store that callers rely on: fresh
     name draws, demotion/promotion results, error types, binding counts
-    and the ``subst`` view."""
+    and the number of solved variables."""
 
     def test_scenario_battery(self):
         assert store_scenario() == [
@@ -388,19 +380,18 @@ class TestStoreContract:
             "skolems=[]",
         ]
 
-    def test_subst_view_protocol(self):
-        unifier = Unifier()
-        a, b = uvar("a"), uvar("b")
-        assert not unifier.subst and len(unifier.subst) == 0
-        assert a not in unifier.subst
-        unifier.assign(a, b)
-        unifier.assign(b, INT)
-        assert a in unifier.subst and b in unifier.subst
-        assert unifier.subst.get(a) == b
-        assert unifier.subst[b] == INT
-        assert len(unifier.subst) == 2
-        listed = dict(unifier.subst.items())
-        assert listed[a] == b and listed[b] == INT
+    def test_unifier_is_freed_without_the_cycle_collector(self):
+        # Nothing the store owns may point back at the unifier: a cycle
+        # keeps its tables and memos alive until the cyclic collector runs.
+        gc.disable()
+        try:
+            unifier = Unifier()
+            unifier.unify(fun(uvar("a"), uvar("b")), fun(INT, BOOL))
+            ref = weakref.ref(unifier)
+            del unifier
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_zonk_identity_contract(self):
         # ``deep_prenex`` and friends detect fixed points by identity, so
