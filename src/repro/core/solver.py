@@ -149,7 +149,8 @@ class Solver:
         self.tracer = tracer
         self.defaulting = defaulting
         self.policy = policy
-        self._watches: dict[UVar, list[_Deferred]] = {}
+        self._watches: dict[str, list[_Deferred]] = {}
+        """Deferred entries by the name of a variable they wait on."""
         self.steps = 0
         """Constraints processed so far (the budget's fuel gauge)."""
 
@@ -232,7 +233,7 @@ class Solver:
     def _wake(self, variable: UVar) -> None:
         """Unifier ``on_bind`` hook: re-queue the watchers of a variable
         that just got solved (bound or united into another variable)."""
-        entries = self._watches.pop(variable, None)
+        entries = self._watches.pop(variable.name, None)
         if entries is None:
             return
         tracing = self.tracer is not None and self.tracer.enabled
@@ -636,7 +637,7 @@ class Solver:
         entry = _Deferred(constraint, scope)
         self.deferred.append(entry)
         for variable in self._watch_vars(constraint):
-            self._watches.setdefault(variable, []).append(entry)
+            self._watches.setdefault(variable.name, []).append(entry)
 
 
 class InstanceEnv:

@@ -11,7 +11,9 @@ This module implements the equality fragment of the solver:
   pointers (union by rank, iterative find with path compression) and
   each representative carries at most one non-variable binding, so
   resolving a variable is amortised near-constant instead of walking a
-  dict chain.
+  dict chain.  The store keys its tables by variable *name* (one name,
+  one variable per unifier), and a variable whose name is not in the
+  solved set resolves to itself with that one set lookup.
 * **eqvar** — when two variables of different sorts meet, the less
   restrictive one is bound to the more restrictive one.
 * **eqfully** — equating a type with a fully monomorphic variable demotes
@@ -122,12 +124,13 @@ class Unifier:
         intern: InternTable | None = None,
     ) -> None:
         self.supply = supply or NameSupply("v")
-        self._parent: dict[UVar, UVar] = {}
-        """Union-find parent pointers for variables united into another."""
-        self._rank: dict[UVar, int] = {}
-        """Union-by-rank bookkeeping (absent entries have rank 0)."""
-        self._binding: dict[UVar, Type] = {}
-        """Representative → bound (non-variable) type."""
+        self._parent: dict[str, UVar] = {}
+        """Union-find parent pointers, by name, for variables united into
+        another."""
+        self._rank: dict[str, int] = {}
+        """Union-by-rank bookkeeping by name (absent entries have rank 0)."""
+        self._binding: dict[str, Type] = {}
+        """Representative name → bound (non-variable) type."""
         self.skolem_levels: dict[str, int] = {}
         self.bindings = 0
         self.budget = budget
@@ -142,7 +145,7 @@ class Unifier:
         self._summaries: dict[int, Summary] = {}
         """Summary of every node seen, keyed by ``id`` (see :data:`Summary`)."""
         self._variables: dict[str, UVar] = {}
-        """The one variable each summarised name stands for."""
+        """The one variable each summarised or stored name stands for."""
         self._zonked: dict[int, tuple[Type, Type]] = {}
         """``id(node) → (node, zonked node)``, valid while ``bindings``
         equals ``_zonked_at``."""
@@ -239,37 +242,43 @@ class Unifier:
             return (node, (), -1, (node.name,))
         if not isinstance(node, UVar):
             raise TypeError(f"unknown type node: {node!r}")
-        # The solved set and the summaries key variables by name, which
-        # is sound only while a name denotes one variable per unifier.
-        known = self._variables.setdefault(node.name, node)
-        if known != node:
+        self._register(node)
+        return (node, (node.name,), node.level, ())
+
+    def _register(self, variable: UVar) -> None:
+        """Record the variable a name stands for.  The store, the solved
+        set and the summaries key variables by name, which is sound only
+        while a name denotes one variable per unifier."""
+        known = self._variables.setdefault(variable.name, variable)
+        if known is not variable and known != variable:
             raise InternalError(
-                ValueError(f"two unification variables named {node.name}: {known}, {node}"),
+                ValueError(
+                    f"two unification variables named {variable.name}: {known}, {variable}"
+                ),
                 "unify",
             )
-        return (node, (node.name,), node.level, ())
 
     # -- substitution ---------------------------------------------------
 
     def _find(self, variable: UVar) -> UVar:
         """Representative of ``variable``, compressing the path walked."""
         parent = self._parent
-        step = parent.get(variable)
+        step = parent.get(variable.name)
         if step is None:
             return variable
         root = step
         while True:
-            step = parent.get(root)
+            step = parent.get(root.name)
             if step is None:
                 break
             root = step
-        current = variable
+        current = variable.name
         while True:
             step = parent[current]
-            if step == root:
+            if step is root:
                 break
             parent[current] = root
-            current = step
+            current = step.name
         return root
 
     def _is_clean(self, type_: Type) -> bool:
@@ -280,15 +289,17 @@ class Unifier:
     def zonk(self, type_: Type) -> Type:
         """Fully apply the current substitution to a type."""
         if isinstance(type_, UVar):
+            if type_.name not in self._solved:
+                return type_
             root = self._find(type_)
-            bound = self._binding.get(root)
+            bound = self._binding.get(root.name)
             if bound is None:
                 return root
             if self._is_clean(bound):
                 return bound
             expanded = self._zonk_rebuild(bound)
             # Memoise the expansion so repeated zonks are cheap.
-            self._binding[root] = expanded
+            self._binding[root.name] = expanded
             return expanded
         if isinstance(type_, TVar):
             return type_
@@ -308,6 +319,7 @@ class Unifier:
         """
         intern = self._intern.intern
         binding = self._binding
+        solved = self._solved
         zonked = self._zonked
         if self._zonked_at != self.bindings:
             zonked.clear()
@@ -318,8 +330,11 @@ class Unifier:
             tag, node = stack.pop()
             if tag == "visit":
                 if isinstance(node, UVar):
+                    if node.name not in solved:
+                        results.append(node)
+                        continue
                     root = self._find(node)
-                    bound = binding.get(root)
+                    bound = binding.get(root.name)
                     if bound is None:
                         results.append(root)
                     elif self._is_clean(bound):
@@ -381,17 +396,17 @@ class Unifier:
                         results.append(node)
                 zonked[id(node)] = (node, results[-1])
             else:  # memo
-                expansion = results[-1]
-                binding[node] = expansion
+                binding[node.name] = results[-1]
         return results[0]
 
     def zonk_head(self, type_: Type) -> Type:
-        """Resolve only a top-level variable (one find + one lookup —
-        bound representatives never point at another variable)."""
-        if not isinstance(type_, UVar):
+        """Resolve only a top-level variable: one set lookup when it is
+        unsolved, else one find and one lookup (bound representatives
+        never point at another variable)."""
+        if not isinstance(type_, UVar) or type_.name not in self._solved:
             return type_
         root = self._find(type_)
-        bound = self._binding.get(root)
+        bound = self._binding.get(root.name)
         return root if bound is None else bound
 
     # -- unification ----------------------------------------------------
@@ -544,6 +559,7 @@ class Unifier:
 
     def bind(self, variable: UVar, type_: Type, resolver: TVarResolver | None = None) -> None:
         """Bind a unification variable, enforcing sorts and levels."""
+        self._register(variable)
         root = self._find(variable)
         type_ = self.zonk(type_)
         if type_ == root:
@@ -556,7 +572,7 @@ class Unifier:
         type_ = self._enforce_sort(root, type_)
         type_ = self._promote(root, type_)
         self._check_skolems(root, type_)
-        self._binding[root] = type_
+        self._binding[root.name] = type_
         self._solved.add(root.name)
         self.bindings += 1
         if self.tracer is not None and self.tracer.enabled:
@@ -576,6 +592,7 @@ class Unifier:
         generalisation steps construct images that are correct by
         construction.  Still counts as a binding and fires ``on_bind``.
         """
+        self._register(variable)
         root = self._find(variable)
         if isinstance(image, UVar):
             target = self._find(image)
@@ -583,20 +600,22 @@ class Unifier:
                 return
             self._union(root, target)
             return
-        self._binding[root] = image
+        self._binding[root.name] = image
         self._solved.add(root.name)
         self.bindings += 1
         self._notify(root)
 
     def _union(self, eliminated: UVar, kept: UVar) -> None:
         """Point ``eliminated`` at ``kept``; rank stays a height bound."""
-        self._parent[eliminated] = kept
+        self._register(eliminated)
+        self._register(kept)
+        self._parent[eliminated.name] = kept
         self._solved.add(eliminated.name)
         rank = self._rank
-        kept_rank = rank.get(kept, 0)
-        eliminated_rank = rank.get(eliminated, 0)
+        kept_rank = rank.get(kept.name, 0)
+        eliminated_rank = rank.get(eliminated.name, 0)
         if kept_rank <= eliminated_rank:
-            rank[kept] = eliminated_rank + 1
+            rank[kept.name] = eliminated_rank + 1
         self.bindings += 1
         self._notify(eliminated)
 
@@ -622,7 +641,7 @@ class Unifier:
             self._union(right, promoted)
             right = promoted
         if left.sort is right.sort and left.level == right.level:
-            if self._rank.get(right, 0) < self._rank.get(left, 0):
+            if self._rank.get(right.name, 0) < self._rank.get(left.name, 0):
                 left, right = right, left
         self._union(left, right)
 

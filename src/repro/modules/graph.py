@@ -49,7 +49,7 @@ def dependencies(module: Module) -> dict[str, set[str]]:
     """``name -> set of module-level names free in its definition``."""
     local = set(module.names)
     return {
-        binding.name: binding.free_term_vars() & local
+        binding.name: local & binding.free_term_vars()
         for binding in module.bindings
     }
 

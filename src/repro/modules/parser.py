@@ -55,8 +55,14 @@ class Binding:
         sig = "" if self.signature is None else str(self.signature)
         return f"{self.name} :: {sig}\n{self.name} = {self.term}"
 
-    def free_term_vars(self) -> set[str]:
-        return free_vars(self.term)
+    def free_term_vars(self) -> frozenset[str]:
+        """The definition's free names, computed once per binding: the
+        dependency graph, the recursion test and the cache key share it."""
+        cached = self.__dict__.get("_free_term_vars")
+        if cached is None:
+            cached = frozenset(free_vars(self.term))
+            object.__setattr__(self, "_free_term_vars", cached)
+        return cached
 
 
 @dataclass

@@ -9,7 +9,9 @@ of nested schemes again in every enclosing one made both grow as n² on
 nested application (``inc (inc … 0)``, ``tail (tail … ids)``).
 
 The unifier summarises each type node once, so the nodes it summarises
-grow linearly too, even where every binding extends one long type.
+grow linearly too, even where every binding extends one long type.  Its
+store keys by variable name, so resolving and binding variables hashes
+no ``UVar``: the few hashes left come from substitution maps.
 
 Sizes stay below the depth at which the recursive term walk of the
 generator runs out of Python stack (about 330 nested applications).
@@ -26,6 +28,8 @@ from repro.core.types import INT, TVar, UVar, fun, list_of
 from repro.evalsuite import workloads
 from repro.evalsuite.figure2 import figure2_env
 from repro.syntax import parse_term, parse_type
+
+from benchmarks.pipeline.workloads import STRESS_FAMILIES
 
 ENV = figure2_env()
 
@@ -121,6 +125,34 @@ def test_unifier_summarises_each_node_once(family):
     size = FAMILIES[family]
     small, large = summarised(family, size), summarised(family, 2 * size)
     assert large <= 2.5 * small, (small, large)
+
+
+def uvar_hashes(monkeypatch, family: str, size: int) -> tuple[int, int]:
+    """``UVar.__hash__`` calls while inferring one term, and its bindings."""
+    term = getattr(workloads, family)(size)
+    plain = UVar.__hash__
+    calls = 0
+
+    def counting(variable: UVar) -> int:
+        nonlocal calls
+        calls += 1
+        return plain(variable)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(UVar, "__hash__", counting)
+        result = Inferencer(ENV).infer(term)
+    return calls, result.solver.unifier.bindings
+
+
+@pytest.mark.parametrize(
+    "family, size", list(STRESS_FAMILIES) + [("application_chain", 150)]
+)
+def test_store_hashes_no_variable_per_binding(monkeypatch, family, size):
+    # Keying the store and the watch lists by variable made every find,
+    # zonk, bind, union and wake-up hash one: 8 to 14 calls per binding.
+    for n in (size, 2 * size):
+        calls, bindings = uvar_hashes(monkeypatch, family, n)
+        assert calls <= bindings + 8, (family, n, calls, bindings)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

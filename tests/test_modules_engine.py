@@ -214,6 +214,36 @@ class TestIncremental:
         assert serial.types == concurrent.types
         assert concurrent.stats.jobs == 4
 
+    def test_each_binding_walks_its_free_names_once_per_check(self, monkeypatch):
+        # The graph, the recursion test and the cache key all read a
+        # binding's free names; they share one walk per parsed binding.
+        from repro.modules import parser
+
+        walked = []
+        plain = parser.free_vars
+
+        def counting(term):
+            walked.append(term)
+            return plain(term)
+
+        monkeypatch.setattr(parser, "free_vars", counting)
+        edited = self.source.replace(
+            "c0_0 :: Int\nc0_0 = 0", "c0_0 :: Bool\nc0_0 = True"
+        )
+        # Cold, warm and after an edit, then a module with a recursive group.
+        for source, total, hits in [
+            (self.source, self.total, 0),
+            (self.source, self.total, self.total),
+            (edited, self.total, self.total - 25),
+            (IMPREDICATIVE, 5, 0),
+        ]:
+            walked.clear()
+            result = self.engine.check_source(source)
+            assert result.ok
+            assert len(walked) == total
+            assert len({id(term) for term in walked}) == total
+            assert result.stats.cache_hits == hits
+
     def test_cached_types_are_reusable(self):
         self.engine.check_source(self.source)
         result = self.engine.check_source(self.source)

@@ -104,16 +104,18 @@ steps = st.tuples(
 
 
 def reference_clean(unifier: Unifier, type_: Type) -> bool:
-    """Scan the store: no free variable of the type is solved."""
+    """Scan the store's name-keyed tables: no free variable of the type
+    is solved."""
     return all(
-        inner not in unifier._parent and inner not in unifier._binding
+        inner.name not in unifier._parent and inner.name not in unifier._binding
         for inner in fuv(type_)
     )
 
 
 def reference_zonk(unifier: Unifier, type_: Type) -> Type:
+    """Follow the store's tables by name, without the solved set."""
     if isinstance(type_, UVar):
-        image = unifier._parent.get(type_, unifier._binding.get(type_))
+        image = unifier._parent.get(type_.name, unifier._binding.get(type_.name))
         return type_ if image is None else reference_zonk(unifier, image)
     if isinstance(type_, TCon):
         return TCon(type_.name, tuple(reference_zonk(unifier, a) for a in type_.args))
@@ -124,7 +126,7 @@ def apply(unifier: Unifier, kind: str, target: UVar, image: Type) -> None:
     """One store step on an unsolved variable, as the solver makes them;
     an unchecked step that would make a cycle is skipped."""
     root = unifier._find(target)
-    if root in unifier._binding:
+    if root.name in unifier._binding:
         return
     if kind == "bind":
         try:
@@ -145,6 +147,8 @@ def test_is_clean_agrees_with_a_scan_of_the_store(store_steps, probes):
         assert unifier._is_clean(probe)
     for kind, target, image in store_steps:
         apply(unifier, kind, target, image)
+        # All three tables key by name: solved means parented or bound.
+        assert unifier._solved == unifier._parent.keys() | unifier._binding.keys()
         for probe in probes:
             assert unifier._is_clean(probe) == reference_clean(unifier, probe)
 

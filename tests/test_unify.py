@@ -9,6 +9,7 @@ from hypothesis import given
 
 from repro.core.errors import (
     GIError,
+    InternalError,
     OccursCheckError,
     SkolemEscapeError,
     SortError,
@@ -350,6 +351,10 @@ def store_scenario() -> list[str]:
     out.append(str(unifier.zonk(g)))
     out.append(f"bindings={unifier.bindings}")
     out.append(f"subst={len(unifier._parent) + len(unifier._binding)}")
+    # The tables key by name: which variables were united away, and
+    # which representatives carry a binding.
+    out.append(f"united={sorted(unifier._parent)}")
+    out.append(f"bound={sorted(unifier._binding)}")
     out.append(f"next={unifier.supply.fresh()}")
     out.append(f"skolems={sorted(unifier.skolem_levels)}")
     return out
@@ -376,6 +381,8 @@ class TestStoreContract:
             "Char",
             "bindings=12",
             "subst=12",
+            "united=['a', 'c', 'd', 'dd', 'e', 'g', 'v2']",
+            "bound=['b', 'f', 'h', 'm', 'o']",
             "next=v6",
             "skolems=[]",
         ]
@@ -403,8 +410,8 @@ class TestStoreContract:
         assert unifier.zonk(ID) is ID
 
     def test_on_bind_fires_with_structural_keys(self):
-        # The solver's wake-up queue is keyed by UVar structurally, so
-        # notifications must carry the variables themselves.
+        # Notifications carry the variables themselves; the solver's
+        # wake-up lists key them by name.
         fired = []
         unifier = Unifier()
         unifier.on_bind = fired.append
@@ -414,6 +421,48 @@ class TestStoreContract:
         assert fired, "bindings must notify"
         assert all(isinstance(v, UVar) for v in fired)
         assert {v.name for v in fired} <= {"a", "b"}
+
+
+class TestOneNameOneVariable:
+    """The store keys its tables by name, so every write checks that a
+    name still stands for the variable it was first stored under."""
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            # bind: the second variable would take over x's binding.
+            (
+                lambda unifier: unifier.bind(uvar("x"), INT),
+                lambda unifier: unifier.bind(uvar("x", Sort.M), BOOL),
+            ),
+            # assign: the same, without the checks of bind.
+            (
+                lambda unifier: unifier.assign(uvar("x"), INT),
+                lambda unifier: unifier.assign(uvar("x", level=1), BOOL),
+            ),
+            # _union: y's second spelling is only ever the kept side.
+            (
+                lambda unifier: unifier.assign(uvar("x"), uvar("y")),
+                lambda unifier: unifier.assign(uvar("z"), uvar("y", Sort.T)),
+            ),
+        ],
+        ids=["bind", "assign", "union"],
+    )
+    def test_a_second_variable_with_a_stored_name_is_an_internal_error(
+        self, first, second
+    ):
+        unifier = Unifier()
+        first(unifier)
+        with pytest.raises(InternalError):
+            second(unifier)
+
+    def test_equal_variables_built_twice_share_one_entry(self):
+        unifier = Unifier()
+        unifier.assign(uvar("x"), uvar("y"))
+        unifier.assign(uvar("y"), INT)
+        assert unifier.zonk(uvar("x")) == INT
+        assert sorted(unifier._parent) == ["x"]
+        assert sorted(unifier._binding) == ["y"]
 
 
 class TestSkolemBookkeeping:
