@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice, repeat
 from operator import is_not
 from typing import Callable, Generic, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -678,19 +678,35 @@ def respects(type_: Type, sort: Sort) -> bool:
       an unrestricted unification variable;
     * a type respects ``M`` when it contains no quantifier anywhere and all
       its unification variables have sort ``M``.
+
+    The ``M`` walk visits a constructor application shared in a DAG once.
     """
     if sort is Sort.U:
         return True
-    deep = sort is Sort.M  # sort T looks at the top node only
-    stack = [type_]
+    kind = type_.__class__
+    if kind is UVar:
+        return type_.sort <= sort
+    if kind is Forall:
+        return False
+    if kind is TVar:
+        return True
+    if kind is not TCon:
+        raise TypeError(f"unknown type node: {type_!r}")
+    if sort is not Sort.M:  # sort T looks at the top node only
+        return True
+    # The root is never reached again, so a type whose arguments are
+    # leaves touches no visited set.
+    seen: set[int] = set()
+    stack = list(type_.args)
     while stack:
         node = stack.pop()
         kind = node.__class__
         if kind is TCon:
-            if deep:
+            if node.args and id(node) not in seen:
+                seen.add(id(node))
                 stack.extend(node.args)
         elif kind is UVar:
-            if node.sort > sort:
+            if node.sort is not Sort.M:
                 return False
         elif kind is Forall:
             return False
@@ -829,72 +845,158 @@ def type_size(type_: Type) -> int:
 
 
 def mentions_forall(type_: Type) -> bool:
-    """Whether a quantifier occurs anywhere in the type (iterative)."""
-    stack: list[Type] = [type_]
+    """Whether a quantifier occurs anywhere in the type (iterative; a
+    constructor application shared in a DAG is visited once)."""
+    if type_.__class__ is not TCon:
+        return type_.__class__ is Forall
+    seen: set[int] = set()
+    stack: list[Type] = list(type_.args)
     while stack:
         node = stack.pop()
-        if isinstance(node, Forall):
+        kind = node.__class__
+        if kind is Forall:
             return True
-        if isinstance(node, TCon):
+        if kind is TCon and node.args and id(node) not in seen:
+            seen.add(id(node))
             stack.extend(node.args)
     return False
 
 
 def contains_uvar(type_: Type, variable: UVar) -> bool:
-    """Occurs check helper (iterative — deep types must not overflow)."""
-    stack: list[Type] = [type_]
+    """Occurs check helper (iterative — deep types must not overflow; a
+    composite node shared in a DAG is visited once)."""
+    kind = type_.__class__
+    if kind is TCon:
+        stack: list[Type] = list(type_.args)
+    elif kind is Forall:
+        stack = list(_forall_children(type_))
+    else:
+        return type_ == variable
+    seen: set[int] = set()
     while stack:
         node = stack.pop()
-        if isinstance(node, UVar):
+        kind = node.__class__
+        if kind is UVar:
             if node == variable:
                 return True
-        elif isinstance(node, TCon):
-            stack.extend(node.args)
-        elif isinstance(node, Forall):
-            stack.append(node.body)
-            for predicate in node.context:
-                stack.extend(predicate.args)
+        elif kind is TCon:
+            if node.args and id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node.args)
+        elif kind is Forall and id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(_forall_children(node))
     return False
+
+
+# A constructor application's form: the precedence above which it is
+# parenthesised, the text before each argument, each argument's
+# precedence, and the text after the last argument.
+_ARROW_FORM = (1, ("", " -> "), (2, 1), "")
+_LIST_FORM = (3, ("[",), (0,), "]")
+
+
+def _form(node: TCon) -> tuple[int, Iterable[str], Iterable[int], str]:
+    """The form of a constructor application with arguments; reads only
+    the number of arguments."""
+    name = node.name
+    arity = len(node.args)
+    if name == ARROW and arity == 2:
+        return _ARROW_FORM
+    if name == LIST_CON and arity == 1:
+        return _LIST_FORM
+    if name.startswith("(,"):
+        return 3, chain(("(",), repeat(", ")), repeat(0), ")"
+    return 2, chain((name + " ",), repeat(" ")), repeat(3), ""
+
+
+def _forall_layout(node: Forall) -> Iterator[tuple[str, Type, int]]:
+    """``forall ā. (Q) => µ`` as (text before, child, precedence) for the
+    context arguments, then the body."""
+    text = f"forall {' '.join(node.binders)}. " if node.binders else ""
+    if not node.context:
+        return zip((text,), (node.body,), (0,))
+    several = len(node.context) > 1
+    if several:
+        text += "("
+    layout: list[tuple[str, Type, int]] = []
+    for index, predicate in enumerate(node.context):
+        text += f"{', ' if index else ''}{predicate.class_name} "
+        for position, argument in enumerate(predicate.args):
+            layout.append((" " + text if position else text, argument, 3))
+            text = ""
+    layout.append((text + (") => " if several else " => "), node.body, 0))
+    return iter(layout)
 
 
 def render_type(type_: Type, precedence: int = 0) -> str:
     """A small built-in renderer (the full pretty printer lives in
-    ``repro.syntax.pretty``; this one keeps ``__str__`` dependency-free)."""
-    if isinstance(type_, TVar):
-        return type_.name
-    if isinstance(type_, UVar):
-        return f"{type_.name}^{type_.sort.symbol}"
-    if isinstance(type_, Forall):
-        body = render_type(type_.body, 0)
-        context = ""
-        if type_.context:
-            preds = ", ".join(str(predicate) for predicate in type_.context)
-            wrapped = f"({preds})" if len(type_.context) > 1 else preds
-            context = f"{wrapped} => "
-        quantifier = f"forall {' '.join(type_.binders)}. " if type_.binders else ""
-        rendered = f"{quantifier}{context}{body}"
-        return f"({rendered})" if precedence > 0 else rendered
-    if isinstance(type_, TCon):
-        if type_.name == ARROW and len(type_.args) == 2:
-            # Flatten the right spine so an n-ary function type costs n
-            # stack frames fewer — ``a -> (b -> c)`` renders as one run.
-            parts: list[str] = []
-            node: Type = type_
-            while isinstance(node, TCon) and node.name == ARROW and len(node.args) == 2:
-                parts.append(render_type(node.args[0], 2))
-                node = node.args[1]
-            parts.append(render_type(node, 1))
-            rendered = " -> ".join(parts)
-            return f"({rendered})" if precedence > 1 else rendered
-        if type_.name == LIST_CON and len(type_.args) == 1:
-            return f"[{render_type(type_.args[0], 0)}]"
-        if type_.name.startswith("(,") or type_.name == "(,)":
-            inner = ", ".join(render_type(argument, 0) for argument in type_.args)
-            return f"({inner})"
-        if not type_.args:
-            return type_.name
-        pieces = [type_.name] + [render_type(argument, 3) for argument in type_.args]
-        rendered = " ".join(pieces)
-        return f"({rendered})" if precedence > 2 else rendered
-    raise TypeError(f"unknown type node: {type_!r}")
+    ``repro.syntax.pretty``; this one keeps ``__str__`` dependency-free).
 
+    ``precedence`` is the context: 0 anywhere, 1 right of an arrow, 2 left
+    of an arrow, 3 a constructor argument; a ``∀`` is parenthesised above
+    0, an arrow above 1, any other application with arguments above 2.
+    The walk is iterative, with one children iterator per open node (as in
+    :func:`ftv`), and writes the output as a list of pieces.  A composite
+    node shared in a DAG is walked once per call: rendering renames no
+    binder, so its text is the same at every occurrence, and later
+    occurrences copy it.
+    """
+    kind = type_.__class__
+    if kind is TVar:
+        return type_.name
+    if kind is UVar:
+        return f"{type_.name}^{type_.sort.symbol}"
+    if kind is TCon and not type_.args:
+        return "()" if type_.name.startswith("(,") else type_.name
+    pieces: list[str] = []
+    # id(node) -> where its text (without parentheses) is in ``pieces``,
+    # or the text itself once a second occurrence has joined it.
+    done: dict[int, tuple[int, int] | str] = {}
+    # Open nodes: (node, children, first piece, text after the children, ")" or "").
+    stack: list[tuple[Type, Iterator[tuple[str, Type, int]], int, str, str]] = []
+    node = type_
+    while True:
+        # Open ``node``: a composite at ``precedence``, not rendered before.
+        if node.__class__ is TCon:
+            above, texts, precedences, after = _form(node)
+            children = zip(texts, node.args, precedences)
+        else:
+            above, children, after = 0, _forall_layout(node), ""
+        close = ")" if precedence > above else ""
+        if close:
+            pieces.append("(")
+        stack.append((node, children, len(pieces), after, close))
+        while stack:
+            frame = stack[-1]
+            for text, node, precedence in frame[1]:
+                if text:
+                    pieces.append(text)
+                kind = node.__class__
+                if kind is TVar:
+                    pieces.append(node.name)
+                elif kind is UVar:
+                    pieces.append(f"{node.name}^{node.sort.symbol}")
+                elif kind is TCon and not node.args:
+                    pieces.append("()" if node.name.startswith("(,") else node.name)
+                elif kind is not TCon and kind is not Forall:
+                    raise TypeError(f"unknown type node: {node!r}")
+                else:
+                    known = done.get(id(node))
+                    if known is None:
+                        break  # open it
+                    if known.__class__ is tuple:
+                        known = done[id(node)] = "".join(pieces[known[0] : known[1]])
+                    above = 0 if kind is Forall else _form(node)[0]
+                    pieces.append(f"({known})" if precedence > above else known)
+            else:
+                stack.pop()
+                if frame[3]:
+                    pieces.append(frame[3])
+                done[id(frame[0])] = (frame[2], len(pieces))
+                if frame[4]:
+                    pieces.append(frame[4])
+                continue
+            break
+        else:
+            return "".join(pieces)

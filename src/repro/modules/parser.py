@@ -17,15 +17,15 @@ character is in column one; indented lines continue the declaration
 above, so definitions can span lines.  ``--`` comments and blank lines
 separate declarations freely.
 
-Positions in errors are file positions: the tokens of each declaration
-chunk are re-based onto the chunk's starting line, so a parse error deep
-inside the third binding reports the line of the offending token, not
-line one of its chunk.
+Positions in errors are file positions: each declaration chunk is lexed
+from its starting line, so a lexer or parse error deep inside the third
+binding reports the line of the offending token, not line one of its
+chunk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.errors import DuplicateBindingError, ParseError
 from repro.core.terms import Term, free_vars
@@ -115,12 +115,6 @@ def _chunks(source: str) -> list[tuple[int, str]]:
     return [(start, "\n".join(lines)) for start, lines in chunks]
 
 
-def _rebase(tokens: list[Token], start_line: int) -> list[Token]:
-    """Shift chunk-relative token lines onto file lines."""
-    offset = start_line - 1
-    return [replace(token, line=token.line + offset) for token in tokens]
-
-
 def _is_module_header(tokens: list[Token]) -> bool:
     return (
         len(tokens) >= 3
@@ -161,7 +155,7 @@ def parse_module(source: str, path: str | None = None) -> Module:
     order: list[str] = []
 
     for index, (start_line, text) in enumerate(_chunks(source)):
-        tokens = _rebase(tokenize(text), start_line)
+        tokens = tokenize(text, start_line)
         if index == 0 and _is_module_header(tokens):
             module_name = tokens[1].text
             if tokens[3].kind != "eof":

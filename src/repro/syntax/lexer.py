@@ -45,11 +45,15 @@ class Token:
         return self.text if self.kind != "eof" else "<end of input>"
 
 
-def tokenize(source: str) -> list[Token]:
-    """Convert source text into a token list (ending with an ``eof``)."""
+def tokenize(source: str, first_line: int = 1) -> list[Token]:
+    """Convert source text into a token list (ending with an ``eof``).
+
+    ``first_line`` is the line number of the first line of ``source``, so
+    a caller lexing part of a file gets file lines in tokens and errors.
+    """
     tokens: list[Token] = []
     index = 0
-    line = 1
+    line = first_line
     column = 1
     length = len(source)
 

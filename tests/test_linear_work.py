@@ -13,6 +13,11 @@ grow linearly too, even where every binding extends one long type.  Its
 store keys by variable name, so resolving and binding variables hashes
 no ``UVar``: the few hashes left come from substitution maps.
 
+Types are DAGs: ``t_{k+1} = [(t_k, t_k)]`` has 2k composite nodes and
+2^k leaves.  The type walks behind rendering, the sort judgement, the
+quantifier check and the occurs check read each shared node's argument
+tuple once, so their work follows the DAG, not the tree.
+
 Sizes stay below the depth at which the recursive term walk of the
 generator runs out of Python stack (about 330 nested applications).
 """
@@ -24,7 +29,19 @@ from repro.core.constraints import Gen, Quant
 from repro.core.env import DataCon
 from repro.core.generate import Generator
 from repro.core.sorts import Sort
-from repro.core.types import INT, TVar, UVar, fun, list_of
+from repro.core.types import (
+    INT,
+    LIST_CON,
+    TCon,
+    TVar,
+    UVar,
+    contains_uvar,
+    fun,
+    list_of,
+    mentions_forall,
+    render_type,
+    respects,
+)
 from repro.evalsuite import workloads
 from repro.evalsuite.figure2 import figure2_env
 from repro.syntax import parse_term, parse_type
@@ -202,3 +219,44 @@ def test_implications_own_their_variables(source, expected):
     assert any(isinstance(owner, Quant) for owner, _ in owners(constraints))
     assert_single_owner(generator, constraints)
     assert str(Inferencer(env).infer(parse_term(source)).type_) == expected
+
+
+class _CountedArgs(tuple):
+    """An argument tuple that counts how often a walk reads it."""
+
+    reads = 0
+
+    def __iter__(self):
+        _CountedArgs.reads += 1
+        return super().__iter__()
+
+    def __getitem__(self, index):
+        _CountedArgs.reads += 1
+        return super().__getitem__(index)
+
+
+def doubling_chain(k: int) -> TCon:
+    """``t_{k+1} = [(t_k, t_k)]`` from ``t_0 = Int``."""
+    type_ = INT
+    for _ in range(k):
+        pair = TCon("(,)", _CountedArgs((type_, type_)))
+        type_ = TCon(LIST_CON, _CountedArgs((pair,)))
+    return type_
+
+
+SHARED_WALKS = {
+    "render_type": render_type,
+    "respects": lambda type_: respects(type_, Sort.M),
+    "mentions_forall": mentions_forall,
+    "contains_uvar": lambda type_: contains_uvar(type_, UVar("u0", Sort.M)),
+}
+
+
+@pytest.mark.parametrize("walk", sorted(SHARED_WALKS))
+@pytest.mark.parametrize("k", [6, 12])
+def test_type_walks_read_each_shared_node_once(walk, k):
+    # Expanding the tree read 2^(k+1) - 2 tuples: 126 at k = 6, 8190 at 12.
+    type_ = doubling_chain(k)
+    _CountedArgs.reads = 0
+    SHARED_WALKS[walk](type_)
+    assert _CountedArgs.reads <= 2 * k + 2, (walk, k, _CountedArgs.reads)

@@ -97,6 +97,24 @@ class TestModuleParseErrorsGolden:
         assert (error.line, error.column) == (6, 7)
         assert "6:7" in str(error)
 
+    @pytest.mark.parametrize(
+        "last, position, message",
+        [
+            ('b = "oops', (6, 5), "unterminated string literal"),
+            ("b = inc (", (6, 10), "expected a term"),
+            ('b =\n  inc "oops', (7, 7), "unterminated string literal"),
+            ("b =\n  inc ?", (7, 7), "unexpected character"),
+        ],
+        ids=["lexer", "parser", "lexer-continuation", "lexer-character"],
+    )
+    def test_lexer_and_parser_errors_report_file_lines(self, last, position, message):
+        # Each chunk is lexed on its own; a lexer error must not report
+        # its line within the chunk.
+        error = self._fail(f"module M where\n\na :: Int\na = 1\n\n{last}\n")
+        assert (error.line, error.column) == position
+        assert f"{position[0]}:{position[1]}" in str(error)
+        assert message in str(error)
+
     def test_bad_separator_position(self):
         error = self._fail("a = 1\nb :: Int\nc inc 1\n")
         assert (error.line, error.column) == (3, 3)

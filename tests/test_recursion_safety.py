@@ -2,7 +2,7 @@
 
 The core type traversals (``ftv``/``fuv``/``contains_uvar``/``subst_tvars``/
 ``subst_uvars``/``rename_canonical``/``respects``/``type_size``/``zonk``/
-``unify``/``alpha_equal``, and ``render_type`` on arrow spines) and the
+``unify``/``alpha_equal``/``render_type``) and the
 structural term walks (``walk_terms``/``term_size``/``free_vars``/
 ``subst_term``/``subst_type_vars_in_term`` and the shrinker's
 ``candidates``) are iterative with explicit stacks, so depth is bounded
@@ -36,6 +36,7 @@ from repro.core.sorts import Sort
 from repro.core.types import (
     INT,
     Forall,
+    Pred,
     TCon,
     TVar,
     UVar,
@@ -52,6 +53,7 @@ from repro.core.types import (
     respects,
     subst_tvars,
     subst_uvars,
+    tuple_of,
     type_size,
 )
 from repro.core.unify import Unifier
@@ -93,6 +95,28 @@ def deep_forall_list(depth: int, leaf):
         else:
             type_ = Forall(("a",), fun(TVar("a"), type_))
     return type_
+
+
+def deep_tuple(depth: int):
+    """``((…(Int, Int)…), Int)``: ``depth`` pair constructors."""
+    type_ = INT
+    for _ in range(depth):
+        type_ = tuple_of(type_, INT)
+    return type_
+
+
+def deep_application(depth: int):
+    """``Maybe (Maybe (… Int))``: ``depth`` constructor applications."""
+    type_ = INT
+    for _ in range(depth):
+        type_ = TCon("Maybe", (type_,))
+    return type_
+
+
+def deep_qualified(depth: int):
+    """``forall a. Eq [[…a…]] => [[…a…]]``, both lists ``depth`` deep."""
+    a = TVar("a")
+    return Forall(("a",), deep_list(depth, a), (Pred("Eq", (deep_list(depth, a),)),))
 
 
 SHAPES = [deep_list, deep_forall_list]
@@ -166,9 +190,22 @@ class TestDeepTraversals:
         assert alpha_equal(left, right)
         assert not alpha_equal(left, deep_arrow(DEPTH, leaf=TCon("Bool")))
 
-    def test_render_deep(self):
-        rendered = render_type(deep_arrow(DEPTH))
-        assert rendered.startswith("Int -> Int")
+    @pytest.mark.parametrize(
+        "build, start, length",
+        [
+            (lambda: deep_arrow(DEPTH), "Int -> Int", 7 * DEPTH + 3),
+            (lambda: deep_list(DEPTH, INT), "[[[", 2 * DEPTH + 3),
+            (lambda: deep_tuple(DEPTH), "(((", 7 * DEPTH + 3),
+            (lambda: deep_application(DEPTH), "Maybe (Maybe (", 8 * DEPTH + 1),
+            (lambda: deep_forall_list(DEPTH, INT), "[forall a. a -> [forall a.", 17 * DEPTH // 2 + 3),
+            (lambda: deep_qualified(DEPTH), "forall a. Eq [[[", 4 * DEPTH + 19),
+        ],
+        ids=["arrow", "list", "tuple", "application", "forall-under-list", "qualified"],
+    )
+    def test_render_deep(self, build, start, length):
+        rendered = render_type(build())
+        assert rendered.startswith(start)
+        assert len(rendered) == length
 
     def test_hash_and_equality_deep(self):
         left = deep_arrow(DEPTH)
