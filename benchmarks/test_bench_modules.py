@@ -79,13 +79,3 @@ def test_bench_cold_vs_warm_recheck():
     }
     OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
-
-def test_bench_concurrent_cold_check():
-    """jobs=4 cold check agrees with serial (time is machine-dependent,
-    so only correctness is asserted here; the layer structure of the
-    synthetic module bounds the achievable parallelism anyway)."""
-    source = synthetic_module_source(chains=CHAINS, depth=DEPTH)
-    serial = ModuleEngine(figure2_env()).check_source(source)
-    pooled = ModuleEngine(figure2_env(), jobs=4).check_source(source)
-    assert pooled.ok
-    assert pooled.types == serial.types

@@ -219,7 +219,6 @@ def cmd_batch(
     max_depth: int | None,
     timeout: float | None,
     as_json: bool,
-    jobs: int,
     seed: int | None = None,
     policy=None,
     obs: _Obs | None = None,
@@ -242,8 +241,8 @@ def cmd_batch(
         max_unify_depth=max_depth,
         wall_clock=timeout,
     )
-    # SIGINT/SIGTERM request a *cooperative* stop: in-flight items finish,
-    # the rest are skipped, and the partial results are still emitted
+    # SIGINT/SIGTERM request a *cooperative* stop: the in-flight item
+    # finishes, the rest are skipped, and the partial results are still emitted
     # (JSON carries `"interrupted": true`; exit code is 130).
     cancel = threading.Event()
     previous_handlers: dict = {}
@@ -259,7 +258,6 @@ def cmd_batch(
             sources,
             figure2_env(),
             budget=budget,
-            jobs=jobs,
             seed=seed,
             options=InferOptions(policy=policy) if policy is not None else None,
             tracer=obs.tracer if obs is not None else None,
@@ -285,7 +283,6 @@ def cmd_module(
     max_depth: int | None,
     timeout: float | None,
     as_json: bool,
-    jobs: int,
     stats: bool,
     no_cache: bool = False,
     obs: _Obs | None = None,
@@ -307,7 +304,6 @@ def cmd_module(
     engine = ModuleEngine(
         figure2_env(),
         budget=budget,
-        jobs=jobs,
         cache=cache,
         tracer=obs.tracer if obs is not None else None,
     )
@@ -381,7 +377,6 @@ def cmd_fuzz(arguments, obs: _Obs | None = None) -> int:
         oracles=oracles,
         systems=systems,
         **({"policy": policy.name} if policy is not None else {}),
-        jobs=arguments.jobs,
         corpus_dir=Path(arguments.corpus) if arguments.corpus else None,
         fault_step=arguments.fault_step,
         fault_depth=arguments.fault_depth,
@@ -740,18 +735,12 @@ def main(argv: list[str] | None = None) -> int:
         "--json", action="store_true", help="emit structured JSON diagnostics"
     )
     p_batch.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="check expressions concurrently with N workers (order preserved)",
-    )
-    p_batch.add_argument(
         "--seed",
         type=int,
         default=None,
         help="arm a deterministic per-item fault plan derived from this seed "
-        "(reproducible fault-injection sweep; forces --jobs 1; the seed is "
-        "recorded in every diagnostic)",
+        "(reproducible fault-injection sweep; the seed is recorded in every "
+        "diagnostic)",
     )
     _add_policy_flag(p_batch)
     _add_observability_flags(p_batch)
@@ -771,12 +760,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_module.add_argument(
         "--json", action="store_true", help="emit structured JSON results"
-    )
-    p_module.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="check independent binding groups concurrently with N workers",
     )
     p_module.add_argument(
         "--stats",
@@ -816,12 +799,6 @@ def main(argv: list[str] | None = None) -> int:
         "(repeatable; default: every registered system — see `repro systems`)",
     )
     p_fuzz.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="check cases concurrently with N workers (order preserved)",
-    )
-    p_fuzz.add_argument(
         "--corpus",
         default=None,
         metavar="DIR",
@@ -835,7 +812,7 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         help="arm an injected solver fault at step N for every case "
-        "(self-test: the crash oracle must catch it; forces --jobs 1)",
+        "(self-test: the crash oracle must catch it)",
     )
     p_fuzz.add_argument(
         "--fault-depth",
@@ -979,7 +956,6 @@ def main(argv: list[str] | None = None) -> int:
             arguments.max_depth,
             arguments.timeout,
             arguments.json,
-            arguments.jobs,
             seed=arguments.seed,
             policy=policy,
             obs=_Obs.from_args(arguments),
@@ -991,7 +967,6 @@ def main(argv: list[str] | None = None) -> int:
             arguments.max_depth,
             arguments.timeout,
             arguments.json,
-            arguments.jobs,
             arguments.stats,
             no_cache=arguments.no_cache,
             obs=_Obs.from_args(arguments),

@@ -1,9 +1,10 @@
 """The conformance fuzzer: generate → oracle battery → shrink → persist.
 
 One :func:`run_fuzz` call is one reproducible sweep: the seed fixes the
-case list (``random.Random(f"{seed}:{index}")`` per case), every case
-gets its own :class:`~repro.robustness.budget.Budget` via the shared
-:class:`~repro.robustness.pool.WorkerPool`, and any violation is
+case list (``random.Random(f"{seed}:{index}")`` per case), one serial
+loop checks every case under the sweep's
+:class:`~repro.robustness.budget.Budget` (re-armed per case) behind
+:func:`~repro.robustness.pool.run_contained`, and any violation is
 greedily shrunk and written to the corpus directory as a replayable
 ``.gi`` file.
 
@@ -16,8 +17,7 @@ Fault injection (``fault_step`` / ``fault_depth``) arms a
 :class:`~repro.robustness.faultinject.FaultPlan` for every case; the
 injected non-GI crash must surface as a ``crash``-oracle violation, so
 arming a fault is the built-in self-test that the battery actually
-catches, shrinks and persists what it is pointed at.  Fault plans count
-engine events, so they force serial execution like ``batch --seed``.
+catches, shrinks and persists what it is pointed at.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from repro.core.policy import DEFAULT_POLICY, parse_policy
 from repro.core.terms import Term, term_size
 from repro.robustness.budget import Budget
 from repro.robustness.faultinject import FaultPlan
-from repro.robustness.pool import WorkerPool, clone_budget
+from repro.robustness.pool import clone_budget, run_contained
 
 #: Default per-case budget: generous for honest cases, finite for the
 #: pathological ones the arbitrary mode occasionally produces.
@@ -59,7 +59,6 @@ class FuzzConfig:
     oracles: tuple[str, ...] = DEFAULT_ORACLES
     systems: tuple[str, ...] | None = None
     policy: str = DEFAULT_POLICY.name
-    jobs: int = 1
     corpus_dir: Path | None = None
     max_steps: int | None = DEFAULT_MAX_STEPS
     max_depth: int | None = DEFAULT_MAX_DEPTH
@@ -161,13 +160,13 @@ def run_fuzz(
     started = time.monotonic()
     generator = TermGenerator(env)
     cases = generator.cases(config.seed, config.count)
-    base_budget = Budget(
+    budget = Budget(
         max_solver_steps=config.max_steps,
         max_unify_depth=config.max_depth,
         wall_clock=config.timeout,
     )
 
-    def check_case(case: FuzzCase, budget: Budget | None):
+    def check_case(case: FuzzCase):
         ctx = OracleContext(
             env,
             budget=budget,
@@ -183,13 +182,10 @@ def run_fuzz(
         result, _error = ctx.outcome(case.term)
         return violation, result is not None
 
-    jobs = 1 if config.faulty else config.jobs  # fault plans count events
-    pool = WorkerPool(jobs=jobs, budget_factory=lambda: clone_budget(base_budget))
-    outcomes = pool.map(check_case, cases)
-
     report = FuzzReport(seed=config.seed, count=config.count, oracles=config.oracles)
     emit = tracer is not None and tracer.enabled
-    for case, (violation, accepted) in zip(cases, outcomes):
+    for case in cases:
+        violation, accepted = run_contained(check_case, case)
         report.by_mode[case.mode] = report.by_mode.get(case.mode, 0) + 1
         if accepted:
             report.accepted += 1

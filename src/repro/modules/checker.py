@@ -86,9 +86,8 @@ def check_group(
     ``indices`` maps binding names to their declaration positions (for
     diagnostics); it defaults to positions within the group.  When a
     ``tracer`` is given the whole group runs inside a ``group.check``
-    span; ``parent_span`` parents it explicitly, which is what keeps the
-    span tree intact when groups run on pool worker threads (the worker
-    thread has no ambient span stack of its own).
+    span; ``parent_span`` parents it explicitly (the engine passes the
+    span of the layer the group belongs to).
     """
     started = time.perf_counter()
     outcome = GroupOutcome(group)

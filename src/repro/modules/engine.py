@@ -1,10 +1,9 @@
 """The incremental module-checking engine.
 
 One :class:`ModuleEngine` owns a base environment, a result cache and a
-concurrency setting, and repeatedly checks (evolving versions of) a
-module::
+budget, and repeatedly checks (evolving versions of) a module::
 
-    engine = ModuleEngine(figure2_env(), jobs=4)
+    engine = ModuleEngine(figure2_env())
     result = engine.check_source(source)      # cold: everything misses
     result = engine.check_source(edited)      # warm: only dirty SCCs run
 
@@ -12,11 +11,11 @@ Per check, the engine
 
 1. parses the module and condenses its dependency graph into SCC
    binding groups (:mod:`repro.modules.graph`);
-2. walks the topological *layers* of the condensation; within a layer
-   the groups are independent, so the ones that need re-checking go
-   through the shared :class:`~repro.robustness.pool.WorkerPool`
-   concurrently, each worker under its own cloned
-   :class:`~repro.robustness.budget.Budget`;
+2. walks the topological *layers* of the condensation in one serial
+   loop; a group that needs re-checking runs through
+   :func:`~repro.robustness.pool.run_contained` under a clone of the
+   engine's :class:`~repro.robustness.budget.Budget`, re-armed per
+   group;
 3. consults the content-hash cache (:mod:`repro.modules.cache`) before
    checking a group — a group whose every member's key is unchanged is
    taken from the cache without running inference, which is what makes
@@ -38,17 +37,16 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.core.env import Environment
-from repro.core.errors import GIError
 from repro.core.infer import InferOptions
 from repro.core.solver import InstanceEnv
 from repro.core.types import Type
 from repro.modules.cache import ModuleCache, binding_key
-from repro.modules.checker import GroupOutcome, check_group
+from repro.modules.checker import check_group
 from repro.modules.graph import BindingGroup, GraphSummary, binding_groups, topo_layers
 from repro.modules.parser import Module, parse_module, parse_module_file
 from repro.robustness.batch import SEVERITY_ERROR, Diagnostic
 from repro.robustness.budget import Budget
-from repro.robustness.pool import WorkerPool, clone_budget
+from repro.robustness.pool import clone_budget, run_contained
 
 
 @dataclass
@@ -104,7 +102,6 @@ class GroupTiming:
 class ModuleStats:
     """Cache and timing statistics for one check run."""
 
-    jobs: int = 1
     cache_hits: int = 0
     cache_misses: int = 0
     groups_checked: int = 0
@@ -116,7 +113,6 @@ class ModuleStats:
 
     def to_dict(self) -> dict:
         return {
-            "jobs": self.jobs,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "groups_checked": self.groups_checked,
@@ -178,7 +174,6 @@ class ModuleEngine:
         instances: InstanceEnv | None = None,
         options: InferOptions | None = None,
         budget: Budget | None = None,
-        jobs: int = 1,
         cache: ModuleCache | None = None,
         tracer=None,
     ) -> None:
@@ -186,16 +181,12 @@ class ModuleEngine:
         self.instances = instances
         self.options = options
         self.budget = budget
-        self.jobs = max(1, jobs)
         # ``cache or ModuleCache()`` would discard a caller-supplied
         # *empty* cache (ModuleCache defines __len__, so empty is falsy)
         # — fatal for persistence, where the caller keeps the reference
         # to save it after the run.
         self.cache = cache if cache is not None else ModuleCache()
         self.tracer = tracer
-        self._pool = WorkerPool(
-            jobs=self.jobs, budget_factory=lambda: clone_budget(self.budget)
-        )
 
     def _span(self, name: str, parent=None, **attrs):
         if self.tracer is not None and self.tracer.enabled:
@@ -219,6 +210,7 @@ class ModuleEngine:
     def check_module(self, module: Module) -> ModuleResult:
         started = time.perf_counter()
         tracing = self.tracer is not None and self.tracer.enabled
+        budget = clone_budget(self.budget)
         self.cache.reset_counters()
         with self._span("module.check", module=module.name or "(anonymous)") as module_span:
             with self._span("graph", parent=module_span):
@@ -226,7 +218,7 @@ class ModuleEngine:
                 layers = topo_layers(groups)
             indices = {name: position for position, name in enumerate(module.names)}
 
-            stats = ModuleStats(jobs=self.jobs, graph=GraphSummary.of(groups))
+            stats = ModuleStats(graph=GraphSummary.of(groups))
             reports: dict[str, BindingReport] = {}
             env = self.env
             failed: set[str] = set()
@@ -240,7 +232,6 @@ class ModuleEngine:
                 with self._span(
                     "layer", parent=module_span, index=layer_index, groups=len(layer)
                 ) as layer_span:
-                    pending: list[tuple[BindingGroup, dict[str, str]]] = []
                     new_bindings: dict[str, Type] = {}
                     for group in layer:
                         blocked = sorted(group.deps & failed)
@@ -308,63 +299,47 @@ class ModuleEngine:
                             self.tracer.event(
                                 "module.cache.miss", names=",".join(group.names)
                             )
-                        pending.append((group, keys))
-
-                    if pending:
-                        if tracing and layer_span is not None:
-                            layer_span.attrs["pending"] = len(pending)
-                            layer_span.attrs["jobs"] = min(self.jobs, len(pending))
-                        env_now = env
-
-                        def run(
-                            item: tuple[BindingGroup, dict[str, str]],
-                            budget: Budget | None,
-                            _env: Environment = env_now,
-                            _parent=layer_span,
-                        ) -> GroupOutcome:
-                            return check_group(
-                                item[0],
-                                _env,
-                                self.instances,
-                                self.options,
-                                budget=budget,
-                                indices=indices,
-                                tracer=self.tracer,
-                                parent_span=_parent,
+                        outcome = run_contained(
+                            check_group,
+                            group,
+                            env,
+                            self.instances,
+                            self.options,
+                            budget=budget,
+                            indices=indices,
+                            tracer=self.tracer,
+                            parent_span=layer_span,
+                        )
+                        stats.groups_checked += 1
+                        rechecked.update(group.names)
+                        stats.group_timings.append(
+                            GroupTiming(
+                                group.names, layer_index, outcome.seconds, False
                             )
-
-                        outcomes = self._pool.map(run, pending)
-                        stats.groups_checked += len(pending)
-                        for (group, keys), outcome in zip(pending, outcomes):
-                            rechecked.update(group.names)
-                            stats.group_timings.append(
-                                GroupTiming(
-                                    group.names, layer_index, outcome.seconds, False
+                        )
+                        for binding in group.bindings:
+                            if binding.name in outcome.types:
+                                type_ = outcome.types[binding.name]
+                                entry = self.cache.store(
+                                    binding.name, keys[binding.name], type_
                                 )
-                            )
-                            for binding in group.bindings:
-                                if binding.name in outcome.types:
-                                    type_ = outcome.types[binding.name]
-                                    entry = self.cache.store(
-                                        binding.name, keys[binding.name], type_
-                                    )
-                                    type_text = entry.type_text
-                                    reports[binding.name] = BindingReport(
-                                        name=binding.name,
-                                        index=indices[binding.name],
-                                        type_text=type_text,
-                                        group=group.names,
-                                    )
-                                    new_bindings[binding.name] = type_
-                                    dep_hashes[binding.name] = entry.type_hash
-                                else:
-                                    reports[binding.name] = BindingReport(
-                                        name=binding.name,
-                                        index=indices[binding.name],
-                                        diagnostic=outcome.diagnostics[binding.name],
-                                        group=group.names,
-                                    )
-                                    failed.add(binding.name)
+                                type_text = entry.type_text
+                                reports[binding.name] = BindingReport(
+                                    name=binding.name,
+                                    index=indices[binding.name],
+                                    type_text=type_text,
+                                    group=group.names,
+                                )
+                                new_bindings[binding.name] = type_
+                                dep_hashes[binding.name] = entry.type_hash
+                            else:
+                                reports[binding.name] = BindingReport(
+                                    name=binding.name,
+                                    index=indices[binding.name],
+                                    diagnostic=outcome.diagnostics[binding.name],
+                                    group=group.names,
+                                )
+                                failed.add(binding.name)
                     if new_bindings:
                         env = env.extended_many(new_bindings)
 
@@ -422,7 +397,7 @@ def render_module_text(result: ModuleResult, stats: bool = False) -> str:
         )
         lines.append(
             f"cache: {s.cache_hits} hits, {s.cache_misses} misses; "
-            f"jobs={s.jobs}; elapsed {s.elapsed_seconds:.3f}s"
+            f"elapsed {s.elapsed_seconds:.3f}s"
         )
         for timing in s.group_timings:
             if timing.cached or timing.skipped:

@@ -13,7 +13,7 @@ dependency chain does not ride Python's recursion limit.
 
 :func:`topo_layers` additionally slices the group sequence into *layers*
 of mutually independent groups — groups in one layer share no edges, so
-the incremental engine may check them concurrently.
+the incremental engine checks a whole layer against one environment.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def topo_layers(groups: list[BindingGroup]) -> list[list[BindingGroup]]:
 
     Layer *k* holds every group whose longest dependency chain has length
     *k*; groups within one layer never depend on each other, so they can
-    be checked concurrently once all earlier layers are done.
+    all be checked once every earlier layer is done.
     """
     owner: dict[str, int] = {}
     for group in groups:

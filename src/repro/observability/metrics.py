@@ -1,8 +1,8 @@
 """Counters, gauges and histograms for the inference pipeline.
 
 A :class:`Metrics` registry is deliberately tiny: three dictionaries
-behind one lock, so worker threads (``--jobs``) can record into the same
-registry the main thread reads.  Histograms keep raw observations (runs
+behind one lock, so the serve daemon's executor threads can record into
+the same registry the main thread reads.  Histograms keep raw observations (runs
 are short — thousands of samples, not millions) and summarise on demand
 with count/min/max/mean/p50/p95.
 """

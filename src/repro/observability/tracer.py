@@ -5,7 +5,7 @@ Two implementations of one protocol:
 * :class:`Tracer` — the real thing.  ``span(name, **attrs)`` opens a
   timed span (a context manager) nested under the calling thread's
   current span, or under an explicitly passed ``parent`` — which is how
-  worker threads attach their spans to the layer that scheduled them.
+  the module engine attaches group spans to their layer.
   ``event``/``gauge``/``inc``/``observe`` record point events and
   metrics.  Every span start/end, point event and gauge sample is also
   appended to ``events`` (and pushed to an optional ``sink``) in

@@ -30,7 +30,7 @@ that loop during interpreter start-up.
 
 from repro.robustness.budget import Budget
 from repro.robustness.faultinject import FaultPlan, InjectedFaultError
-from repro.robustness.pool import WorkerPool, clone_budget
+from repro.robustness.pool import clone_budget, run_contained
 
 _BATCH_EXPORTS = (
     "BatchItem",
@@ -59,8 +59,8 @@ __all__ = [
     "Budget",
     "FaultPlan",
     "InjectedFaultError",
-    "WorkerPool",
     "clone_budget",
+    "run_contained",
     *_BATCH_EXPORTS,
     *_SERVE_EXPORTS,
 ]

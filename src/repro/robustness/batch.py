@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.core.env import Environment
-from repro.core.errors import BudgetExceededError, GIError, InternalError, ParseError
+from repro.core.errors import GIError, InternalError
 from repro.core.infer import Inferencer, InferOptions
 from repro.core.solver import InstanceEnv
 from repro.robustness.budget import Budget
@@ -103,9 +103,8 @@ class BatchItem:
     diagnostic: Diagnostic | None = None
 
     solver_steps: int | None = None
-    """Solver steps the successful run took — the scheduling-cost signal
-    the core benchmarks compare across ``--jobs`` settings (``None`` when
-    inference never reached the solver)."""
+    """Solver steps the successful run took (``None`` when inference
+    never reached the solver)."""
 
     @property
     def ok(self) -> bool:
@@ -177,34 +176,28 @@ def check_batch(
     options: InferOptions | None = None,
     budget: Budget | None = None,
     faults: FaultPlan | None = None,
-    jobs: int = 1,
     seed: int | None = None,
     tracer=None,
     cancel=None,
 ) -> BatchResult:
     """Type-check every expression, isolating each under its own budget.
 
-    Within one worker, the same :class:`Budget` object is re-armed
-    (:meth:`Budget.start`) for every item, so a budget-busting expression
-    cannot starve its neighbours.  Every failure mode — parse error, type
-    error, exhausted budget, contained internal crash — yields one
-    :class:`Diagnostic`; nothing stops the batch.
+    The same :class:`Budget` object is re-armed (:meth:`Budget.start`)
+    for every item, so a budget-busting expression cannot starve its
+    neighbours.  Every failure mode — parse error, type error, exhausted
+    budget, contained internal crash — yields one :class:`Diagnostic`;
+    nothing stops the batch.
 
-    ``jobs > 1`` checks expressions concurrently through the shared
-    :class:`~repro.robustness.pool.WorkerPool` (the same pool the module
-    engine uses), each worker under its own cloned budget; results keep
-    input order.  Deterministic fault injection is inherently serial
-    (a :class:`FaultPlan` counts engine events in order), so a plan
-    forces ``jobs=1`` — as does ``seed``, which arms a *per-item* plan
-    from :func:`seeded_fault_plan` for reproducible fault sweeps and
-    stamps the seed into every resulting diagnostic.
+    Every item runs under one fault rule: the batch-wide ``faults`` plan
+    (re-armed per item), or — when ``seed`` is given — a *per-item* plan
+    from :func:`seeded_fault_plan` for reproducible fault sweeps, with
+    the seed stamped into every resulting diagnostic.
 
     ``cancel`` (a :class:`threading.Event`, or anything with ``is_set``)
-    makes the run interruptible: it is polled before each item — in every
-    worker too — and once set, remaining items are dropped and the result
-    comes back with ``interrupted=True`` holding the completed prefix.
-    This is how the CLI drains the pool on SIGINT/SIGTERM instead of
-    orphaning workers mid-batch.
+    makes the run interruptible: it is polled before each item, and once
+    set, remaining items are dropped and the result comes back with
+    ``interrupted=True`` holding the completed prefix.  This is how the
+    CLI stops cleanly on SIGINT/SIGTERM.
 
     A source that is a :class:`BatchSource` with a non-``None`` policy is
     checked under ``options`` with that policy substituted — the per-item
@@ -212,72 +205,21 @@ def check_batch(
     against ``lazy-shallow`` replays correctly inside an otherwise
     default sweep.
     """
-    from repro.robustness.pool import WorkerPool, clone_budget
-
     sources = list(sources)
     tracing = tracer is not None and tracer.enabled
-    batch_cm = (
-        tracer.span("batch", items=len(sources), jobs=jobs)
-        if tracing
-        else nullcontext()
-    )
+    batch_cm = tracer.span("batch", items=len(sources)) if tracing else nullcontext()
+    result = BatchResult()
     with batch_cm as batch_span:
-        if faults is not None or seed is not None:
-            jobs = 1
-        if jobs <= 1:
-            shared = (
-                None
-                if seed is not None
-                else Inferencer(
-                    env, instances, options, budget=budget, faults=faults, tracer=tracer
-                )
-            )
-            result = BatchResult()
-            for index, source in enumerate(sources):
-                if cancel is not None and cancel.is_set():
-                    result.interrupted = True
-                    break
-                item_options = _options_for_item(options, source)
-                if item_options is not options:
-                    inferencer = Inferencer(
-                        env,
-                        instances,
-                        item_options,
-                        budget=budget,
-                        faults=None if seed is None else seeded_fault_plan(seed, index),
-                        tracer=tracer,
-                    )
-                else:
-                    inferencer = shared or Inferencer(
-                        env,
-                        instances,
-                        options,
-                        budget=budget,
-                        faults=seeded_fault_plan(seed, index),
-                        tracer=tracer,
-                    )
-                item_cm = (
-                    tracer.span("batch.item", parent=batch_span, index=index)
-                    if tracing
-                    else nullcontext()
-                )
-                with item_cm:
-                    result.items.append(_check_one(inferencer, index, source, seed))
-            return result
-
-        pool = WorkerPool(jobs=jobs, budget_factory=lambda: clone_budget(budget))
-
-        def run(
-            indexed: tuple[int, str], worker_budget: Budget | None
-        ) -> BatchItem | None:
-            index, source = indexed
+        for index, source in enumerate(sources):
             if cancel is not None and cancel.is_set():
-                return None  # drained: the item never started
-            worker = Inferencer(
+                result.interrupted = True
+                break
+            inferencer = Inferencer(
                 env,
                 instances,
                 _options_for_item(options, source),
-                budget=worker_budget,
+                budget=budget,
+                faults=faults if seed is None else seeded_fault_plan(seed, index),
                 tracer=tracer,
             )
             item_cm = (
@@ -286,13 +228,8 @@ def check_batch(
                 else nullcontext()
             )
             with item_cm:
-                return _check_one(worker, index, source)
-
-        result = BatchResult()
-        outcomes = pool.map(run, list(enumerate(sources)))
-        result.items.extend(item for item in outcomes if item is not None)
-        result.interrupted = any(item is None for item in outcomes)
-        return result
+                result.items.append(_check_one(inferencer, index, source, seed))
+    return result
 
 
 def _options_for_item(

@@ -1,36 +1,27 @@
-"""An order-preserving worker pool with one :class:`Budget` per worker.
+"""Crash containment for the serial item loops, and budget cloning.
 
-Both concurrent entry points — the module engine's per-layer group
-checking and ``repro batch --jobs`` — funnel through this pool, so the
-concurrency story lives in exactly one place:
+Module checking and the conformance fuzzer each run one plain loop over
+their items (binding groups, fuzz cases) and call the per-item work
+function through :func:`run_contained`, so a crash of the *driver* —
+not the engine, whose failures :meth:`Inferencer.infer` already
+contains — still comes out as one structured :class:`InternalError`
+carrying the formatted traceback.
 
-* results come back in submission order, whatever order workers finish;
-* every worker thread owns a private :class:`Budget` built by the
-  ``budget_factory``, because a ``Budget`` re-arms (:meth:`Budget.start`)
-  and mutates counters per run and therefore must never be shared across
-  threads;
-* ``jobs <= 1`` short-circuits to a plain serial loop — no threads, no
-  scheduling noise, bit-identical to the historical behaviour.
-
-The work function receives ``(item, budget)`` and is responsible for its
-own containment: anything it raises propagates out of :meth:`map` after
-all submitted work has been scheduled, so pool users hand it functions
-that return diagnostics instead of raising (see
-:func:`repro.robustness.batch.check_batch`).
+Inference is sequential pure-Python work, so there is no worker pool:
+EXPERIMENTS.md §16 records the measurement that retired it.  The only
+concurrent inference caller is the serve daemon's request executor
+(:mod:`repro.robustness.server`).
 """
 
 from __future__ import annotations
 
 import threading
 import traceback as _traceback
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 from repro.core.errors import GIError, InternalError
 from repro.robustness.budget import Budget
 
-Item = TypeVar("Item")
 Result = TypeVar("Result")
 
 
@@ -47,74 +38,37 @@ def clone_budget(budget: Budget | None) -> Budget | None:
     )
 
 
-@dataclass
-class WorkerPool:
-    """A bounded pool; see the module docstring for the contract."""
+def run_contained(fn: Callable[..., Result], /, *args, **kwargs) -> Result:
+    """Call ``fn(*args, **kwargs)``, containing non-GI crashes of ``fn``.
 
-    jobs: int = 1
-    budget_factory: Callable[[], Budget | None] | None = None
+    ``fn`` is supposed to catch engine errors itself and return
+    diagnostics; if it crashes anyway (a bug in the driver, not the
+    engine), the exception becomes an :class:`InternalError` with
+    ``phase="worker"`` whose snapshot carries the calling thread's name
+    and the *formatted traceback*, so ``--json`` consumers see where the
+    crash actually happened.
 
-    def map(
-        self,
-        fn: Callable[[Item, Budget | None], Result],
-        items: Sequence[Item] | Iterable[Item],
-    ) -> list[Result]:
-        """Apply ``fn`` to every item, preserving input order."""
-        items = list(items)
-        if self.jobs <= 1 or len(items) <= 1:
-            budget = self._make_budget()
-            return [self._contained(fn, item, budget) for item in items]
-        local = threading.local()
-
-        def run(item: Item) -> Result:
-            if not hasattr(local, "budget"):
-                local.budget = self._make_budget()
-            return self._contained(fn, item, local.budget)
-
-        with ThreadPoolExecutor(max_workers=self.jobs) as executor:
-            return list(executor.map(run, items))
-
-    @staticmethod
-    def _contained(
-        fn: Callable[[Item, Budget | None], Result],
-        item: Item,
-        budget: Budget | None,
-    ) -> Result:
-        """Run one item, containing non-GI crashes of the *work function*.
-
-        ``fn`` is supposed to catch engine errors itself and return
-        diagnostics; if it crashes anyway (a bug in the driver, not the
-        engine), the exception crosses a thread boundary and the original
-        traceback would be lost to ``--json`` consumers.  Convert it here
-        into an :class:`InternalError` whose snapshot carries the worker
-        thread's name and the *formatted remote traceback*, so structured
-        output shows where the crash actually happened.
-
-        ``BaseException`` is deliberate: a worker raising ``SystemExit``
-        or ``KeyboardInterrupt`` must not tear down the pool (or, through
-        ``ThreadPoolExecutor.map``, the whole driver) — a task asking the
-        *process* to exit is a contained task failure like any other.
-        Even the fallback is guarded: if formatting the traceback or the
-        error itself blows up, a bare placeholder ``InternalError`` still
-        comes out, so containment cannot fail.
-        """
+    ``BaseException`` is deliberate: a work function raising
+    ``SystemExit`` or ``KeyboardInterrupt`` must not tear down the driver
+    — a task asking the *process* to exit is a contained task failure
+    like any other.  Even the fallback is guarded: if formatting the
+    traceback or the error itself blows up, a bare placeholder
+    ``InternalError`` still comes out, so containment cannot fail.
+    """
+    try:
+        return fn(*args, **kwargs)
+    except GIError:
+        raise
+    except BaseException as error:  # noqa: BLE001 — worker containment
         try:
-            return fn(item, budget)
-        except GIError:
-            raise
-        except BaseException as error:  # noqa: BLE001 — worker containment
-            try:
-                formatted = _traceback.format_exc()
-            except Exception:  # pragma: no cover — formatting crashed
-                formatted = None
-            raise InternalError(
-                error,
-                phase="worker",
-                snapshot={
-                    "worker": threading.current_thread().name,
-                    "traceback": formatted,
-                },
-            ) from error
-
-    def _make_budget(self) -> Budget | None:
-        return self.budget_factory() if self.budget_factory else None
+            formatted = _traceback.format_exc()
+        except Exception:  # pragma: no cover — formatting crashed
+            formatted = None
+        raise InternalError(
+            error,
+            phase="worker",
+            snapshot={
+                "worker": threading.current_thread().name,
+                "traceback": formatted,
+            },
+        ) from error

@@ -730,7 +730,6 @@ class GIServer:
                 self.instances,
                 options,
                 budget=budget,
-                jobs=1,  # request-level parallelism comes from the executor
                 cache=cache,
                 tracer=self.tracer,
             )

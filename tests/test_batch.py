@@ -126,10 +126,25 @@ class TestBatchFile:
         flip = "let f = id in (f :: forall a. a -> a)"
         default = check_batch([flip], ENV)
         assert not default.ok  # eager-shallow instantiates the let binding
-        for jobs in (1, 2):
-            tagged = check_batch([BatchSource(flip, policy=LAZY_SHALLOW)], ENV, jobs=jobs)
-            assert tagged.ok
-            assert tagged.items[0].type_ == "forall a. a -> a"
+        tagged = check_batch([BatchSource(flip, policy=LAZY_SHALLOW)], ENV)
+        assert tagged.ok
+        assert tagged.items[0].type_ == "forall a. a -> a"
+
+    def test_policy_items_keep_the_batch_fault_plan(self):
+        from repro.core.policy import DEFAULT_POLICY
+        from repro.robustness import BatchSource
+
+        # A per-item policy changes the options, never the fault rule:
+        # both items run under the batch-wide plan.
+        sources = ["head ids", BatchSource("head ids", policy=DEFAULT_POLICY)]
+        result = check_batch(
+            sources, ENV, faults=FaultPlan(fail_at_solver_step=1)
+        )
+        assert [item.ok for item in result.items] == [False, False]
+        assert all(
+            diagnostic.error_class == "InternalError"
+            for diagnostic in result.diagnostics
+        )
 
 
 class TestBatchCLI:
@@ -182,56 +197,6 @@ class TestBatchCLI:
         assert render_text(result).endswith("1/1 passed, 0 failed")
 
 
-class TestBatchJobs:
-    """``check_batch`` through the worker pool (``--jobs N``)."""
-
-    def test_concurrent_matches_serial(self):
-        sources = (WELL_TYPED + ILL_TYPED) * 4
-        serial = check_batch(sources, ENV)
-        concurrent = check_batch(sources, ENV, jobs=4)
-        assert [i.type_ for i in concurrent.items] == [
-            i.type_ for i in serial.items
-        ]
-        assert [i.ok for i in concurrent.items] == [i.ok for i in serial.items]
-        assert [d.index for d in concurrent.diagnostics] == [
-            d.index for d in serial.diagnostics
-        ]
-
-    def test_concurrent_budget_isolated_per_worker(self):
-        sources = ["head ids", BUSY, "runST $ argST", BUSY, "head ids"]
-        result = check_batch(
-            sources, ENV, budget=Budget(max_solver_steps=40), jobs=3
-        )
-        assert [item.ok for item in result.items] == [
-            True, False, True, False, True,
-        ]
-        assert all(
-            item.diagnostic.error_class == "BudgetExceededError"
-            for item in result.items
-            if not item.ok
-        )
-
-    def test_faults_force_serial(self):
-        # Deterministic fault injection is meaningless across threads, so
-        # a FaultPlan pins the run to one worker: jobs=4 behaves exactly
-        # like the serial run, fault firings included.
-        sources = ["head ids", "single id"]
-        serial_plan = FaultPlan(fail_at_solver_step=1)
-        serial = check_batch(sources, ENV, faults=serial_plan)
-        pooled_plan = FaultPlan(fail_at_solver_step=1)
-        pooled = check_batch(sources, ENV, faults=pooled_plan, jobs=4)
-        assert [i.ok for i in pooled.items] == [i.ok for i in serial.items]
-        assert pooled_plan.fired == serial_plan.fired
-
-    def test_jobs_flag_on_cli(self, tmp_path, capsys):
-        path = tmp_path / "exprs.gi"
-        path.write_text("\n".join(WELL_TYPED * 3) + "\n")
-        assert main(["batch", str(path), "--jobs", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "9/9 passed, 0 failed" in out
-        assert out.index("#0: ok") < out.index("#8: ok")
-
-
 class _FlipAfter:
     """A fake cancel event that flips to set after N ``is_set`` polls —
     deterministic interruption without real signals or timing."""
@@ -265,15 +230,6 @@ class TestBatchCancel:
         cancel.set()
         result = check_batch(WELL_TYPED, ENV, cancel=cancel)
         assert result.interrupted and result.items == []
-
-    def test_pool_cancel_preserves_order_of_survivors(self):
-        result = check_batch(WELL_TYPED * 4, ENV, jobs=3, cancel=_FlipAfter(6))
-        assert result.interrupted
-        # Survivors keep submission order even though later indices may
-        # have been dropped by whichever worker saw the flag first.
-        indices = [item.index for item in result.items]
-        assert indices == sorted(indices)
-        assert 0 < len(result.items) < 12
 
     def test_uninterrupted_run_is_not_marked(self):
         result = check_batch(WELL_TYPED, ENV, cancel=_FlipAfter(999))

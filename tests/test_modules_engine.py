@@ -207,13 +207,6 @@ class TestIncremental:
         result = self.engine.check_source(edited)
         assert result.stats.cache_misses == 0
 
-    def test_concurrent_equals_serial(self):
-        serial = ModuleEngine(ENV).check_source(self.source)
-        concurrent = ModuleEngine(ENV, jobs=4).check_source(self.source)
-        assert concurrent.ok
-        assert serial.types == concurrent.types
-        assert concurrent.stats.jobs == 4
-
     def test_each_binding_walks_its_free_names_once_per_check(self, monkeypatch):
         # The graph, the recursion test and the cache key all read a
         # binding's free names; they share one walk per parsed binding.

@@ -4,8 +4,8 @@ Covers the tentpole contracts:
 
 * tracing is pure observation — identical inference results with no
   tracer, the null tracer, and a live tracer;
-* the span tree is well-formed, including under ``--jobs`` concurrency
-  where worker threads attach spans via explicit parents;
+* the span tree is well-formed: module group spans attach to their
+  layer and batch item spans to their batch via explicit parents;
 * every emitted event round-trips through the JSONL schema
   (:func:`validate_event` is the single source of truth) and the span
   tree is rebuildable from the file alone;
@@ -189,12 +189,11 @@ class TestJsonlSchema:
         assert validate_line(json.dumps(good)) == []
 
 
-class TestSpanTreeUnderJobs:
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_module_span_tree_well_formed(self, jobs):
+class TestSpanTree:
+    def test_module_span_tree_well_formed(self):
         source = synthetic_module_source(chains=3, depth=4)
         tracer = Tracer()
-        engine = ModuleEngine(ENV, jobs=jobs, tracer=tracer)
+        engine = ModuleEngine(ENV, tracer=tracer)
         result = engine.check_source(source)
         assert result.ok
 
@@ -209,8 +208,7 @@ class TestSpanTreeUnderJobs:
                 parent = spans[span.parent_id]
                 assert span in parent.children
 
-        # Worker spans attach under the layer that scheduled them, even
-        # when checked on pool threads.
+        # Group spans attach under the layer that checked them.
         by_name = {}
         for span in spans.values():
             by_name.setdefault(span.name, []).append(span)
@@ -222,16 +220,16 @@ class TestSpanTreeUnderJobs:
         for infer in by_name["infer"]:
             assert spans[infer.parent_id].name == "group.check"
 
-    def test_batch_jobs_item_spans_parent_to_batch(self):
+    def test_batch_item_spans_parent_to_batch(self):
         tracer = Tracer()
         sources = ["head ids", "app runST argST", "single id", "ids"]
-        result = check_batch(sources, ENV, jobs=3, tracer=tracer)
+        result = check_batch(sources, ENV, tracer=tracer)
         assert result.ok
         (batch,) = [s for s in tracer.spans.values() if s.name == "batch"]
         items = [s for s in tracer.spans.values() if s.name == "batch.item"]
         assert len(items) == len(sources)
         assert {item.parent_id for item in items} == {batch.span_id}
-        assert sorted(item.attrs["index"] for item in items) == [0, 1, 2, 3]
+        assert [item.attrs["index"] for item in items] == [0, 1, 2, 3]
 
 
 class TestExplainer:
@@ -336,21 +334,16 @@ class TestSeededSweeps:
         for diagnostic in first.diagnostics:
             assert diagnostic.seed == 7
 
-    def test_seed_forces_serial(self):
-        sources = ["head ids"] * 4
-        result = check_batch(sources, ENV, seed=3, jobs=8)
-        assert len(result.items) == 4  # ran, serially, without error
-
 
 class TestWorkerTraceback:
     def test_pool_crash_snapshot_carries_remote_traceback(self):
-        from repro.robustness.pool import WorkerPool
+        from repro.robustness.pool import run_contained
 
-        def boom(item, budget):
+        def boom(item):
             raise ValueError("kaput")
 
         with pytest.raises(InternalError) as info:
-            WorkerPool(jobs=2).map(boom, [1, 2])
+            run_contained(boom, 1)
         snapshot = info.value.snapshot
         assert "kaput" in snapshot["traceback"]
         assert "Traceback (most recent call last)" in snapshot["traceback"]

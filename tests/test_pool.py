@@ -1,12 +1,9 @@
-"""The order-preserving worker pool behind ``--jobs``."""
-
-import threading
-import time
+"""Crash containment for the serial item loops, and budget cloning."""
 
 import pytest
 
 from repro.core.errors import InternalError
-from repro.robustness import Budget, WorkerPool, clone_budget
+from repro.robustness import Budget, clone_budget, run_contained
 
 
 class TestCloneBudget:
@@ -25,60 +22,6 @@ class TestCloneBudget:
         assert clone.solver_steps == 0
 
 
-class TestWorkerPool:
-    def test_serial_path_preserves_order(self):
-        pool = WorkerPool(jobs=1)
-        assert pool.map(lambda x, _: x * x, range(10)) == [
-            n * n for n in range(10)
-        ]
-
-    def test_serial_path_spawns_no_threads(self):
-        pool = WorkerPool(jobs=1)
-        main = threading.current_thread()
-        threads = pool.map(lambda x, _: threading.current_thread(), range(4))
-        assert all(thread is main for thread in threads)
-
-    def test_concurrent_map_preserves_order(self):
-        # Early items sleep longest, so completion order is reversed —
-        # the results must still come back in submission order.
-        def slow_square(x, _budget):
-            time.sleep((8 - x) * 0.005)
-            return x * x
-
-        pool = WorkerPool(jobs=4)
-        assert pool.map(slow_square, range(8)) == [n * n for n in range(8)]
-
-    def test_each_worker_thread_gets_its_own_budget(self):
-        budgets = {}
-        lock = threading.Lock()
-        barrier = threading.Barrier(3, timeout=5)
-
-        def record(x, budget):
-            if x < 3:
-                barrier.wait()  # force three distinct worker threads
-            with lock:
-                budgets[threading.get_ident()] = budget
-            return x
-
-        pool = WorkerPool(jobs=3, budget_factory=lambda: Budget(max_solver_steps=5))
-        pool.map(record, range(6))
-        assert len(budgets) >= 3
-        distinct = list(budgets.values())
-        assert all(b is not None for b in distinct)
-        # Budgets are per-thread objects, never shared between threads.
-        assert len({id(b) for b in distinct}) == len(distinct)
-
-    def test_no_factory_means_no_budget(self):
-        pool = WorkerPool(jobs=2)
-        budgets = pool.map(lambda x, budget: budget, range(4))
-        assert budgets == [None, None, None, None]
-
-    def test_single_item_never_threads(self):
-        pool = WorkerPool(jobs=8)
-        main = threading.current_thread()
-        assert pool.map(lambda x, _: threading.current_thread(), [1]) == [main]
-
-
 class _Unprintable(RuntimeError):
     """An exception whose __str__ itself crashes."""
 
@@ -91,42 +34,49 @@ class TestWorkerDeath:
 
     @pytest.mark.parametrize("death", [SystemExit, KeyboardInterrupt])
     def test_process_exit_requests_become_internal_errors(self, death):
-        def task(x, _budget):
-            if x == 2:
-                raise death(f"worker {x} wants out")
-            return x
+        def task(x):
+            raise death(f"worker {x} wants out")
 
-        pool = WorkerPool(jobs=3)
         with pytest.raises(InternalError) as caught:
-            pool.map(task, range(6))
+            run_contained(task, 2)
         assert caught.value.original_class == death.__name__
         assert caught.value.phase == "worker"
-        # The remote traceback is preserved for structured output.
+        # The original traceback is preserved for structured output.
         assert "wants out" in (caught.value.snapshot.get("traceback") or "")
 
     @pytest.mark.parametrize("death", [SystemExit, KeyboardInterrupt])
     def test_pool_survives_a_worker_death(self, death):
-        def fatal(_x, _budget):
+        def fatal(_x):
             raise death()
 
-        pool = WorkerPool(jobs=2)
         with pytest.raises(InternalError):
-            pool.map(fatal, range(4))
-        # The same pool object still works, in order, after the crash.
-        assert pool.map(lambda x, _: x * x, range(5)) == [0, 1, 4, 9, 16]
+            run_contained(fatal, 1)
+        # The caller carries on: later items still run, in order.
+        assert [run_contained(lambda x: x * x, n) for n in range(5)] == [
+            0, 1, 4, 9, 16,
+        ]
 
     def test_serial_path_contains_deaths_too(self):
-        pool = WorkerPool(jobs=1)
         with pytest.raises(InternalError):
-            pool.map(lambda x, _: (_ for _ in ()).throw(SystemExit(3)), [1])
+            run_contained(lambda: (_ for _ in ()).throw(SystemExit(3)))
 
     def test_unprintable_exception_is_still_contained(self):
         # Containment must survive a snapshot/exception whose own
         # formatting crashes: the message degrades to a placeholder.
-        def task(_x, _budget):
+        def task():
             raise _Unprintable()
 
-        pool = WorkerPool(jobs=2)
         with pytest.raises(InternalError) as caught:
-            pool.map(task, range(3))
+            run_contained(task)
         assert "<unprintable _Unprintable>" in str(caught.value)
+
+    def test_results_and_gi_errors_pass_through(self):
+        assert run_contained(lambda x, *, y: x + y, 2, y=3) == 5
+        error = InternalError(ValueError("engine"), phase="solve")
+
+        def engine_failure():
+            raise error
+
+        with pytest.raises(InternalError) as caught:
+            run_contained(engine_failure)
+        assert caught.value is error

@@ -1,7 +1,7 @@
 """Property tests for the union-find substitution core and the wake-up
 scheduler, over the conformance fuzzer's strategies.
 
-Four invariants of the rework:
+Three invariants of the rework:
 
 * ``zonk`` is idempotent after any sequence of binds — a zonked type is
   a fixpoint (no half-resolved chains can leak out);
@@ -9,10 +9,7 @@ Four invariants of the rework:
   traffic between queries never changes any observable zonk result;
 * the solved-set fast path is one too: ``zonk_head`` and ``zonk`` agree
   with a find followed by a lookup in the name-keyed tables, and return
-  an unsolved variable itself;
-* scheduling is an implementation detail too: any ``--jobs`` setting of
-  the batch driver produces the same types and the same per-item
-  solver-step counts.
+  an unsolved variable itself.
 """
 
 from hypothesis import given, settings
@@ -23,10 +20,6 @@ from repro.core.errors import GIError
 from repro.core.sorts import Sort
 from repro.core.types import BOOL, INT, TCon, Type, UVar, fun, fuv, list_of
 from repro.core.unify import Unifier
-from repro.evalsuite.figure2 import figure2_env
-from repro.robustness.batch import check_batch
-
-ENV = figure2_env()
 
 
 @st.composite
@@ -180,29 +173,3 @@ class TestSolvedSetFastPath:
             for probe in probes:
                 assert unifier.zonk(probe) == slow_zonk(unifier, probe)
 
-
-def test_batch_jobs_do_not_change_types_or_steps():
-    sources = [
-        "inc 0",
-        "single id",
-        "head ids",
-        "poly (\\x -> x)",
-        "\\f -> f 1 1 1 1 1 1",
-        "length (tail ids)",
-        "runST argST",
-        "pair (inc 0) (single id)",
-        "not-a-name",
-        "(single id :: [forall a. a -> a])",
-    ]
-    serial = check_batch(sources, ENV, jobs=1)
-    threaded = check_batch(sources, ENV, jobs=2)
-    assert [item.type_ for item in serial.items] == [
-        item.type_ for item in threaded.items
-    ]
-    assert [item.solver_steps for item in serial.items] == [
-        item.solver_steps for item in threaded.items
-    ]
-    # The suite exercises both outcomes, and successful items carry the
-    # step counter the benchmarks compare.
-    assert any(item.ok and item.solver_steps for item in serial.items)
-    assert any(not item.ok for item in serial.items)
