@@ -3,9 +3,9 @@
 
 Run:  python examples/stackage_study.py [size]
 
-``size`` defaults to 600 for a quick run; the benchmark harness runs the
-full 2,400-package corpus.  The analysis is real — every declaration goes
-through the GI checker, failures are mechanically repaired and
+``size`` defaults to 600 for a quick run; ``tests/test_stackage.py`` runs
+the full 2,400-package corpus.  The analysis is real — every declaration
+goes through the GI checker, failures are mechanically repaired and
 re-checked — only the corpus itself is synthetic (see DESIGN.md).
 """
 

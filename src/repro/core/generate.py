@@ -10,7 +10,7 @@ solver.  Three ancillary judgements from the paper appear as methods:
   rule ArgGen (anything else, bit ``•``);
 * :meth:`Generator.gen` — the main judgement.
 
-Two configuration switches support the ablation benchmarks:
+Two configuration switches support the ablation (``results/ablation.txt``):
 ``use_vargen`` disables rule VarGen (losing e.g. ``choose [] ids``), and
 ``nary_apps=False`` types applications one argument at a time, destroying
 the guardedness information that multi-argument treatment provides.

@@ -56,7 +56,8 @@ if TYPE_CHECKING:  # pragma: no cover — keeps the core→robustness edge lazy
 class InferOptions:
     """Configuration for one inference run.
 
-    ``use_vargen`` / ``nary_apps`` feed the ablation benchmarks;
+    ``use_vargen`` / ``nary_apps`` switch off rule VarGen and n-ary
+    applications for the ablation (``results/ablation.txt``);
     ``generalize`` controls whether residual variables are quantified;
     ``defaulting=False`` makes the solver fail deterministically with
     :class:`StuckConstraintError` on underdetermined programs instead of

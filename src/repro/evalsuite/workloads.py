@@ -85,7 +85,7 @@ def defaulting_fan(width: int) -> Term:
 
 def gen_chain_constraints(length: int):
     """A dependency chain of ``length`` deferred generalisation
-    constraints, for the solver scheduling benchmark.
+    constraints, for the solver's wake-up step count.
 
     The queue is ``[Gen_1, ..., Gen_N, u1 ~ Int]`` where ``Gen_i`` is
     blocked on the unrestricted variable ``u_i`` and releasing it emits

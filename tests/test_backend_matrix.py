@@ -15,7 +15,7 @@ from repro.conformance.oracles import (
     oracle_differential,
 )
 from repro.core.errors import BudgetExceededError, GIError, InternalError
-from repro.evalsuite.figure2 import figure2_env
+from repro.evalsuite.figure2 import FIGURE2, figure2_env
 from repro.robustness import Budget
 from repro.syntax import parse_term
 from repro.__main__ import main
@@ -92,9 +92,10 @@ def _fake(name, exception):
 
 class TestDifferentialOracle:
     def test_clean_on_figure2_sample(self):
+        # Every Figure-2 row: all seven backends, all pairwise implications.
         ctx = OracleContext(ENV)
-        for source in ("head ids", "single id", "choose id auto", "poly id"):
-            assert oracle_differential(ctx, parse_term(source)) is None, source
+        for example in FIGURE2:
+            assert oracle_differential(ctx, example.term) is None, example.key
 
     def test_reports_backend_crash(self, monkeypatch):
         monkeypatch.setitem(

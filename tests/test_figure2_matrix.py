@@ -1,8 +1,8 @@
 """The full Figure 2 matrix: measured columns vs the paper's.
 
 * GI must match the paper's column on all 32 rows (also asserted
-  per-row in test_figure2; this file checks the aggregate and the
-  regenerated table).
+  per-row in test_figure2; this file checks the aggregate, and
+  test_results_tables the rendered tables).
 * Plain HMF must match the paper's HMF column everywhere except D2/D5 —
   the two rows that need the delayed-argument extension the paper's §6
   describes; HMF-N (with the extension) must accept those but flips
@@ -13,7 +13,7 @@
 from repro.baselines import SYSTEMS
 from repro.core.types import alpha_equal, rename_canonical
 from repro.evalsuite.figure2 import FIGURE2, MEASURED_SYSTEMS, figure2_env, measured_matrix
-from repro.evalsuite.report import mark, mark_outcome, render_table
+from repro.evalsuite.report import mark_outcome
 
 ENV = figure2_env()
 
@@ -154,25 +154,3 @@ def test_measured_matrix_covers_all_backends_without_crashes():
         assert not crashed, f"{name} crashed on {crashed}"
         marks = {mark_outcome(out) for out in outcomes.values()}
         assert marks <= {"✓", "No"}, f"{name} has unavailable rows"
-
-
-def test_render_full_table():
-    """The regenerated Figure 2 renders without error and marks reference
-    columns as such."""
-    headers = (
-        ["id", "example"]
-        + [f"{name}*" for name in MEASURED_SYSTEMS]
-        + ["GI", "MLF", "HMF", "FPH", "HML"]
-    )
-    rows = []
-    matrix = measured_matrix(ENV)
-    for ex in FIGURE2:
-        rows.append(
-            [ex.key, ex.source[:30]]
-            + [mark_outcome(matrix[name][ex.key]) for name in MEASURED_SYSTEMS]
-            + [mark(ex.expected[s]) for s in ("GI", "MLF", "HMF", "FPH", "HML")]
-        )
-    table = render_table(headers, rows, title="Figure 2 (measured* vs paper)")
-    assert "A1" in table and "E3" in table
-    assert "FreezeML*" in table and "QuickLook*" in table
-    assert table.count("\n") >= 33

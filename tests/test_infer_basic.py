@@ -20,12 +20,36 @@ from repro.core.errors import (
 )
 from repro.core.types import INT, alpha_equal, rename_canonical
 from repro.syntax import parse_term, parse_type
-from repro.evalsuite.figure2 import figure2_env
+from repro.evalsuite.figure2 import FIGURE2, figure2_env
+
+#: The two switchable ingredients of GI (DESIGN.md): n-ary applications
+#: (Section 3.2) and rule VarGen (Section 3.3), off one at a time and
+#: both at once.  ``results/ablation.txt`` tabulates Figure 2 under each.
+ABLATIONS = {
+    "full": InferOptions(),
+    "no-vargen": InferOptions(use_vargen=False),
+    "binary-apps": InferOptions(nary_apps=False),
+    "neither": InferOptions(use_vargen=False, nary_apps=False),
+}
+
+
+def ablation_accepts(env) -> dict[str, dict[str, bool]]:
+    """``{configuration: {row-key: accepted}}`` over Figure 2."""
+    matrix = {}
+    for name, options in ABLATIONS.items():
+        gi = Inferencer(env, options=options)
+        matrix[name] = {ex.key: gi.accepts(ex.term) for ex in FIGURE2}
+    return matrix
 
 
 @pytest.fixture(scope="module")
 def env():
     return figure2_env()
+
+
+@pytest.fixture(scope="module")
+def ablation_matrix(env):
+    return ablation_accepts(env)
 
 
 @pytest.fixture(scope="module")
@@ -238,9 +262,11 @@ class TestOptions:
     def test_vargen_ablation(self, env):
         base = Inferencer(env)
         no_vargen = Inferencer(env, options=InferOptions(use_vargen=False))
-        term = parse_term("choose [] ids")
-        assert base.accepts(term)
-        assert not no_vargen.accepts(term)
+        # choose [] ids (A3) and map head (single ids) (C10).
+        for source in ("choose [] ids", "map head (single ids)"):
+            term = parse_term(source)
+            assert base.accepts(term), source
+            assert not no_vargen.accepts(term), source
 
     def test_nary_ablation(self, env):
         # cons id ids (C5) needs both arguments considered together: the
@@ -250,6 +276,20 @@ class TestOptions:
         term = parse_term("cons id ids")
         assert base.accepts(term)
         assert not binary.accepts(term)
+
+    @pytest.mark.parametrize("weakened", ["no-vargen", "binary-apps", "neither"])
+    def test_full_configuration_dominates(self, ablation_matrix, weakened):
+        gained = [
+            key
+            for key, accepted in ablation_matrix[weakened].items()
+            if accepted and not ablation_matrix["full"][key]
+        ]
+        assert not gained, gained
+
+    @pytest.mark.parametrize("config", list(ABLATIONS))
+    def test_hm_rows_survive_every_configuration(self, ablation_matrix, config):
+        for key in ("A1", "A2", "C4", "C7"):
+            assert ablation_matrix[config][key], key
 
     def test_binary_mode_still_handles_hm(self, env):
         binary = Inferencer(env, options=InferOptions(nary_apps=False))

@@ -18,6 +18,10 @@ Types are DAGs: ``t_{k+1} = [(t_k, t_k)]`` has 2k composite nodes and
 quantifier check and the occurs check read each shared node's argument
 tuple once, so their work follows the DAG, not the tree.
 
+The solver's step counts on the Figure-2 sweep, on a chain of deferred
+generalisations and on ``deep_chain_term`` are pinned exactly: they are
+deterministic, so any change to scheduling or wake-ups shows here.
+
 Sizes stay below the depth at which the recursive term walk of the
 generator runs out of Python stack (about 330 nested applications).
 """
@@ -27,7 +31,11 @@ import pytest
 from repro.core import Inferencer
 from repro.core.constraints import Gen, Quant
 from repro.core.env import DataCon
+from repro.core.errors import GIError
+from repro.core.evidence import EvidenceStore
 from repro.core.generate import Generator
+from repro.core.names import NameSupply
+from repro.core.solver import InstanceEnv, Solver
 from repro.core.sorts import Sort
 from repro.core.types import (
     INT,
@@ -43,7 +51,7 @@ from repro.core.types import (
     respects,
 )
 from repro.evalsuite import workloads
-from repro.evalsuite.figure2 import figure2_env
+from repro.evalsuite.figure2 import FIGURE2, figure2_env
 from repro.syntax import parse_term, parse_type
 
 from benchmarks.pipeline.workloads import STRESS_FAMILIES
@@ -170,6 +178,91 @@ def test_store_hashes_no_variable_per_binding(monkeypatch, family, size):
     for n in (size, 2 * size):
         calls, bindings = uvar_hashes(monkeypatch, family, n)
         assert calls <= bindings + 8, (family, n, calls, bindings)
+
+
+def constraint_work(size: int) -> tuple[int, int]:
+    """Constraints, nested ones included, and captured variables the
+    generator emits for ``impredicative_pipeline(size)``."""
+    _, constraints = generate(workloads.impredicative_pipeline(size))
+    found = owners(constraints)
+    nested = sum(
+        len(owner.scheme.constraints if isinstance(owner, Gen) else owner.wanteds)
+        for owner, _ in found
+    )
+    return len(constraints) + nested, sum(len(owned) for _, owned in found)
+
+
+def test_impredicative_pipeline_constraints_grow_linearly():
+    # Quadratic generation or capture would grow about fourfold here.
+    (small, small_captured), (large, large_captured) = (
+        constraint_work(16),
+        constraint_work(32),
+    )
+    assert large <= 2.5 * small, (small, large)
+    assert large_captured <= 2.5 * small_captured, (small_captured, large_captured)
+
+
+@pytest.mark.parametrize(
+    "family, sizes, expected",
+    [
+        ("application_chain", (8, 32, 128), "Int"),
+        ("let_chain", (8, 32, 128), "Int"),
+        ("lambda_tower", (8, 32), "Int"),
+        ("impredicative_pipeline", (8, 32, 128), "[forall a. a -> a]"),
+    ],
+)
+def test_stress_families_keep_their_types(family, sizes, expected):
+    inferencer = Inferencer(ENV)
+    for size in sizes:
+        term = getattr(workloads, family)(size)
+        assert str(inferencer.infer(term).type_) == expected, (family, size)
+
+
+def test_wide_and_mixed_programs_infer():
+    inferencer = Inferencer(ENV)
+    for size in (8, 32):
+        inferencer.infer(workloads.wide_application(size))
+    for size in (10, 40):
+        inferencer.infer(workloads.mixed_program(size, seed=size))
+
+
+def figure2_sweep() -> tuple[int, int]:
+    """Figure-2 rows GI accepts, and the solver steps they take."""
+    inferencer = Inferencer(ENV)
+    accepted = steps = 0
+    for example in FIGURE2:
+        try:
+            result = inferencer.infer(example.term)
+        except GIError:
+            continue
+        accepted += 1
+        steps += result.solver.steps
+    return accepted, steps
+
+
+def test_figure2_sweep_solver_steps():
+    assert sum(1 for example in FIGURE2 if example.expected["GI"]) == 24
+    assert figure2_sweep() == (24, 248)
+
+
+def wake_steps(length: int) -> int:
+    """Solver steps on a dependency chain of deferred generalisations."""
+    solver = Solver(NameSupply("b"), EvidenceStore(), InstanceEnv())
+    solver.solve(workloads.gen_chain_constraints(length))
+    return solver.steps
+
+
+def test_wake_steps_on_a_generalisation_chain():
+    # The variable-indexed wake-up queue pops each deferred constraint a
+    # bounded number of times; re-scanning the deferred list each round
+    # made this quadratic.
+    assert wake_steps(400) == 1601
+    for length in (400, 800):
+        assert wake_steps(length) <= 5 * length + 5, length
+
+
+def test_deep_chain_term_solver_steps():
+    assert Inferencer(ENV).infer(workloads.deep_chain_term(300)).solver.steps == 1200
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

@@ -15,12 +15,14 @@ Covers the tentpole contracts:
 """
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.__main__ import main
 from repro.core.errors import GIError, InternalError
 from repro.core.infer import Inferencer
+from repro.evalsuite import workloads
 from repro.evalsuite.figure2 import FIGURE2, figure2_env
 from repro.evalsuite.modules_corpus import synthetic_module_source
 from repro.modules import ModuleCache, ModuleEngine
@@ -39,6 +41,8 @@ from repro.observability import (
 from repro.robustness import check_batch, seeded_fault_plan
 from repro.syntax import parse_term
 
+from benchmarks.pipeline.workloads import STRESS_FAMILIES
+
 ENV = figure2_env()
 
 
@@ -46,6 +50,27 @@ def _traced_infer(source: str) -> Tracer:
     tracer = Tracer()
     Inferencer(ENV, tracer=tracer).infer(parse_term(source))
     return tracer
+
+
+def _counted(name: str):
+    def method(self, *args, **kwargs):
+        self.calls[name] += 1
+        return getattr(NullTracer, name)(self, *args, **kwargs)
+
+    return method
+
+
+class _CountingNullTracer(NullTracer):
+    """A disabled tracer that counts the calls it receives."""
+
+    def __init__(self) -> None:
+        self.calls = Counter()
+
+    span = _counted("span")
+    event = _counted("event")
+    inc = _counted("inc")
+    gauge = _counted("gauge")
+    observe = _counted("observe")
 
 
 class TestTracerCore:
@@ -94,6 +119,22 @@ class TestTracerCore:
         NULL_TRACER.inc("c")
         NULL_TRACER.gauge("g", 1.0)
         NULL_TRACER.observe("h", 1.0)
+
+    def test_disabled_tracer_receives_no_calls(self):
+        # Every instrumentation site checks ``tracer.enabled`` before it
+        # builds a payload, so a disabled tracer costs one attribute load
+        # per site and is never called.
+        tracer = _CountingNullTracer()
+        inferencer = Inferencer(ENV, tracer=tracer)
+        terms = [example.term for example in FIGURE2] + [
+            getattr(workloads, family)(size) for family, size in STRESS_FAMILIES
+        ]
+        for term in terms:
+            try:
+                inferencer.infer(term)
+            except GIError:
+                pass
+        assert tracer.calls == {}
 
     def test_tracing_never_changes_results(self):
         """Observation only: all tracer configurations agree with none."""

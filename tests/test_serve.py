@@ -13,8 +13,10 @@ import socket as socket_module
 
 import pytest
 
+from repro.evalsuite.modules_corpus import synthetic_module_source
+from repro.modules import parse_module
 from repro.robustness import protocol
-from repro.robustness.loadgen import deep_expr
+from repro.robustness.loadgen import LoadConfig, deep_expr, run_load
 from repro.robustness.server import ServeConfig, start_server_in_thread
 from repro.robustness.serveclient import ServeClient
 
@@ -287,6 +289,17 @@ class TestSessions:
             payload = json.loads(sidecar.read_text(encoding="utf-8"))
             assert "seven" in payload["entries"]
 
+    def test_module_recheck_is_served_from_the_session_cache(self, tmp_path):
+        source = synthetic_module_source(chains=2, depth=10)
+        bindings = len(parse_module(source).bindings)
+        with serve(tmp_path) as (handle, sock):
+            with connect(sock) as client:
+                cold = client.request("module", source=source)
+                assert cold["ok"] and cold["passed"] == bindings
+                assert cold["cached"] == 0
+                warm = client.request("module", source=source)
+                assert warm["ok"] and warm["cached"] == bindings
+
     def test_module_missing_path_is_an_io_error(self, tmp_path):
         with serve(tmp_path) as (handle, sock):
             with connect(sock) as client:
@@ -378,6 +391,25 @@ class TestContainment:
                 )
                 assert reply["error"]["class"] == "BudgetExceededError"
                 assert reply["error"]["severity"] == "error"
+
+
+class TestCleanLoad:
+    def test_well_typed_load_is_served_in_full(self, tmp_path):
+        with serve(tmp_path) as (handle, sock):
+            report = run_load(
+                LoadConfig(
+                    socket_path=sock,
+                    clients=4,
+                    requests=16,
+                    seed=4,
+                    ill_rate=0.0,
+                    deep_rate=0.0,
+                )
+            )
+            assert report.violations == [], report.violations[:5]
+            assert report.served == 64, report.by_status
+            assert handle.server.counts["shed"] == 0
+            assert handle.server.counts["internal"] == 0
 
 
 class TestBackpressure:
