@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from repro.core.errors import DuplicateBindingError, ParseError
 from repro.core.terms import Term, free_vars
 from repro.core.types import Type
-from repro.syntax.lexer import Token, tokenize
 from repro.syntax.parser import _Parser
 
 
@@ -93,7 +92,11 @@ def _chunks(source: str) -> list[tuple[int, str]]:
     line breaks and indentation so token columns are file columns.
     """
     chunks: list[tuple[int, list[str]]] = []
-    for line_number, line in enumerate(source.splitlines(), start=1):
+    # Lines end at "\n", "\r\n" or a lone "\r"; the chunks rejoin with
+    # "\n", which is where the lexer counts lines.  `str.splitlines` would
+    # also break at "\u2028", "\x0c" or "\x85", even inside a comment.
+    lines_of_file = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_number, line in enumerate(lines_of_file, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("--"):
             continue
@@ -115,14 +118,15 @@ def _chunks(source: str) -> list[tuple[int, str]]:
     return [(start, "\n".join(lines)) for start, lines in chunks]
 
 
-def _is_module_header(tokens: list[Token]) -> bool:
+def _is_module_header(parser: _Parser) -> bool:
+    keys, texts = parser.keys, parser.texts
     return (
-        len(tokens) >= 3
-        and tokens[0].kind == "ident"
-        and tokens[0].text == "module"
-        and tokens[1].kind == "conid"
-        and tokens[2].kind == "ident"
-        and tokens[2].text == "where"
+        len(texts) >= 3
+        and keys[0] == "ident"
+        and texts[0] == "module"
+        and keys[1] == "conid"
+        and keys[2] == "ident"
+        and texts[2] == "where"
     )
 
 
@@ -155,28 +159,27 @@ def parse_module(source: str, path: str | None = None) -> Module:
     order: list[str] = []
 
     for index, (start_line, text) in enumerate(_chunks(source)):
-        tokens = tokenize(text, start_line)
-        if index == 0 and _is_module_header(tokens):
-            module_name = tokens[1].text
-            if tokens[3].kind != "eof":
-                extra = tokens[3]
+        parser = _Parser(text, start_line)
+        if index == 0 and _is_module_header(parser):
+            module_name = parser.texts[1]
+            if parser.keys[3] != "eof":
+                extra = parser.token(3)
                 raise ParseError(
                     f"unexpected input after module header: `{extra}`",
                     extra.line,
                     extra.column,
                 )
             continue
-        head = tokens[0]
+        head = parser.token(0)
         if head.kind != "ident":
             raise ParseError(
                 f"expected a top-level binding name, found `{head}`",
                 head.line,
                 head.column,
             )
-        separator = tokens[1] if len(tokens) > 1 else head
-        parser = _Parser(tokens)
+        separator = parser.keys[1]
         parser.position = 2  # past `name ::` / `name =`
-        if separator.kind == "symbol" and separator.text == "::":
+        if separator == "::":
             type_ = parser.type_()
             parser.expect_eof()
             if head.text in signatures:
@@ -188,7 +191,7 @@ def parse_module(source: str, path: str | None = None) -> Module:
                     signatures[head.text].line,
                 )
             signatures[head.text] = _RawSignature(head.text, type_, head.line, head.column)
-        elif separator.kind == "symbol" and separator.text == "=":
+        elif separator == "=":
             term = parser.term()
             parser.expect_eof()
             if head.text in definitions:
@@ -202,10 +205,11 @@ def parse_module(source: str, path: str | None = None) -> Module:
             definitions[head.text] = _RawDefinition(head.text, term, head.line, head.column)
             order.append(head.text)
         else:
+            found = parser.token(1)
             raise ParseError(
-                f"expected `::` or `=` after `{head.text}`, found `{separator}`",
-                separator.line,
-                separator.column,
+                f"expected `::` or `=` after `{head.text}`, found `{found}`",
+                found.line,
+                found.column,
             )
 
     for name, signature in signatures.items():

@@ -272,8 +272,8 @@ def _parse_contained(source: str):
     """Parse, converting parser crashes (not parse errors) to GI errors.
 
     ``Inferencer.infer`` contains internal failures of the *engine*, but
-    the parser runs before it; a pathological input that blows the
-    parser's recursion must still come out as a diagnostic.
+    the parser runs before it; a crash there (a bug, or memory exhausted
+    by a pathological input) must still come out as a diagnostic.
     """
     try:
         return parse_term(source)

@@ -19,7 +19,12 @@ ENV = figure2_env()
 WELL_TYPED = ["head ids", "runST $ argST", "single id"]
 ILL_TYPED = ["inc True", "frobnicate"]
 DEEP_PARENS = "(" * 800 + "head ids" + ")" * 800
-"""Parseable only with unbounded recursion — a parser-phase crash."""
+"""Deeper than Python's recursion limit; the parser keeps its nesting on
+an explicit stack, so this parses and checks."""
+
+DEEP_CHAIN = "inc (" * 2000 + "0" + ")" * 2000
+"""Parses, but overflows the recursive constraint generator: an
+engine-phase crash (see ROADMAP, term depth end to end)."""
 
 BUSY = "app (app (app id id) (app id id)) (app (app id id) (app id id))"
 """Well-typed but needs far more solver steps than the tiny test budget."""
@@ -27,7 +32,7 @@ BUSY = "app (app (app id id) (app id id)) (app (app id id) (app id id))"
 
 class TestCheckBatch:
     def test_mixed_batch_reports_every_item(self):
-        sources = WELL_TYPED + ILL_TYPED + [DEEP_PARENS]
+        sources = WELL_TYPED + ILL_TYPED + [DEEP_CHAIN]
         result = check_batch(sources, ENV, budget=Budget(max_solver_steps=500))
         assert len(result.items) == len(sources)
         assert [item.ok for item in result.items] == [True] * 3 + [False] * 3
@@ -50,12 +55,36 @@ class TestCheckBatch:
         assert diagnostic.error_class == "BudgetExceededError"
         assert diagnostic.phase == "solver"
 
-    def test_parser_crash_is_contained(self):
-        result = check_batch([DEEP_PARENS], ENV)
+    def test_parser_crash_is_contained(self, monkeypatch):
+        # No known input crashes the parser any more; stand one in.
+        def crash(source):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("repro.robustness.batch.parse_term", crash)
+        result = check_batch(["head ids"], ENV)
         diagnostic = result.items[0].diagnostic
         assert diagnostic.severity == "internal"
         assert diagnostic.error_class == "InternalError"
         assert diagnostic.phase == "parse"
+
+    def test_deep_parentheses_parse_and_check(self):
+        result = check_batch([DEEP_PARENS], ENV)
+        assert result.ok
+        assert result.items[0].type_ == "forall a. a -> a"
+
+    def test_deep_chain_crashes_after_parsing(self):
+        diagnostic = check_batch([DEEP_CHAIN], ENV).items[0].diagnostic
+        assert diagnostic.error_class == "InternalError"
+        assert diagnostic.phase != "parse"
+
+    @pytest.mark.parametrize("source", ["\u00b2", "inc \u00b2", "1\u00b2", "\u0663"])
+    def test_non_ascii_digit_is_a_parse_diagnostic(self, source):
+        # `str.isdigit` accepts "²" but `int` rejects it; integer literals
+        # are ASCII digits, so these are parse errors, not crashes.
+        diagnostic = check_batch([source], ENV).items[0].diagnostic
+        assert diagnostic.severity == "error"
+        assert diagnostic.error_class == "ParseError"
+        assert "unexpected character" in diagnostic.message
 
     def test_injected_fault_is_one_internal_diagnostic(self):
         result = check_batch(
@@ -165,7 +194,7 @@ class TestBatchCLI:
         assert "unknown policy" in err and "eager-shallow" in err
 
     def test_failures_exit_nonzero_but_report_everything(self, tmp_path, capsys):
-        path = self._write(tmp_path, WELL_TYPED + ILL_TYPED + [DEEP_PARENS])
+        path = self._write(tmp_path, WELL_TYPED + ILL_TYPED + [DEEP_CHAIN])
         assert main(["batch", path, "--max-steps", "500"]) == 1
         out = capsys.readouterr().out
         assert "#0: ok: forall a. a -> a" in out

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.__main__
 from repro.__main__ import main
 
 
@@ -44,8 +45,9 @@ class TestCLI:
             main(["bogus"])
 
 
-DEEP_EXPRESSION = "(" * 2000 + "x" + ")" * 2000
-"""Nests far past the recursion limit of the recursive-descent parser."""
+DEEP_EXPRESSION = "inc (" * 2000 + "0" + ")" * 2000
+"""Parses (the parser keeps its nesting on an explicit stack), then nests
+far past the recursion limit of the recursive constraint generator."""
 
 
 class TestCrashContainment:
@@ -54,7 +56,7 @@ class TestCrashContainment:
     def test_infer_deep_expression(self, capsys):
         assert main(["infer", DEEP_EXPRESSION]) == 1
         err = capsys.readouterr().err
-        assert "internal error (RecursionError)" in err
+        assert "internal error during generate (RecursionError)" in err
         assert "Traceback" not in err
         assert err.count("\n") == 1  # a one-line diagnostic
 
@@ -75,7 +77,52 @@ class TestCrashContainment:
         monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
         assert main(["repl"]) == 0
         out = capsys.readouterr().out
+        assert "internal error during generate (RecursionError)" in out
+        assert "forall a. a -> a" in out  # the loop kept going
+
+
+class TestParserCrashContainment:
+    """A crash that is not a ``GIError`` reaches the CLI's own containment.
+
+    No known input crashes the parser any more, so one is stood in.
+    """
+
+    CRASH = "crash"
+
+    @pytest.fixture(autouse=True)
+    def crash_parser(self, monkeypatch):
+        real_parse = repro.__main__.parse_term
+
+        def parse(source):
+            if source == self.CRASH:
+                raise RecursionError("maximum recursion depth exceeded")
+            return real_parse(source)
+
+        monkeypatch.setattr("repro.__main__.parse_term", parse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["infer", CRASH],
+            ["check", CRASH, "Int"],
+            ["run", CRASH],
+            ["elaborate", CRASH],
+        ],
+    )
+    def test_one_line_internal_error(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "internal error (RecursionError)" in err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1  # a one-line diagnostic
+
+    def test_repl_survives(self, capsys, monkeypatch):
+        lines = iter([self.CRASH, "head ids", ":q"])
+        monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
+        assert main(["repl"]) == 0
+        out = capsys.readouterr().out
         assert "internal error (RecursionError)" in out
+        assert "Traceback" not in out
         assert "forall a. a -> a" in out  # the loop kept going
 
 

@@ -83,6 +83,38 @@ class TestParseModule:
         assert module.names == ["setters", "pick", "n"]
 
 
+class TestModuleLines:
+    """Lines end at "\n", "\r\n" or a lone "\r" and nowhere else."""
+
+    @pytest.mark.parametrize("breaker", ["\u2028", "\u2029", "\x0c", "\x1c", "\x85"])
+    def test_comment_stays_a_comment(self, breaker):
+        # `str.splitlines` breaks at these; a binding must not start
+        # inside the comment text after one.
+        module = parse_module(f"a = 1 -- note{breaker}b = c\n")
+        assert module.names == ["a"]
+
+    def test_line_numbers_stay_file_lines(self):
+        source = "a = 1 -- x\u2028y\x0cz\n\nb =\n  inc a -- \x85\nc = 2\n"
+        module = parse_module(source)
+        assert [module.binding(name).line for name in "abc"] == [1, 3, 5]
+        error = self._fail(source + "d = inc (\n")
+        assert (error.line, error.column) == (6, 10)
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"])
+    def test_crlf_and_lone_cr_end_lines(self, ending):
+        source = ending.join(["a = 1", "b =", "  inc a", "", "c = 2", ""])
+        module = parse_module(source)
+        assert [module.binding(name).line for name in "abc"] == [1, 2, 5]
+        error = self._fail(source + "d = inc (" + ending)
+        assert (error.line, error.column) == (6, 10)
+
+    @staticmethod
+    def _fail(source):
+        with pytest.raises(ParseError) as info:
+            parse_module(source)
+        return info.value
+
+
 class TestModuleParseErrorsGolden:
     """Golden positions: the error points at the offending binding."""
 

@@ -392,7 +392,7 @@ class TestWorkerTraceback:
         assert "\n" not in str(info.value)
 
     def test_internal_error_traceback_reaches_batch_json(self):
-        result = check_batch(["(" * 2000 + "x" + ")" * 2000], ENV)
+        result = check_batch(["inc (" * 2000 + "0" + ")" * 2000], ENV)
         (diagnostic,) = result.diagnostics
         assert diagnostic.severity == "internal"
         payload = json.dumps(result.to_dict())

@@ -55,6 +55,24 @@ class TestLexer:
             tokenize("№")
 
 
+    @pytest.mark.parametrize("source", ["\u00b2", "1\u00b2", "\u0663", "x \u00b9"])
+    def test_integer_literals_are_ascii_digits(self, source):
+        # `str.isdigit` accepts "²", which `int` rejects: a crash, not a
+        # parse error.  "٣" is a decimal digit that `int` reads as 3.
+        with pytest.raises(ParseError, match="unexpected character"):
+            tokenize(source)
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_term(source)
+
+    def test_non_ascii_digits_inside_names(self):
+        assert [t.text for t in tokenize("x\u00b2 y\u0663")[:-1]] == ["x\u00b2", "y\u0663"]
+
+    def test_trailing_blanks_end_in_one_eof(self):
+        tokens = tokenize("x  -- note\n  ")
+        assert [t.kind for t in tokens] == ["ident", "eof"]
+        assert (tokens[-1].line, tokens[-1].column) == (2, 3)
+
+
 class TestTypeParser:
     A, B = TVar("a"), TVar("b")
 

@@ -10,15 +10,19 @@ by memory — not by Python's recursion limit.  These tests drive each one
 at depths far beyond ``sys.getrecursionlimit()``; a regression to
 recursive form fails them immediately.  They never compare, hash or print
 a deep term: term equality, ``repr`` and ``pretty_term`` still recurse.
+The parser keeps its nesting on an explicit stack too: source text
+nested 10 000 deep parses at every text entry point.
 Budgets still apply: a depth *budget* must trip as a
 :class:`BudgetExceededError`, never as a raw ``RecursionError``.
 """
 
+import json
 import sys
 from itertools import islice
 
 import pytest
 
+from repro.__main__ import main
 from repro.baselines.registry import SYSTEMS
 from repro.conformance.shrink import candidates
 from repro.core.terms import (
@@ -64,7 +68,11 @@ from repro.evalsuite.workloads import (
     lambda_tower,
     let_chain,
 )
+from repro.modules import parse_module
 from repro.robustness.budget import Budget
+from repro.robustness.server import ServeConfig, start_server_in_thread
+from repro.robustness.serveclient import ServeClient
+from repro.syntax import parse_term, parse_type
 
 DEPTH = 50_000
 assert DEPTH > sys.getrecursionlimit()
@@ -322,3 +330,116 @@ class TestDeepBackends:
         summary = (outcome.status, outcome.error, (outcome.detail or "")[:200])
         assert outcome.error != "RecursionError" and not outcome.crashed, summary
         assert outcome.accepted, summary
+
+
+# ----------------------------------------------------------------------
+# Source text: the lexer and the explicit-stack parser
+# ----------------------------------------------------------------------
+
+SOURCE_DEPTH = 10_000
+
+
+def nested_parens(depth: int) -> str:
+    return "inc (" * depth + "0" + ")" * depth
+
+
+def nested_list_types(depth: int, leaf: str = "a") -> str:
+    return "[" * depth + leaf + "]" * depth
+
+
+def arrow_spine(depth: int, leaf: str = "a") -> str:
+    return f"{leaf} -> " * depth + leaf
+
+
+def cons_spine(depth: int) -> str:
+    return "1 : " * depth + "nil"
+
+
+def lambda_spine(depth: int) -> str:
+    return "\\x -> " * depth + "x"
+
+
+def let_spine(depth: int) -> str:
+    return "let x = 1 in " * depth + "x"
+
+
+#: The constructs that overflowed the recursive-descent parser at 200 to
+#: 1000 levels, with the node count of the parsed tree at depth n.
+DEEP_TERM_SOURCES = {
+    "parentheses": (nested_parens, lambda n: 2 * n + 1),
+    "cons": (cons_spine, lambda n: 3 * n + 1),
+    "lambda": (lambda_spine, lambda n: n + 1),
+    "let": (let_spine, lambda n: 2 * n + 1),
+}
+DEEP_TYPE_SOURCES = {
+    "list-type": (nested_list_types, lambda n: n + 1),
+    "arrow": (arrow_spine, lambda n: 2 * n + 1),
+}
+
+
+class TestDeepSource:
+    """Parsing is bounded by memory at every text entry point.  Inference
+    of a deep *term* still recurses (ROADMAP, term depth end to end), so
+    past the parser those items may fail, but never in the parse phase."""
+
+    @pytest.mark.parametrize("name", list(DEEP_TERM_SOURCES))
+    def test_parse_term(self, name):
+        build, size = DEEP_TERM_SOURCES[name]
+        term = parse_term(build(SOURCE_DEPTH))
+        assert term_size(term) == size(SOURCE_DEPTH)
+
+    @pytest.mark.parametrize("name", list(DEEP_TYPE_SOURCES))
+    def test_parse_type(self, name):
+        build, size = DEEP_TYPE_SOURCES[name]
+        assert type_size(parse_type(build(SOURCE_DEPTH))) == size(SOURCE_DEPTH)
+
+    def test_parse_module(self):
+        lines = []
+        for index, (build, _) in enumerate(DEEP_TYPE_SOURCES.values()):
+            lines += [f"t{index} :: {build(SOURCE_DEPTH)}", f"t{index} = undefined"]
+        lines += [f"{name} =\n  {build(SOURCE_DEPTH)}" for name, (build, _) in
+                  zip(("p", "c", "l", "e"), DEEP_TERM_SOURCES.values())]
+        module = parse_module("\n".join(lines) + "\n")
+        assert module.names == ["t0", "t1", "p", "c", "l", "e"]
+        sizes = [size(SOURCE_DEPTH) for _, size in DEEP_TERM_SOURCES.values()]
+        assert [term_size(module.binding(name).term) for name in "pcle"] == sizes
+        signatures = [module.binding(name).signature for name in ("t0", "t1")]
+        assert [type_size(type_) for type_ in signatures] == [
+            size(SOURCE_DEPTH) for _, size in DEEP_TYPE_SOURCES.values()
+        ]
+        assert [module.binding(name).line for name in "pcle"] == [5, 7, 9, 11]
+
+    def test_batch(self, tmp_path, capsys):
+        typed = [
+            "(" * SOURCE_DEPTH + "head ids" + ")" * SOURCE_DEPTH,
+            f"(nil :: {nested_list_types(SOURCE_DEPTH, 'Int')})",
+            f"\\(f :: {arrow_spine(SOURCE_DEPTH, 'Int')}) -> f",
+        ]
+        terms = [build(SOURCE_DEPTH) for build, _ in DEEP_TERM_SOURCES.values()]
+        path = tmp_path / "deep.gi"
+        path.write_text("\n".join(typed + terms) + "\n")
+        main(["batch", str(path), "--json"])
+        items = json.loads(capsys.readouterr().out)["items"]
+        assert len(items) == len(typed) + len(terms)
+        assert [item["ok"] for item in items[: len(typed)]] == [True] * len(typed)
+        for item in items[len(typed):]:
+            diagnostic = item["diagnostic"]
+            if diagnostic is not None:
+                assert diagnostic["phase"] != "parse", diagnostic["message"]
+                assert diagnostic["error_class"] != "ParseError"
+
+    def test_serve_check_signature(self, tmp_path):
+        # A `check` request's signature is parsed outside the parse
+        # containment of its expression.
+        arrow = arrow_spine(SOURCE_DEPTH, "Int")
+        requests = [
+            ("nil", nested_list_types(SOURCE_DEPTH, "Int")),
+            ("\\f -> f", f"({arrow}) -> {arrow}"),
+            ("(" * SOURCE_DEPTH + "single id" + ")" * SOURCE_DEPTH, "[Int -> Int]"),
+        ]
+        config = ServeConfig(socket_path=str(tmp_path / "gi.sock"), jobs=1)
+        with start_server_in_thread(config):
+            with ServeClient(socket_path=config.socket_path) as client:
+                for expr, signature in requests:
+                    reply = client.request("check", expr=expr, signature=signature)
+                    assert reply["ok"], reply.get("error")
