@@ -26,8 +26,9 @@ narrates the solver derivation step by step.
 All commands use the Figure 1 prelude environment.  No command ever
 prints a raw Python traceback: type errors are reported as one-line
 ``type error:`` diagnostics, and internal failures (e.g. blowing the
-recursion limit on pathological input) as one-line ``internal error:``
-diagnostics.
+recursion limit on pathological input) as one-line ``internal error …``
+diagnostics, also when the engine contained the failure as an
+:class:`~repro.core.errors.InternalError`.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import json as json_module
 import sys
 
 from repro.core import Inferencer
-from repro.core.errors import GIError
+from repro.core.errors import GIError, InternalError
 from repro.core.infer import InferOptions
 from repro.core.terms import Ann
 from repro.interp import run as interp_run
@@ -51,10 +52,20 @@ def _inferencer() -> Inferencer:
 
 def _internal_diagnostic(error: BaseException) -> str:
     """One line for a contained crash; never a traceback."""
+    if isinstance(error, InternalError):  # already contained and rendered
+        return str(error)
     detail = str(error) or "(no message)"
     if len(detail) > 200:
         detail = detail[:200] + "…"
     return f"internal error ({type(error).__name__}): {detail}"
+
+
+def _diagnostic(error: Exception, prefix: str = "type error") -> str:
+    """One line for a failed command: ``prefix: …`` for a type error, and
+    ``internal error …`` for a crash, contained by the engine or not."""
+    if isinstance(error, GIError) and not isinstance(error, InternalError):
+        return f"{prefix}: {error}"
+    return _internal_diagnostic(error)
 
 
 class _Obs:
@@ -154,11 +165,8 @@ def cmd_infer(source: str, policy=None, obs: _Obs | None = None) -> int:
                 figure2_env(), options=options, tracer=tracer
             ).infer(parse_term(source))
             print(result.type_)
-        except GIError as error:
-            print(f"type error: {error}", file=sys.stderr)
-            code = 1
         except Exception as error:  # noqa: BLE001 — CLI containment
-            print(_internal_diagnostic(error), file=sys.stderr)
+            print(_diagnostic(error), file=sys.stderr)
             code = 1
     finally:
         if obs is not None:
@@ -170,11 +178,8 @@ def cmd_check(source: str, signature: str) -> int:
     try:
         term = Ann(parse_term(source), parse_type(signature))
         _inferencer().infer(term)
-    except GIError as error:
-        print(f"type error: {error}", file=sys.stderr)
-        return 1
     except Exception as error:  # noqa: BLE001 — CLI containment
-        print(_internal_diagnostic(error), file=sys.stderr)
+        print(_diagnostic(error), file=sys.stderr)
         return 1
     print("ok")
     return 0
@@ -185,11 +190,8 @@ def cmd_run(source: str) -> int:
         term = parse_term(source)
         _inferencer().infer(term)  # type before running
         value = interp_run(term)
-    except GIError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
     except Exception as error:  # noqa: BLE001 — CLI containment
-        print(_internal_diagnostic(error), file=sys.stderr)
+        print(_diagnostic(error, "error"), file=sys.stderr)
         return 1
     print(value)
     return 0
@@ -202,11 +204,8 @@ def cmd_elaborate(source: str) -> int:
         result = _inferencer().infer(parse_term(source))
         fterm = elaborate_result(result)
         ftype = typecheck(fterm, figure2_env())
-    except GIError as error:
-        print(f"type error: {error}", file=sys.stderr)
-        return 1
     except Exception as error:  # noqa: BLE001 — CLI containment
-        print(_internal_diagnostic(error), file=sys.stderr)
+        print(_diagnostic(error), file=sys.stderr)
         return 1
     print(f"term : {pretty_fterm(fterm)}")
     print(f"type : {ftype}")
@@ -313,11 +312,8 @@ def cmd_module(
         except OSError as error:
             print(f"error: cannot read {path}: {error}", file=sys.stderr)
             return 2
-        except GIError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
         except Exception as error:  # noqa: BLE001 — CLI containment
-            print(_internal_diagnostic(error), file=sys.stderr)
+            print(_diagnostic(error, "error"), file=sys.stderr)
             return 1
         if not no_cache:
             try:
@@ -668,10 +664,8 @@ def cmd_repl() -> int:
                 print(infer_traced(parse_term(line)).type_)
         except OSError as error:
             print(f"error: {error}")
-        except GIError as error:
-            print(f"error: {error}")
         except Exception as error:  # noqa: BLE001 — the repl must survive
-            print(_internal_diagnostic(error))
+            print(_diagnostic(error, "error"))
 
 
 def _add_observability_flags(parser, explain: bool = False) -> None:

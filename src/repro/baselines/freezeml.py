@@ -33,18 +33,8 @@ from repro.baselines.kernel import Kernel
 from repro.core.env import Environment
 from repro.core.errors import TypeError_
 from repro.core.sorts import Sort
-from repro.core.terms import (
-    Ann,
-    AnnLam,
-    App,
-    Case,
-    Lam,
-    Let,
-    Lit,
-    Term,
-    Var,
-)
-from repro.core.types import Forall, Type, UVar, fun, fuv, mentions_forall
+from repro.core.terms import Ann, Term
+from repro.core.types import Type, UVar, fuv, mentions_forall
 
 
 class FreezeMLError(TypeError_):
@@ -86,61 +76,14 @@ class FreezeMLInferencer(Kernel):
                     f"`{variable} := {type_}` (annotate the lambda binder)"
                 )
 
-    def _infer(self, term: Term, local: dict[str, Type]) -> Type:
-        if isinstance(term, Var):
-            # A plain variable occurrence instantiates eagerly (ML-style);
-            # freezing is expressed by annotating the occurrence instead.
-            return self.instantiate(self._lookup(term.name, local))
-        if isinstance(term, Lit):
-            return term.type_
-        if isinstance(term, App):
-            result = self._infer(term.head, local)
-            for argument in term.args:
-                result = self.zonk(result)
-                if isinstance(result, Forall):
-                    result = self.instantiate(result)
-                arg_type = self._infer(argument, local)
-                fresh = self.fresh()
-                self.unify(result, fun(arg_type, fresh))
-                result = fresh
-            return self.zonk(result)
-        if isinstance(term, Lam):
-            binder = self.fresh(Sort.M)
-            inner = dict(local)
-            inner[term.var] = binder
-            body = self._infer(term.body, inner)
-            return fun(binder, body)
-        if isinstance(term, AnnLam):
-            inner = dict(local)
-            inner[term.var] = term.annotation
-            body = self._infer(term.body, inner)
-            return fun(term.annotation, body)
-        if isinstance(term, Ann):
-            # The freeze marker stand-in: the expression's *generalised*
-            # (principal) type must instantiate to the signature, and the
-            # signature is returned verbatim — no eager instantiation.
-            offered = self._infer(term.expr, local)
-            offered_sigma = self.generalize(list(local.values()), offered)
-            self.subsume(offered_sigma, term.annotation)
-            return term.annotation
-        if isinstance(term, Let):
-            # Classic ML let-generalisation (unlike GI's §3.5 `let`).
-            bound = self._infer(term.bound, local)
-            scheme = self.generalize(list(local.values()), bound)
-            inner = dict(local)
-            inner[term.var] = scheme
-            return self._infer(term.body, inner)
-        if isinstance(term, Case):
-            return self._infer_case(term, local)
-        raise TypeError(f"unknown term node: {term!r}")
-
-    def _infer_case(self, term: Case, local: dict[str, Type]) -> Type:
-        first, alphas = self._open_case(term, self._infer(term.scrutinee, local))
-        result = self.fresh()
-        for alt in term.alts:
-            inner = self._alt_scope(alt, first, alphas, local)
-            self.unify(result, self._infer(alt.rhs, inner))
-        return self.zonk(result)
+    def _infer_ann(self, term: Ann, local: dict[str, Type]) -> Type:
+        # The freeze marker stand-in: the expression's *generalised*
+        # (principal) type must instantiate to the signature, and the
+        # signature is returned verbatim — no eager instantiation.
+        offered = self._infer(term.expr, local)
+        offered_sigma = self.generalize(local.values(), offered)
+        self.subsume(offered_sigma, term.annotation)
+        return term.annotation
 
 
 def freezeml_infer(term: Term, env: Environment) -> Type:

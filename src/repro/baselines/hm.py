@@ -12,23 +12,12 @@ from __future__ import annotations
 from repro.baselines.kernel import Kernel
 from repro.core.env import Environment
 from repro.core.errors import TypeError_
-from repro.core.terms import (
-    Ann,
-    AnnLam,
-    App,
-    Case,
-    Lam,
-    Let,
-    Lit,
-    Term,
-    Var,
-)
+from repro.core.terms import Ann, AnnLam, Case, Lam, Term
 from repro.core.types import (
     Forall,
     TVar,
     Type,
     ftv,
-    fun,
     is_fully_monomorphic,
     strip_forall,
     subst_tvars,
@@ -64,59 +53,28 @@ class HMInferencer(Kernel):
 
     # -- inference --------------------------------------------------------
 
-    def _infer(self, term: Term, local: dict[str, Type]) -> Type:
-        if isinstance(term, Var):
-            return self.instantiate(self._lookup(term.name, local))
-        if isinstance(term, Lit):
-            return term.type_
-        if isinstance(term, App):
-            result = self._infer(term.head, local)
-            for argument in term.args:
-                arg_type = self._infer(argument, local)
-                fresh = self.fresh()
-                self.unify(result, fun(arg_type, fresh))
-                result = fresh
-            return result
-        if isinstance(term, Lam):
-            binder = self.fresh()
-            inner = dict(local)
-            inner[term.var] = binder
-            body = self._infer(term.body, inner)
-            return fun(binder, body)
-        if isinstance(term, AnnLam):
-            if not is_fully_monomorphic(term.annotation):
-                raise HMError("polymorphic lambda annotations are outside HM")
-            inner = dict(local)
-            inner[term.var] = term.annotation
-            body = self._infer(term.body, inner)
-            return fun(term.annotation, body)
-        if isinstance(term, Ann):
-            inferred = self._infer(term.expr, local)
-            binders, body = strip_forall(term.annotation)
-            if not is_fully_monomorphic(body):
-                raise HMError("higher-rank annotations are outside HM")
-            # Rank-1 signatures are checked by instantiating the signature
-            # with fresh *rigid* variables and unifying; the rigids must
-            # not leak into the environment.
-            mapping = {name: TVar(self.supply.fresh(name + "_rigid")) for name in binders}
-            rigids = {variable.name for variable in mapping.values()}
-            self.unify(inferred, subst_tvars(mapping, body))
-            for env_type in local.values():
-                if rigids & ftv(self.zonk(env_type)):
-                    raise HMError("signature variable would escape its scope")
-            # The expression now has the declared (rank-1) scheme; uses of
-            # it instantiate freshly.
-            return self.instantiate(term.annotation)
-        if isinstance(term, Let):
-            bound = self._infer(term.bound, local)
-            env_types = list(local.values())
-            scheme = self.generalize(env_types, bound)
-            inner = dict(local)
-            inner[term.var] = scheme
-            return self._infer(term.body, inner)
-        if isinstance(term, Case):
-            return self._infer_case(term, local)
-        raise TypeError(f"unknown term node: {term!r}")
+    def _infer_lam(self, term: Lam | AnnLam, local: dict[str, Type]) -> Type:
+        if term.__class__ is AnnLam and not is_fully_monomorphic(term.annotation):
+            raise HMError("polymorphic lambda annotations are outside HM")
+        return super()._infer_lam(term, local)
+
+    def _infer_ann(self, term: Ann, local: dict[str, Type]) -> Type:
+        inferred = self._infer(term.expr, local)
+        binders, body = strip_forall(term.annotation)
+        if not is_fully_monomorphic(body):
+            raise HMError("higher-rank annotations are outside HM")
+        # Rank-1 signatures are checked by instantiating the signature
+        # with fresh *rigid* variables and unifying; the rigids must
+        # not leak into the environment.
+        mapping = {name: TVar(self.supply.fresh(name + "_rigid")) for name in binders}
+        rigids = {variable.name for variable in mapping.values()}
+        self.unify(inferred, subst_tvars(mapping, body))
+        for env_type in local.values():
+            if rigids & ftv(self.zonk(env_type)):
+                raise HMError("signature variable would escape its scope")
+        # The expression now has the declared (rank-1) scheme; uses of
+        # it instantiate freshly.
+        return self.instantiate(term.annotation)
 
     def _infer_case(self, term: Case, local: dict[str, Type]) -> Type:
         scrutinee = self._infer(term.scrutinee, local)

@@ -36,17 +36,7 @@ from __future__ import annotations
 
 from repro.baselines.kernel import Kernel
 from repro.core.env import Environment
-from repro.core.terms import (
-    Ann,
-    AnnLam,
-    App,
-    Case,
-    Lam,
-    Let,
-    Lit,
-    Term,
-    Var,
-)
+from repro.core.terms import Ann, AnnLam, App, Lam, Term, Var
 from repro.core.errors import TypeError_
 from repro.core.sorts import Sort
 from repro.core.types import (
@@ -131,38 +121,19 @@ class HMFInferencer(Kernel):
         """The HMF type of a term (generalised, canonically renamed)."""
         return rename_canonical(_strip_marks(self._infer_closed(term)))
 
-    def _infer(self, term: Term, local: dict[str, Type]) -> Type:
-        if isinstance(term, Var):
-            return self._lookup(term.name, local)
-        if isinstance(term, Lit):
-            return term.type_
-        if isinstance(term, App):
-            return self._infer_app(term, local, expected=None)
-        if isinstance(term, Lam):
-            binder = self.fresh(Sort.M)
-            inner = dict(local)
-            inner[term.var] = binder
-            body = self._infer(term.body, inner)
-            body = self.instantiate(body)
-            return self.generalize(list(local.values()), fun(binder, body))
-        if isinstance(term, AnnLam):
-            inner = dict(local)
-            inner[term.var] = term.annotation
-            body = self.instantiate(self._infer(term.body, inner))
-            return self.generalize(list(local.values()), fun(term.annotation, body))
-        if isinstance(term, Ann):
-            offered = self._infer(term.expr, local)
-            self.subsume(offered, term.annotation)
-            return term.annotation
-        if isinstance(term, Let):
-            bound = self._infer(term.bound, local)
-            scheme = self.generalize(list(local.values()), bound)
-            inner = dict(local)
-            inner[term.var] = scheme
-            return self._infer(term.body, inner)
-        if isinstance(term, Case):
-            return self._infer_case(term, local)
-        raise TypeError(f"unknown term node: {term!r}")
+    def _infer_var(self, term: Var, local: dict[str, Type]) -> Type:
+        """A variable keeps its σ; its use site decides on instantiation."""
+        return self._lookup(term.name, local)
+
+    def _infer_lam(self, term: Lam | AnnLam, local: dict[str, Type]) -> Type:
+        """A λ's body type instantiates, then the λ's type generalises."""
+        binder, body = super()._infer_lam(term, local).args
+        return self.generalize(local.values(), fun(binder, self.instantiate(body)))
+
+    def _infer_ann(self, term: Ann, local: dict[str, Type]) -> Type:
+        offered = self._infer(term.expr, local)
+        self.subsume(offered, term.annotation)
+        return term.annotation
 
     def _infer_app(
         self, term: App, local: dict[str, Type], expected: Type | None = None
@@ -233,13 +204,8 @@ class HMFInferencer(Kernel):
         else:
             self.unify(self.instantiate(offered_gen), parameter)
 
-    def _infer_case(self, term: Case, local: dict[str, Type]) -> Type:
-        first, alphas = self._open_case(term, self._infer(term.scrutinee, local))
-        result = self.fresh()
-        for alt in term.alts:
-            inner = self._alt_scope(alt, first, alphas, local)
-            self.unify(result, self.instantiate(self._infer(alt.rhs, inner)))
-        return self.zonk(result)
+    def _join_branch(self, result: Type, rhs: Type) -> None:
+        self.unify(result, self.instantiate(rhs))
 
 
 def _vars_under_arrow(type_: Type) -> set[str]:

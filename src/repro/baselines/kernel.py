@@ -1,13 +1,18 @@
 """The substitution kernel shared by the hand-written backends.
 
-HM, HMF, RankN, Quick Look and FreezeML are one machine with different
-term walks.  This module is that machine: a dict substitution, a name
-supply, zonking, unification (with α-equivalent ``∀``/``∀`` unification
-under shared skolems), instantiation, generalisation, deep or shallow
-skolemisation and the skolem-escape check.  The systems differ in where a
-unification variable may be bound, and that is the one hook:
-:meth:`Kernel.admit`, called by :meth:`Kernel._bind` after the occurs
-check.  It raises to refuse a binding:
+HM, HMF, RankN, Quick Look and FreezeML are one machine.  This module is
+that machine: a dict substitution, a name supply, zonking, unification
+(with α-equivalent ``∀``/``∀`` unification under shared skolems),
+instantiation, generalisation, deep or shallow skolemisation, the
+skolem-escape check, and the term walk.  :meth:`Kernel._infer` dispatches
+every term node to one rule method and owns the rules the systems share
+(a variable instantiates its scheme, a λ-binder is a fresh monomorphic
+variable or its annotation, ``let`` generalises, ``case`` unifies its
+branches); a backend overrides only the rules it types differently.  The
+systems also differ in where a unification variable may be bound, and
+that is the other hook: :meth:`Kernel.admit`, called by
+:meth:`Kernel._bind` after the occurs check.  It raises to refuse a
+binding:
 
 * HM accepts every binding (its types never contain a ``∀``);
 * RankN refuses polytypes (predicativity; Quick Look inherits this and
@@ -38,7 +43,7 @@ from repro.core.errors import (
 )
 from repro.core.names import NameSupply, letters
 from repro.core.sorts import Sort
-from repro.core.terms import Case, CaseAlt, Term
+from repro.core.terms import Ann, AnnLam, App, Case, CaseAlt, Lam, Let, Lit, Term, Var
 from repro.core.types import (
     Forall,
     TCon,
@@ -64,9 +69,10 @@ _ESCAPE = object()
 class Kernel:
     """Substitution, unification and generalisation for one backend.
 
-    Subclasses set the class attributes, implement ``_infer`` (the term
-    walk) and override :meth:`admit`.  ``_deep`` selects deep
-    skolemisation (to the right of arrows) in :meth:`skolemise`.
+    Subclasses set the class attributes, implement :meth:`_infer_ann`,
+    override the term rules they type differently and :meth:`admit`.
+    ``_deep`` selects deep skolemisation (to the right of arrows) in
+    :meth:`skolemise`.
     """
 
     PREFIX = "k"
@@ -108,6 +114,79 @@ class Kernel:
         if name in local:
             return local[name]
         return self.env.lookup(name)
+
+    # -- the term walk ------------------------------------------------------
+
+    def _infer(self, term: Term, local: dict[str, Type]) -> Type:
+        """The type of ``term`` under ``local``: one rule per node class,
+        tested by identity, variables first (they are most of the nodes)."""
+        kind = term.__class__
+        if kind is Var:
+            return self._infer_var(term, local)
+        if kind is Lit:
+            return term.type_
+        if kind is App:
+            return self._infer_app(term, local)
+        if kind is Lam or kind is AnnLam:
+            return self._infer_lam(term, local)
+        if kind is Let:
+            return self._infer_let(term, local)
+        if kind is Case:
+            return self._infer_case(term, local)
+        if kind is Ann:
+            return self._infer_ann(term, local)
+        raise TypeError(f"unknown term node: {term!r}")
+
+    def _infer_var(self, term: Var, local: dict[str, Type]) -> Type:
+        """A variable instantiates its scheme."""
+        return self.instantiate(self._lookup(term.name, local))
+
+    def _infer_app(self, term: App, local: dict[str, Type]) -> Type:
+        """ML application: each argument's type unifies with the function
+        type's parameter, a ∀-headed function type instantiating first."""
+        result = self._infer(term.head, local)
+        for argument in term.args:
+            result = self.zonk(result)
+            if result.__class__ is Forall:
+                result = self.instantiate(result)
+            arg_type = self._infer(argument, local)
+            fresh = self.fresh()
+            self.unify(result, fun(arg_type, fresh))
+            result = fresh
+        return self.zonk(result)
+
+    def _infer_lam(self, term: Lam | AnnLam, local: dict[str, Type]) -> Type:
+        """An unannotated binder is a fresh fully monomorphic variable; an
+        annotated one takes its annotation."""
+        binder = term.annotation if term.__class__ is AnnLam else self.fresh(Sort.M)
+        inner = dict(local)
+        inner[term.var] = binder
+        return fun(binder, self._infer(term.body, inner))
+
+    def _infer_let(self, term: Let, local: dict[str, Type]) -> Type:
+        """``let`` generalises the bound expression over the local scope."""
+        scheme = self.generalize(local.values(), self._infer(term.bound, local))
+        inner = dict(local)
+        inner[term.var] = scheme
+        return self._infer(term.body, inner)
+
+    def _infer_case(self, term: Case, local: dict[str, Type]) -> Type:
+        """Open the scrutinee at the first constructor, then join every
+        alternative's type into one result."""
+        first, alphas = self._open_case(term, self._infer(term.scrutinee, local))
+        result = self.fresh()
+        for alt in term.alts:
+            inner = self._alt_scope(alt, first, alphas, local)
+            self._join_branch(result, self._infer(alt.rhs, inner))
+        return self.zonk(result)
+
+    def _join_branch(self, result: Type, rhs: Type) -> None:
+        """Unify one case branch's type into the case's result."""
+        self.unify(result, rhs)
+
+    def _infer_ann(self, term: Ann, local: dict[str, Type]) -> Type:
+        """The annotation rule, which every backend writes its own way."""
+        raise NotImplementedError
 
     # -- the substitution ---------------------------------------------------
 

@@ -287,11 +287,6 @@ class QuickLookInferencer(RankNInferencer):
 
     # -- inference ----------------------------------------------------------
 
-    def _infer(self, term: Term, local: dict[str, Type]) -> Type:
-        if isinstance(term, (Var, App)):
-            return self._infer_app_spine(term, local)
-        return super()._infer(term, local)
-
     def _infer_app_spine(
         self,
         term: Term,
@@ -357,6 +352,9 @@ class QuickLookInferencer(RankNInferencer):
             # A lazy policy keeps the polytype instead.
             current = self.instantiate(current)
         return self.zonk(current)
+
+    # A variable is a spine without arguments.
+    _infer_var = _infer_app = _infer_app_spine
 
     def _head_sigma(self, head: Term, local: dict[str, Type]) -> Type:
         """The head's σ-type, *uninstantiated* so its quantifiers become

@@ -21,19 +21,9 @@ Architecture, following the JFP paper:
 from __future__ import annotations
 
 from repro.baselines.kernel import Kernel
-from repro.core.env import Environment
+from repro.core.env import DataCon, Environment
 from repro.core.errors import SkolemEscapeError, TypeError_, UnificationError
-from repro.core.terms import (
-    Ann,
-    AnnLam,
-    App,
-    Case,
-    Lam,
-    Let,
-    Lit,
-    Term,
-    Var,
-)
+from repro.core.terms import Ann, AnnLam, App, Case, Lam, Term, Var
 from repro.core.types import (
     Forall,
     Type,
@@ -100,57 +90,37 @@ class RankNInferencer(Kernel):
 
     # -- inference ----------------------------------------------------------
 
-    def _infer(self, term: Term, local: dict[str, Type]) -> Type:
-        if isinstance(term, Var):
-            if self._lazy:
-                # Lazy instantiation: keep the polytype; elimination
-                # contexts (application heads, case scrutinees) force it.
-                return self.zonk(self._lookup(term.name, local))
-            return self.instantiate(self._lookup(term.name, local))
-        if isinstance(term, Lit):
-            return term.type_
-        if isinstance(term, App):
-            fn_rho = self._infer(term.head, local)
-            for argument in term.args:
-                fn_rho = self.zonk(fn_rho)
-                if isinstance(fn_rho, Forall):
-                    fn_rho = self.instantiate(fn_rho)
-                if isinstance(fn_rho, UVar):
-                    parameter, result = self.fresh(), self.fresh()
-                    self.unify(fn_rho, fun(parameter, result))
-                elif is_arrow(fn_rho):
-                    parameter, result = fn_rho.args
-                else:
-                    raise RankNError(f"too many arguments for `{fn_rho}`")
-                self._check_arg(argument, parameter, local)
-                fn_rho = result
-            return self.zonk(fn_rho)
-        if isinstance(term, Lam):
-            binder = self.fresh()
-            inner = dict(local)
-            inner[term.var] = binder
-            body = self._infer(term.body, inner)
-            return fun(binder, body)
-        if isinstance(term, AnnLam):
-            inner = dict(local)
-            inner[term.var] = term.annotation
-            body = self._infer(term.body, inner)
-            return fun(term.annotation, body)
-        if isinstance(term, Ann):
-            # Annotations switch to checking mode (the whole point of the
-            # bidirectional system).
-            self._check_sigma(term.expr, term.annotation, local)
-            if self._lazy:
-                return self.zonk(term.annotation)
-            return self.instantiate(term.annotation)
-        if isinstance(term, Let):
-            bound = self._infer_sigma(term.bound, local)
-            inner = dict(local)
-            inner[term.var] = bound
-            return self._infer(term.body, inner)
-        if isinstance(term, Case):
-            return self._infer_case(term, local)
-        raise TypeError(f"unknown term node: {term!r}")
+    def _infer_var(self, term: Var, local: dict[str, Type]) -> Type:
+        if self._lazy:
+            # Lazy instantiation: keep the polytype; elimination contexts
+            # (application heads, case scrutinees) force it.
+            return self.zonk(self._lookup(term.name, local))
+        return super()._infer_var(term, local)
+
+    def _infer_app(self, term: App, local: dict[str, Type]) -> Type:
+        fn_rho = self._infer(term.head, local)
+        for argument in term.args:
+            fn_rho = self.zonk(fn_rho)
+            if isinstance(fn_rho, Forall):
+                fn_rho = self.instantiate(fn_rho)
+            if isinstance(fn_rho, UVar):
+                parameter, result = self.fresh(), self.fresh()
+                self.unify(fn_rho, fun(parameter, result))
+            elif is_arrow(fn_rho):
+                parameter, result = fn_rho.args
+            else:
+                raise RankNError(f"too many arguments for `{fn_rho}`")
+            self._check_arg(argument, parameter, local)
+            fn_rho = result
+        return self.zonk(fn_rho)
+
+    def _infer_ann(self, term: Ann, local: dict[str, Type]) -> Type:
+        # Annotations switch to checking mode (the whole point of the
+        # bidirectional system).
+        self._check_sigma(term.expr, term.annotation, local)
+        if self._lazy:
+            return self.zonk(term.annotation)
+        return self.instantiate(term.annotation)
 
     def _infer_sigma(self, term: Term, local: dict[str, Type]) -> Type:
         rho = self._infer(term, local)
@@ -205,16 +175,10 @@ class RankNInferencer(Kernel):
         offered = self._infer(term, local)
         self._subsume_rho(self.generalize(local.values(), offered), expected_rho)
 
-    def _infer_case(self, term: Case, local: dict[str, Type]) -> Type:
+    def _open_case(self, term: Case, scrutinee: Type) -> tuple[DataCon, dict[str, Type]]:
         # Under a lazy policy the scrutinee may be ∀-headed: matching
         # forces instantiation.
-        scrutinee = self.instantiate(self._infer(term.scrutinee, local))
-        first, alphas = self._open_case(term, scrutinee)
-        result = self.fresh()
-        for alt in term.alts:
-            inner = self._alt_scope(alt, first, alphas, local)
-            self._join_branch(result, self._infer(alt.rhs, inner))
-        return self.zonk(result)
+        return super()._open_case(term, self.instantiate(scrutinee))
 
     def _join_branch(self, result: Type, rhs: Type) -> None:
         """Unify one case branch's type into the case's result."""

@@ -11,10 +11,11 @@ Each :class:`System` wraps one inferencer behind the same three calls:
   boolean/optional views, now defined in terms of :meth:`run` (an
   unavailable outcome answers ``False`` / ``None``).
 
-Construction goes through a factory so budgets thread uniformly:
-``system.make(env, budget)`` returns a fresh single-use inference
-callable.  Every backend re-arms the budget per ``infer`` call, so one
-budget can be shared sequentially across the whole matrix.
+Construction goes through a factory so budgets and policies thread
+uniformly: ``system.make(env, budget, policy=policy)`` returns a fresh
+single-use inference callable.  Every backend re-arms the budget per
+``infer`` call, so one budget can be shared sequentially across the
+whole matrix.
 """
 
 from __future__ import annotations
@@ -98,13 +99,7 @@ class System:
         """Run with crash containment and the accept/reject/unavailable
         distinction differential oracles need."""
         try:
-            # Old-style factories take (env, budget); the keyword is only
-            # supplied when a non-reference policy is actually requested.
-            if policy is None:
-                factory = self.make(env, budget)
-            else:
-                factory = self.make(env, budget, policy=policy)
-            type_ = factory(term)
+            type_ = self.make(env, budget, policy=policy)(term)
         except BudgetExceededError as error:
             return SystemOutcome(
                 Outcome.UNAVAILABLE,

@@ -367,25 +367,24 @@ def forall(
     Collapses nested quantifiers (merging contexts), drops binders that
     occur neither in the body nor in the context, and returns the body
     unchanged when no binder and no context survive.
+
+    The result remembers its free variables, so :func:`ftv` — and with
+    it a ``forall`` over a body containing this one — never walks it
+    again: quantifiers nested under constructors cost linear work.
     """
     context = tuple(context)
     if isinstance(body, Forall):
         binders = tuple(binders) + body.binders
         context = context + body.context
         body = body.body
-    free = ftv(body)
-    for predicate in context:
-        for argument in predicate.args:
-            free |= ftv(argument)
-    kept = []
-    seen: set[str] = set()
-    for name in binders:
-        if name in free and name not in seen:
-            kept.append(name)
-            seen.add(name)
+    free = ftv(Forall((), body, context) if context else body)
+    kept = tuple(dict.fromkeys(name for name in binders if name in free))
     if not kept and not context:
         return body
-    return Forall(tuple(kept), body, context)
+    result = Forall(kept, body, context)
+    bound = set(kept)
+    object.__setattr__(result, "_ftv", tuple(name for name in free if name not in bound))
+    return result
 
 
 def fun(*types: Type) -> Type:
@@ -479,6 +478,10 @@ def ftv(type_: Type) -> OrderedSet[str]:
                 key = (id(node), bound) if bound else id(node)
                 if key not in seen:
                     seen.add(key)
+                    summary = node.__dict__.get("_ftv")  # set by :func:`forall`
+                    if summary is not None:
+                        found.update((name, None) for name in summary if name not in bound)
+                        continue
                     inner = bound | frozenset(node.binders) if node.binders else bound
                     stack.append((_forall_children(node), inner))
                     break

@@ -45,7 +45,7 @@ class TestSystemOutcome:
         assert outcome.error == "BudgetExceededError"
 
     def test_internal_error_is_unavailable_and_crashed(self):
-        def broken(env, budget=None):
+        def broken(env, budget=None, policy=None):
             def infer(term):
                 raise InternalError(ValueError("boom"), phase="test")
 
@@ -58,7 +58,7 @@ class TestSystemOutcome:
         assert outcome.error == "InternalError"
 
     def test_raw_exception_is_contained_and_crashed(self):
-        def broken(env, budget=None):
+        def broken(env, budget=None, policy=None):
             def infer(term):
                 raise KeyError("no such thing")
 
@@ -81,7 +81,7 @@ class TestSystemOutcome:
 
 
 def _fake(name, exception):
-    def make(env, budget=None):
+    def make(env, budget=None, policy=None):
         def infer(term):
             raise exception
 

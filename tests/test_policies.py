@@ -194,19 +194,6 @@ class TestBackendPolicyAxis:
             rename_canonical(parse_type("forall a. a -> a")),
         )
 
-    def test_registry_runs_old_style_factories_without_policy(self):
-        from repro.baselines.registry import System
-
-        calls = []
-
-        def factory(env, budget):
-            calls.append((env, budget))
-            return lambda term: parse_type("Int")
-
-        system = System("Fake", "two-arg factory", factory)
-        outcome = system.run(parse_term("inc 0"), ENV)
-        assert outcome.accepted and calls
-
     def test_registry_passes_policy_keyword_when_requested(self):
         from repro.baselines.registry import SYSTEMS
 

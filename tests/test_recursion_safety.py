@@ -351,6 +351,10 @@ def arrow_spine(depth: int, leaf: str = "a") -> str:
     return f"{leaf} -> " * depth + leaf
 
 
+def nested_foralls(depth: int) -> str:
+    return "forall a. a -> " * depth + "Int"
+
+
 def cons_spine(depth: int) -> str:
     return "1 : " * depth + "nil"
 
@@ -374,6 +378,8 @@ DEEP_TERM_SOURCES = {
 DEEP_TYPE_SOURCES = {
     "list-type": (nested_list_types, lambda n: n + 1),
     "arrow": (arrow_spine, lambda n: 2 * n + 1),
+    # Parsed in linear time since ``forall`` stopped re-walking its body.
+    "nested-forall": (nested_foralls, lambda n: 3 * n + 1),
 }
 
 
@@ -400,14 +406,18 @@ class TestDeepSource:
         lines += [f"{name} =\n  {build(SOURCE_DEPTH)}" for name, (build, _) in
                   zip(("p", "c", "l", "e"), DEEP_TERM_SOURCES.values())]
         module = parse_module("\n".join(lines) + "\n")
-        assert module.names == ["t0", "t1", "p", "c", "l", "e"]
+        type_names = [f"t{index}" for index in range(len(DEEP_TYPE_SOURCES))]
+        assert module.names == type_names + ["p", "c", "l", "e"]
         sizes = [size(SOURCE_DEPTH) for _, size in DEEP_TERM_SOURCES.values()]
         assert [term_size(module.binding(name).term) for name in "pcle"] == sizes
-        signatures = [module.binding(name).signature for name in ("t0", "t1")]
+        signatures = [module.binding(name).signature for name in type_names]
         assert [type_size(type_) for type_ in signatures] == [
             size(SOURCE_DEPTH) for _, size in DEEP_TYPE_SOURCES.values()
         ]
-        assert [module.binding(name).line for name in "pcle"] == [5, 7, 9, 11]
+        first = 2 * len(type_names) + 1
+        assert [module.binding(name).line for name in "pcle"] == [
+            first, first + 2, first + 4, first + 6
+        ]
 
     def test_batch(self, tmp_path, capsys):
         typed = [

@@ -116,6 +116,28 @@ class TestFreeVariables:
         assert fuv(fun(alpha, list_of(alpha))) == {alpha}
         assert fuv(ID) == set()
 
+    @given(polytypes())
+    def test_forall_summaries_match_the_walk(self, type_):
+        # ``forall`` records each result's free variables and ``ftv``
+        # answers from that record; the order must be the walk's.
+        wrapped = fun(forall(["a", "c"], fun(type_, A), [Pred("Eq", (B,))]), type_, C)
+        wrapped = forall(["b"], wrapped)
+        for candidate in (type_, wrapped):
+            assert list(ftv(candidate)) == list(ftv(_unsummarised(candidate)))
+
+
+def _unsummarised(type_: Type) -> Type:
+    """The same type from the plain constructors, which record no free
+    variables, so ``ftv`` walks all of it."""
+    if isinstance(type_, TCon):
+        return TCon(type_.name, tuple(map(_unsummarised, type_.args)))
+    if isinstance(type_, Forall):
+        context = tuple(
+            Pred(p.class_name, tuple(map(_unsummarised, p.args))) for p in type_.context
+        )
+        return Forall(type_.binders, _unsummarised(type_.body), context)
+    return type_
+
 
 class TestSubstitution:
     def test_subst_tvar(self):
