@@ -15,56 +15,11 @@ for each backend with a policy axis.
 
 import sys
 
-from repro.core import Inferencer
-from repro.core.errors import GIError
-from repro.evalsuite.figure2 import FIGURE2, MEASURED_SYSTEMS, figure2_env, measured_matrix
-from repro.evalsuite.report import mark, mark_outcome, render_policy_matrix, render_table
+from repro.evalsuite.report import render_figure2
 
 
 def main(show_types: bool = False, show_policies: bool = False) -> None:
-    env = figure2_env()
-    measured = measured_matrix(env)
-
-    headers = (
-        ["id", "example"]
-        + [f"{name}*" for name in MEASURED_SYSTEMS]
-        + ["| GI", "MLF", "HMF", "FPH", "HML"]
-    )
-    rows = []
-    for ex in FIGURE2:
-        rows.append(
-            [ex.key, ex.source[:34]]
-            + [mark_outcome(measured[name][ex.key]) for name in MEASURED_SYSTEMS]
-            + ["| " + mark(ex.expected["GI"])]
-            + [mark(ex.expected[name]) for name in ("MLF", "HMF", "FPH", "HML")]
-        )
-    print(render_table(headers, rows,
-                       title="Figure 2 — measured (*) vs paper (right of |)"))
-
-    agreements = sum(
-        1 for ex in FIGURE2 if measured["GI"][ex.key].accepted == ex.expected["GI"]
-    )
-    print(f"\nGI agreement with the paper: {agreements}/{len(FIGURE2)}")
-
-    if show_types:
-        print("\nInferred types (GI):")
-        gi = Inferencer(env)
-        for ex in FIGURE2:
-            try:
-                inferred = str(gi.infer(ex.term).type_)
-            except GIError:
-                inferred = "(rejected)"
-            stated = ex.gi_type or ""
-            suffix = f"   [paper: {stated}]" if stated else ""
-            print(f"  {ex.key:4s} {ex.source[:32]:34s} : {inferred}{suffix}")
-
-    if show_policies:
-        from repro.baselines.registry import POLICY_SYSTEMS
-        from repro.evalsuite.policies import TC211, policy_matrix
-
-        print("\nInstantiation-policy grid — GHC tc211 corpus "
-              "(T6 flips under lazy, T7 under deep):\n")
-        print(render_policy_matrix(policy_matrix(env), TC211, POLICY_SYSTEMS))
+    print(render_figure2(show_types=show_types, show_policies=show_policies))
 
 
 if __name__ == "__main__":

@@ -976,11 +976,9 @@ def main(argv: list[str] | None = None) -> int:
     if arguments.command == "trace":
         return cmd_trace(arguments.file, arguments.explain, arguments.validate)
     if arguments.command == "figure2":
-        import runpy
-        from pathlib import Path
+        from repro.evalsuite.report import render_figure2
 
-        script = Path(__file__).resolve().parents[2] / "examples" / "figure2_table.py"
-        runpy.run_path(str(script), run_name="__main__")
+        print(render_figure2())
         return 0
     if arguments.command == "repl":
         return cmd_repl()

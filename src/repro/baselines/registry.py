@@ -49,9 +49,10 @@ class SystemOutcome:
     """The three-valued result of running a system on a term.
 
     ``UNAVAILABLE`` means the run established *nothing* about the term:
-    the budget ran out, the recursion limit tripped, or the backend
-    crashed (``crashed=True`` — an :class:`InternalError` or a foreign
-    exception).  Oracles must treat unavailable outcomes as vacuous.
+    the budget ran out, or the backend crashed (``crashed=True`` — an
+    :class:`InternalError` or any other exception, a ``RecursionError``
+    included: a recursion limit is a defect of the backend, not a verdict
+    on the term).  Oracles must treat unavailable outcomes as vacuous.
     """
 
     status: Outcome
@@ -71,6 +72,18 @@ class SystemOutcome:
     @property
     def available(self) -> bool:
         return self.status is not Outcome.UNAVAILABLE
+
+    @classmethod
+    def of_error(cls, error: Exception) -> "SystemOutcome":
+        """The one mapping from a failed run to a verdict: a budget
+        overrun is unavailable, any other :class:`GIError` a rejection,
+        and everything else a crash."""
+        name, detail = type(error).__name__, str(error)
+        if isinstance(error, BudgetExceededError):
+            return cls(Outcome.UNAVAILABLE, error=name, detail=detail)
+        if isinstance(error, GIError) and not isinstance(error, InternalError):
+            return cls(Outcome.REJECT, error=name, detail=detail)
+        return cls(Outcome.UNAVAILABLE, error=name, detail=detail, crashed=True)
 
 
 @dataclass(frozen=True)
@@ -100,34 +113,8 @@ class System:
         distinction differential oracles need."""
         try:
             type_ = self.make(env, budget, policy=policy)(term)
-        except BudgetExceededError as error:
-            return SystemOutcome(
-                Outcome.UNAVAILABLE,
-                error=type(error).__name__,
-                detail=str(error),
-            )
-        except InternalError as error:
-            return SystemOutcome(
-                Outcome.UNAVAILABLE,
-                error=type(error).__name__,
-                detail=str(error),
-                crashed=True,
-            )
-        except GIError as error:
-            return SystemOutcome(
-                Outcome.REJECT, error=type(error).__name__, detail=str(error)
-            )
-        except RecursionError as error:
-            return SystemOutcome(
-                Outcome.UNAVAILABLE, error="RecursionError", detail=str(error)
-            )
         except Exception as error:  # noqa: BLE001 — containment boundary
-            return SystemOutcome(
-                Outcome.UNAVAILABLE,
-                error=type(error).__name__,
-                detail=str(error),
-                crashed=True,
-            )
+            return SystemOutcome.of_error(error)
         return SystemOutcome(Outcome.ACCEPT, type_=type_)
 
     def accepts(self, term: Term, env: Environment) -> bool:

@@ -7,14 +7,13 @@ goal type against the Figure-2 prelude — and checks every one against
 the oracle battery (:mod:`repro.conformance.oracles`): never-crash,
 printer/parser round-trip, declarative-replay soundness, System F
 elaboration + erasure behaviour, HM agreement on the λ→ fragment,
-metamorphic stability under small program transformations, the
-instantiation-policy stability claims (let-inlining/extraction,
-redundant signatures and guarded eta-expansion are type-preserving
-exactly where "Seeking Stability by being Lazy and Shallow" promises —
-``--policy`` selects the grid point), and cross-backend differential
-agreement over the registered system matrix (``--systems`` restricts
-which backends take part).  Violations
-are greedily shrunk (:mod:`repro.conformance.shrink`) and persisted as
+metamorphic stability under small program transformations (eta,
+redundant signatures, let-floating, let-swapping and let-inlining/
+extraction are type-preserving exactly where "Seeking Stability by being
+Lazy and Shallow" promises for the grid point ``--policy`` selects), and
+cross-backend differential agreement over the registered system matrix
+(``--systems`` restricts which backends take part).  Violations are
+greedily shrunk (:mod:`repro.conformance.shrink`) and persisted as
 replayable ``.gi`` corpus files (:mod:`repro.conformance.corpus`) that
 ``repro batch`` and the regression suite both consume.
 
@@ -36,7 +35,7 @@ from repro.conformance.generator import (
     FuzzCase,
     TermGenerator,
 )
-from repro.conformance.metamorphic import TRANSFORMS, applicable_transforms
+from repro.conformance.metamorphic import TRANSFORMS
 from repro.conformance.oracles import (
     DEFAULT_ORACLES,
     ORACLES,
@@ -78,7 +77,6 @@ __all__ = [
     "TRANSFORMS",
     "TermGenerator",
     "Violation",
-    "applicable_transforms",
     "candidates",
     "counterexample_name",
     "load_corpus",

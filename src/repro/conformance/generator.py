@@ -53,8 +53,10 @@ from repro.core.types import (
     TVar,
     Type,
     alpha_equal,
+    arrow_parts,
     forall,
     fun,
+    is_arrow,
     is_fully_monomorphic,
     list_of,
     split_arrows,
@@ -204,7 +206,7 @@ class TermGenerator:
             return Ann(self._for_type(rng, goal.body, local, fuel), goal)
         productions = []
         if fuel > 0:
-            if _is_arrow(goal):
+            if is_arrow(goal):
                 productions.append(self._intro_lambda)
                 productions.append(self._intro_lambda)  # weight lambdas up
             productions.append(self._intro_app)
@@ -225,9 +227,9 @@ class TermGenerator:
     def _intro_lambda(
         self, rng: random.Random, goal: Type, local: dict[str, Type], fuel: int
     ) -> Term:
-        if not _is_arrow(goal):
+        if not is_arrow(goal):
             raise _Dead
-        domain, codomain = _arrow_parts(goal)
+        domain, codomain = arrow_parts(goal)
         name = self._fresh_var(local)
         inner = dict(local)
         inner[name] = domain
@@ -345,7 +347,7 @@ class TermGenerator:
         for name, arg_types in candidates:
             if not arg_types:
                 return Ann(Var(name), goal)
-        if _is_arrow(goal):
+        if is_arrow(goal):
             return self._intro_lambda(rng, goal, local, 1)
         if isinstance(goal, TCon) and goal.name == "(,)" and len(goal.args) == 2:
             return app(
@@ -378,7 +380,7 @@ class TermGenerator:
                 continue
             arg_types, _ = split_arrows(body)
             for k in range(min_args, min(len(arg_types), max_args) + 1):
-                remainder = _drop_arrows(body, k)
+                _, remainder = split_arrows(body, k)
                 mapping = _match(remainder, goal, frozenset(binders), mono_only)
                 if mapping is None:
                     continue
@@ -419,8 +421,8 @@ class TermGenerator:
             return not goal.context and self._inhabitable(
                 goal.body, local, depth - 1
             )
-        if _is_arrow(goal):
-            domain, codomain = _arrow_parts(goal)
+        if is_arrow(goal):
+            domain, codomain = arrow_parts(goal)
             binder = f"_inhab{depth}"
             return self._inhabitable(codomain, {**local, binder: domain}, depth - 1)
         if isinstance(goal, TCon):
@@ -497,21 +499,6 @@ class TermGenerator:
 # ---------------------------------------------------------------------
 # First-order matching of a rank-1 scheme body against a goal type.
 # ---------------------------------------------------------------------
-
-
-def _is_arrow(type_: Type) -> bool:
-    return isinstance(type_, TCon) and type_.name == "->" and len(type_.args) == 2
-
-
-def _arrow_parts(type_: Type) -> tuple[Type, Type]:
-    assert isinstance(type_, TCon)
-    return type_.args[0], type_.args[1]
-
-
-def _drop_arrows(type_: Type, count: int) -> Type:
-    for _ in range(count):
-        _, type_ = _arrow_parts(type_)
-    return type_
 
 
 def _match(

@@ -2,15 +2,19 @@
 must not change what GI infers.
 
 This is the property class "Seeking Stability by being Lazy and Shallow"
-argues for testing mechanically: inference should be *stable* under
-eta-expansion of an application head, adding the inferred type as a
-redundant annotation, let-floating an argument, and swapping independent
-let bindings.  Each transform takes the original term plus its
-:class:`~repro.core.infer.InferenceResult` and returns the transformed
-term, or ``None`` when its applicability guard fails (the guards encode
-exactly where the paper promises stability — e.g. eta-expansion is only
+(Bottu & Eisenberg, Haskell 2021) argues for testing mechanically:
+inference should be *stable* under eta-expansion of an application head,
+adding the inferred type as a redundant annotation, let-floating an
+argument, swapping independent let bindings, and inlining or extracting a
+``let`` of a variable.  Each transform takes the original term, its
+:class:`~repro.core.infer.InferenceResult`, the active
+:class:`~repro.core.policy.InstantiationPolicy` and the environment, and
+returns the transformed term, or ``None`` when its applicability guard
+fails.  The guards encode exactly where each point of the eager/lazy ×
+deep/shallow grid promises stability — e.g. eta-expansion is only
 type-preserving when the function's domain is fully monomorphic, because
-an unannotated lambda binder is monomorphic by the Lambda Rule).
+an unannotated lambda binder is monomorphic by the Lambda Rule, and
+let-inlining only under lazy instantiation.
 
 The fuzzer's ``metamorphic`` oracle asserts that every applicable
 transform preserves typeability and the inferred type up to
@@ -19,7 +23,6 @@ alpha-equivalence.
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Optional
 
 from repro.core.env import Environment
@@ -40,26 +43,31 @@ from repro.core.terms import (
 )
 from repro.core.types import Forall, is_fully_monomorphic, split_arrows
 
-Transform = Callable[[Term, InferenceResult], Optional[Term]]
+Transform = Callable[
+    [Term, InferenceResult, InstantiationPolicy, Environment], Optional[Term]
+]
 
 
-def eta_expand(term: Term, result: InferenceResult) -> Term | None:
-    """``e`` at ``τ1 → τ2``  ⇒  ``\\v. e v``  (fresh ``v``).
+def eta_expand(
+    term: Term, result: InferenceResult, policy: InstantiationPolicy, env: Environment
+) -> Term | None:
+    """``e`` at ``σ1 → σ2``  ⇒  ``\\v. e v``  (fresh ``v``).
 
     Guard: the principal type must be an unquantified arrow with a fully
     monomorphic domain (the fresh binder is a plain ``Lam``, and the
-    Lambda Rule makes unannotated binders monomorphic), the result
-    context must be empty so the type is the whole story, and no
-    quantifier may hide to the right of an arrow — under *shallow*
-    instantiation ``e : Int → ∀a. a → a`` keeps its nested quantifier
-    where ``\\v. e v`` instantiates it and re-generalises to the prenex
-    ``∀a. Int → a → a`` (the stability paper's motivating instability;
-    the deep policies restore eta through ``stability:eta``).
+    Lambda Rule makes unannotated binders monomorphic), and the result
+    context must be empty so the type is the whole story.  Under a
+    **deep** policy nested quantifiers are hoisted to a prenex on both
+    sides, so that is all.  Under a **shallow** policy no quantifier may
+    hide to the right of an arrow: ``e : Int → ∀a. a → a`` keeps its
+    nested quantifier where ``\\v. e v`` instantiates it and
+    re-generalises to the prenex ``∀a. Int → a → a`` (the stability
+    paper's motivating instability).
     """
     type_ = result.type_
     if isinstance(type_, Forall) or getattr(result, "context", ()):
         return None
-    if has_nested_forall(type_):
+    if not policy.deep and has_nested_forall(type_):
         return None
     domains, _ = split_arrows(type_)
     if not domains or not is_fully_monomorphic(domains[0]):
@@ -68,23 +76,33 @@ def eta_expand(term: Term, result: InferenceResult) -> Term | None:
     return Lam(fresh, app(term, Var(fresh)))
 
 
-def annotate_inferred(term: Term, result: InferenceResult) -> Term | None:
-    """``e`` at ``σ``  ⇒  ``(e :: σ)``.
+def annotate_inferred(
+    term: Term, result: InferenceResult, policy: InstantiationPolicy, env: Environment
+) -> Term | None:
+    """``e`` at ``σ``  ⇒  ``(e :: σ)`` — redundant-signature insertion.
 
     Checking a term against its own principal type must succeed — this is
     the inferred type being *realisable* as an annotation (and exercises
-    the checking direction of every syntax node the term contains).
-    Guard: empty residual context, and skip terms already annotated at
-    the top (the transform would be the identity).
+    the checking direction of every syntax node the term contains), the
+    stability paper's §4.4 claim.  Guard: empty residual context, and skip
+    terms already annotated at the top (the transform would be the
+    identity).  Under **deep** policies a signature containing a nested
+    ``forall`` is rewritten by deep instantiation at the check site (the
+    GHC ≤8.10 deep-subsumption instability the paper opens with), so those
+    signatures are excluded rather than asserted.
     """
     if getattr(result, "context", ()):
+        return None
+    if policy.deep and has_nested_forall(result.type_):
         return None
     if isinstance(term, Ann) and term.annotation == result.type_:
         return None
     return Ann(term, result.type_)
 
 
-def let_float_argument(term: Term, result: InferenceResult) -> Term | None:
+def let_float_argument(
+    term: Term, result: InferenceResult, policy: InstantiationPolicy, env: Environment
+) -> Term | None:
     """``f e1 … en``  ⇒  ``let v = ei in f e1 … v … en``.
 
     Floating an argument into a ``let`` must preserve the result because
@@ -120,7 +138,9 @@ def let_float_argument(term: Term, result: InferenceResult) -> Term | None:
     return None
 
 
-def let_swap(term: Term, result: InferenceResult) -> Term | None:
+def let_swap(
+    term: Term, result: InferenceResult, policy: InstantiationPolicy, env: Environment
+) -> Term | None:
     """``let x = e1 in let y = e2 in e``  ⇒  swap the two bindings.
 
     Guard: the bindings must be independent — ``x`` not free in ``e2``,
@@ -139,51 +159,7 @@ def let_swap(term: Term, result: InferenceResult) -> Term | None:
     return Let(inner.var, inner.bound, Let(outer.var, outer.bound, inner.body))
 
 
-#: Battery order is deterministic; the fuzzer applies every transform
-#: whose guard passes.
-TRANSFORMS: tuple[tuple[str, Transform], ...] = (
-    ("eta", eta_expand),
-    ("annotate", annotate_inferred),
-    ("let-float", let_float_argument),
-    ("let-swap", let_swap),
-)
-
-
-def applicable_transforms(
-    term: Term, result: InferenceResult
-) -> list[tuple[str, Term]]:
-    """Every (name, transformed term) pair whose guard passes — the unit
-    the ``metamorphic`` oracle and its tests iterate over."""
-    out = []
-    for name, transform in TRANSFORMS:
-        transformed = transform(term, result)
-        if transformed is not None:
-            out.append((name, transformed))
-    return out
-
-
-def _fresh_name(term: Term, prefix: str = "mv") -> str:
-    used = free_vars(term)
-    for node in walk_terms(term):
-        for names in term_binders(node):
-            used.update(names)
-    index = 1
-    while f"{prefix}{index}" in used:
-        index += 1
-    return f"{prefix}{index}"
-
-
-# ---------------------------------------------------------------------
-# Stability transforms — the policy-conditional claims of "Seeking
-# Stability by being Lazy and Shallow" (Bottu & Eisenberg, Haskell
-# 2021).  Unlike :data:`TRANSFORMS`, whose guards encode where *this
-# paper's* system (eager-shallow) promises stability, these encode where
-# each point of the eager/lazy × deep/shallow grid does, so the battery
-# depends on the active :class:`~repro.core.policy.InstantiationPolicy`.
-# ---------------------------------------------------------------------
-
-
-def stability_let_inline(
+def let_inline(
     term: Term, result: InferenceResult, policy: InstantiationPolicy, env: Environment
 ) -> Term | None:
     """``let x = y in e``  ⇒  ``e[x := y]`` — the stability paper's
@@ -210,14 +186,14 @@ def stability_let_inline(
     return subst_term(term.body, term.var, Var(alias))
 
 
-def stability_let_extract(
+def let_extract(
     term: Term, result: InferenceResult, policy: InstantiationPolicy, env: Environment
 ) -> Term | None:
     """``e``  ⇒  ``let v = y in e[y := v]`` for an environment variable
     ``y`` free in ``e`` — let-extraction, the inverse of inlining.
 
-    The same lazy-only claim as :func:`stability_let_inline`, applied in
-    the direction that fires on almost every generated term (any free
+    The same lazy-only claim as :func:`let_inline`, applied in the
+    direction that fires on almost every generated term (any free
     environment variable will do), which is what gives the oracle its
     fuzz coverage.  The first free variable in sorted order keeps the
     transform deterministic.
@@ -232,67 +208,24 @@ def stability_let_extract(
     return Let(fresh, Var(alias), subst_term(term, alias, Var(fresh)))
 
 
-def stability_signature(
-    term: Term, result: InferenceResult, policy: InstantiationPolicy, env: Environment
-) -> Term | None:
-    """``e`` at ``σ``  ⇒  ``(e :: σ)`` — redundant-signature insertion.
-
-    The stability paper's §4.4 claim: a program must keep its type when
-    its inferred signature is written down.  Under shallow policies the
-    claim holds across the grid (the annotation is checked under the
-    same policy that inferred it).  Under *deep* policies a signature
-    containing a nested ``forall`` is rewritten by deep instantiation at
-    the check site (the GHC ≤8.10 deep-subsumption instability the paper
-    opens with), so those signatures are excluded rather than asserted.
-    """
-    if policy.deep and has_nested_forall(result.type_):
-        return None
-    return annotate_inferred(term, result)
-
-
-def stability_eta(
-    term: Term, result: InferenceResult, policy: InstantiationPolicy, env: Environment
-) -> Term | None:
-    """``e`` at ``σ1 → σ2``  ⇒  ``\\v. e v`` — eta-expansion, with the
-    policy-dependent guard the stability paper derives.
-
-    Under a **deep** policy nested quantifiers are hoisted to a prenex on
-    both sides, so eta is type-preserving whenever the domain is
-    monomorphic.  Under a **shallow** policy the claim additionally
-    requires the codomain to be ∀-free: ``e : Int → ∀a. a → a`` is
-    stable but ``\\v. e v`` re-generalises to ``∀a. Int → a → a``.
-    """
-    type_ = result.type_
-    if isinstance(type_, Forall) or getattr(result, "context", ()):
-        return None
-    if not policy.deep and has_nested_forall(type_):
-        return None
-    domains, _ = split_arrows(type_)
-    if not domains or not is_fully_monomorphic(domains[0]):
-        return None
-    fresh = _fresh_name(term)
-    return Lam(fresh, app(term, Var(fresh)))
-
-
-#: The stability battery, in deterministic order.
-STABILITY_TRANSFORMS: tuple[tuple[str, Callable], ...] = (
-    ("let-inline", stability_let_inline),
-    ("let-extract", stability_let_extract),
-    ("signature", stability_signature),
-    ("eta", stability_eta),
+#: The battery, in deterministic order; the fuzzer applies every
+#: transform whose guard passes.
+TRANSFORMS: tuple[tuple[str, Transform], ...] = (
+    ("eta", eta_expand),
+    ("annotate", annotate_inferred),
+    ("let-float", let_float_argument),
+    ("let-swap", let_swap),
+    ("let-inline", let_inline),
+    ("let-extract", let_extract),
 )
 
 
-def stability_transforms(
-    policy: InstantiationPolicy, env: Environment
-) -> tuple[tuple[str, Transform], ...]:
-    """The stability transforms specialised to one policy and
-    environment, in the plain ``(term, result) -> term | None`` shape
-    the oracles iterate over."""
-    return tuple(
-        (
-            name,
-            lambda term, result, _t=transform: _t(term, result, policy, env),
-        )
-        for name, transform in STABILITY_TRANSFORMS
-    )
+def _fresh_name(term: Term, prefix: str = "mv") -> str:
+    used = free_vars(term)
+    for node in walk_terms(term):
+        for names in term_binders(node):
+            used.update(names)
+    index = 1
+    while f"{prefix}{index}" in used:
+        index += 1
+    return f"{prefix}{index}"

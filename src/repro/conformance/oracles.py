@@ -22,35 +22,41 @@ them:
                  source term (elaboration preserves behaviour).
 ``hm``           the HM baseline accepts ⇒ GI accepts with an
                  α-equivalent principal type (Theorem 3.1).
-``metamorphic``  the applicable type-preserving transforms of
-                 :mod:`repro.conformance.metamorphic` preserve
-                 typeability and the inferred type.
+``metamorphic``  every transform of
+                 :data:`repro.conformance.metamorphic.TRANSFORMS` whose
+                 guard passes under the active policy (η, self-annotation,
+                 let-floating, let-swapping, and under lazy policies
+                 let-inlining and let-extraction) preserves typeability
+                 and the inferred type — the stability claims of
+                 "Seeking Stability by being Lazy and Shallow".
 ``differential`` cross-backend agreement over the whole system matrix,
                  phrased as the pairwise implications in
                  :data:`PAIRWISE_IMPLICATIONS` (HM accepts ⇒ every
                  generalising backend accepts at the same type; RankN
                  accepts ⇒ Quick Look accepts at the same type; GI
                  accepts ⇒ Quick Look accepts), plus crash containment
-                 for every backend.  Unavailable outcomes (budget,
-                 recursion depth) are vacuous, never disagreements.
+                 for every backend (a ``RecursionError`` is a crash).
+                 A budget overrun is vacuous, never a disagreement.
 ==============  =====================================================
 
-One inference run is shared by all oracles through
+One inference run per system is shared by all oracles through
 :class:`OracleContext` (results are cached per term), so the battery
-costs roughly one ``infer`` plus the cheap replays.
+costs roughly one ``infer`` per system plus the cheap replays.  Every
+verdict goes through :meth:`SystemOutcome.of_error
+<repro.baselines.registry.SystemOutcome.of_error>`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.baselines.hm import HMInferencer
 from repro.baselines.registry import SYSTEMS, Outcome, SystemOutcome
+from repro.conformance.metamorphic import TRANSFORMS
 from repro.core.declarative import verify_inference
 from repro.core.env import Environment
-from repro.core.errors import BudgetExceededError, GIError, InternalError
+from repro.core.errors import GIError, InternalError
 from repro.core.infer import InferenceResult, Inferencer, InferOptions
-from repro.core.policy import DEFAULT_POLICY, InstantiationPolicy, has_nested_forall
+from repro.core.policy import DEFAULT_POLICY, InstantiationPolicy
 from repro.core.terms import Ann, AnnLam, Term, walk_terms
 from repro.core.types import alpha_equal, rename_canonical
 from repro.interp import evaluate, prelude_env
@@ -127,25 +133,8 @@ class OracleContext:
             result, error = self.outcome(term)
             if result is not None:
                 outcome = SystemOutcome(Outcome.ACCEPT, type_=result.type_)
-            elif isinstance(error, InternalError):
-                outcome = SystemOutcome(
-                    Outcome.UNAVAILABLE,
-                    error=type(error).__name__,
-                    detail=str(error),
-                    crashed=True,
-                )
-            elif isinstance(error, BudgetExceededError):
-                outcome = SystemOutcome(
-                    Outcome.UNAVAILABLE,
-                    error=type(error).__name__,
-                    detail=str(error),
-                )
             else:
-                outcome = SystemOutcome(
-                    Outcome.REJECT,
-                    error=type(error).__name__,
-                    detail=str(error),
-                )
+                outcome = SystemOutcome.of_error(error)
         else:
             outcome = SYSTEMS[name].run(
                 term, self.env, budget=self.budget, policy=self._backend_policy
@@ -273,49 +262,37 @@ def oracle_hm(ctx: OracleContext, term: Term) -> Violation | None:
         # annotated terms HM instantiates the annotation where GI keeps
         # (and scopes) its σ, so the types legitimately diverge.
         return None
-    try:
-        hm_type = HMInferencer(ctx.env).infer(term)
-    except GIError:
-        return None  # outside the λ→/HM fragment, or HM-untypeable
-    except RecursionError:
-        return None  # the baseline has no budget; deep terms are its limit
-    result, error = ctx.outcome(term)
-    if result is None:
-        if isinstance(error, (BudgetExceededError, InternalError)):
-            # GI established nothing about the term (the crash oracle
-            # already reports internal errors); a budget blowup is not
-            # a rejection and must not read as a disagreement.
-            return None
+    hm = ctx.system_outcome("HM", term)
+    if not hm.accepted:
+        return None  # outside the λ→/HM fragment, HM-untypeable, or unavailable
+    gi = ctx.system_outcome("GI", term)
+    if not gi.available:
+        # GI established nothing about the term (the crash oracle
+        # already reports internal errors); a budget blowup is not a
+        # rejection and must not read as a disagreement.
+        return None
+    if gi.rejected:
         return Violation(
             "hm",
-            f"HM accepts with `{hm_type}` but GI rejects: {error} "
+            f"HM accepts with `{hm.type_}` but GI rejects: {gi.detail} "
             f"(Theorem 3.1 violated)",
-            type(error).__name__ if error is not None else None,
+            gi.error,
         )
-    if not alpha_equal(rename_canonical(hm_type), result.type_):
+    if not alpha_equal(rename_canonical(hm.type_), gi.type_):
         return Violation(
             "hm",
-            f"HM infers `{rename_canonical(hm_type)}` but GI infers "
-            f"`{result.type_}` (Theorem 3.1 violated)",
+            f"HM infers `{rename_canonical(hm.type_)}` but GI infers "
+            f"`{gi.type_}` (Theorem 3.1 violated)",
         )
     return None
 
 
 def oracle_metamorphic(ctx: OracleContext, term: Term) -> Violation | None:
-    from repro.conformance.metamorphic import TRANSFORMS
-
     result, _error = ctx.outcome(term)
     if result is None:
         return None
-    # Under deep policies a nested-forall signature is rewritten by deep
-    # instantiation at the check site, so re-annotation is genuinely not
-    # type-preserving there (the deep-subsumption instability); the
-    # stability oracle owns that story — skip the legacy transform.
-    skip_annotate = ctx.policy.deep and has_nested_forall(result.type_)
     for name, transform in TRANSFORMS:
-        if name == "annotate" and skip_annotate:
-            continue
-        transformed = transform(term, result)
+        transformed = transform(term, result, ctx.policy, ctx.env)
         if transformed is None:
             continue
         new_result, new_error = ctx.outcome(transformed)
@@ -324,49 +301,13 @@ def oracle_metamorphic(ctx: OracleContext, term: Term) -> Violation | None:
                 f"metamorphic:{name}",
                 f"transform `{name}` loses typeability: `{transformed}` "
                 f"rejected with: {new_error}",
-                type(new_error).__name__ if new_error is not None else None,
+                type(new_error).__name__,
             )
         if not alpha_equal(new_result.type_, result.type_):
             return Violation(
                 f"metamorphic:{name}",
                 f"transform `{name}` changes the type: `{result.type_}` "
                 f"becomes `{new_result.type_}` on `{transformed}`",
-            )
-    return None
-
-
-def oracle_stability(ctx: OracleContext, term: Term) -> Violation | None:
-    """The stability-paper claims, as metamorphic checks conditioned on
-    the active instantiation policy: let-inlining/extraction of a
-    variable is type-preserving under lazy policies, redundant-signature
-    insertion under every policy, and eta-expansion under the guard each
-    depth admits (see :mod:`repro.conformance.metamorphic`)."""
-    from repro.conformance.metamorphic import stability_transforms
-
-    result, _error = ctx.outcome(term)
-    if result is None:
-        return None
-    for name, transform in stability_transforms(ctx.policy, ctx.env):
-        transformed = transform(term, result)
-        if transformed is None:
-            continue
-        new_result, new_error = ctx.outcome(transformed)
-        if new_result is None:
-            if isinstance(new_error, (BudgetExceededError, InternalError)):
-                # Nothing established (crash is the crash oracle's job).
-                continue
-            return Violation(
-                f"stability:{name}",
-                f"under policy `{ctx.policy}` transform `{name}` loses "
-                f"typeability: `{transformed}` rejected with: {new_error}",
-                type(new_error).__name__ if new_error is not None else None,
-            )
-        if not alpha_equal(new_result.type_, result.type_):
-            return Violation(
-                f"stability:{name}",
-                f"under policy `{ctx.policy}` transform `{name}` changes "
-                f"the type: `{result.type_}` becomes `{new_result.type_}` "
-                f"on `{transformed}`",
             )
     return None
 
@@ -478,7 +419,6 @@ ORACLES: dict[str, object] = {
     "systemf": oracle_systemf,
     "hm": oracle_hm,
     "metamorphic": oracle_metamorphic,
-    "stability": oracle_stability,
     "differential": oracle_differential,
 }
 

@@ -33,6 +33,7 @@ from repro.conformance.oracles import (
     ORACLES,
     OracleContext,
     Violation,
+    run_battery,
 )
 from repro.conformance.shrink import DEFAULT_MAX_CHECKS, shrink
 from repro.core.env import Environment
@@ -174,11 +175,7 @@ def run_fuzz(
             options=config.infer_options(),
             systems=config.systems,
         )
-        violation = None
-        for name in config.oracles:
-            violation = ORACLES[name](ctx, case.term)
-            if violation is not None:
-                break
+        violation = run_battery(ctx, case.term, config.oracles)
         result, _error = ctx.outcome(case.term)
         return violation, result is not None
 

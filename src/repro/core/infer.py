@@ -58,7 +58,6 @@ class InferOptions:
 
     ``use_vargen`` / ``nary_apps`` switch off rule VarGen and n-ary
     applications for the ablation (``results/ablation.txt``);
-    ``generalize`` controls whether residual variables are quantified;
     ``defaulting=False`` makes the solver fail deterministically with
     :class:`StuckConstraintError` on underdetermined programs instead of
     defaulting the blocked variables (Section 4.3.2); ``policy`` selects
@@ -69,7 +68,6 @@ class InferOptions:
 
     use_vargen: bool = True
     nary_apps: bool = True
-    generalize: bool = True
     defaulting: bool = True
     policy: InstantiationPolicy = DEFAULT_POLICY
 
@@ -82,8 +80,8 @@ class InferenceResult:
     """The principal type (generalised, canonically renamed)."""
 
     raw_type: Type
-    """The zonked solver type before generalisation (may contain residual
-    unification variables if ``generalize=False``)."""
+    """The zonked solver type before generalisation: its unification
+    variables are the ones generalisation quantified."""
 
     term: Term
     constraints: list[Constraint]
@@ -207,27 +205,21 @@ class Inferencer:
                             )
                         )
 
-                    if not self.options.generalize:
-                        evidence.zonk(solver.unifier.zonk)
-                        result = InferenceResult(
-                            zonked, zonked, term, list(constraints), evidence, solver
-                        )
-                    else:
-                        principal, context, binders = self._generalize(
-                            zonked, residual_preds, solver
-                        )
-                        self._ground_evidence(evidence, solver)
-                        evidence.zonk(solver.unifier.zonk)
-                        result = InferenceResult(
-                            rename_canonical(principal),
-                            zonked,
-                            term,
-                            list(constraints),
-                            evidence,
-                            solver,
-                            context,
-                            binders,
-                        )
+                    principal, context, binders = self._generalize(
+                        zonked, residual_preds, solver
+                    )
+                    self._ground_evidence(evidence, solver)
+                    evidence.zonk(solver.unifier.zonk)
+                    result = InferenceResult(
+                        rename_canonical(principal),
+                        zonked,
+                        term,
+                        list(constraints),
+                        evidence,
+                        solver,
+                        context,
+                        binders,
+                    )
                 if tracing:
                     self.tracer.event(
                         "infer.result",

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.core.errors import GIError
+from repro.core.infer import Inferencer
+from repro.evalsuite.figure2 import FIGURE2, MEASURED_SYSTEMS, figure2_env, measured_matrix
+
 CHECK = "✓"
 CROSS = "No"
 UNAVAIL = "?"
@@ -65,4 +69,54 @@ def render_table(
     lines.append("  ".join("-" * width for width in widths))
     for row in normalized:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
+    return "\n".join(lines)
+
+
+def render_figure2(show_types: bool = False, show_policies: bool = False) -> str:
+    """Figure 2 of the paper: the measured columns (marked *) from the
+    systems implemented here beside the paper's reference data, then GI's
+    agreement count.  ``show_types`` adds the type GI infers for each
+    example against the type the paper states; ``show_policies`` appends
+    the tc211 instantiation-policy grid for the policy-axis backends."""
+    env = figure2_env()
+    measured = measured_matrix(env)
+    headers = (
+        ["id", "example"]
+        + [f"{name}*" for name in MEASURED_SYSTEMS]
+        + ["| GI", "MLF", "HMF", "FPH", "HML"]
+    )
+    rows = [
+        [ex.key, ex.source[:34]]
+        + [mark_outcome(measured[name][ex.key]) for name in MEASURED_SYSTEMS]
+        + ["| " + mark(ex.expected["GI"])]
+        + [mark(ex.expected[name]) for name in ("MLF", "HMF", "FPH", "HML")]
+        for ex in FIGURE2
+    ]
+    agreements = sum(
+        1 for ex in FIGURE2 if measured["GI"][ex.key].accepted == ex.expected["GI"]
+    )
+    lines = [
+        render_table(headers, rows, title="Figure 2 — measured (*) vs paper (right of |)"),
+        f"\nGI agreement with the paper: {agreements}/{len(FIGURE2)}",
+    ]
+    if show_types:
+        lines.append("\nInferred types (GI):")
+        gi = Inferencer(env)
+        for ex in FIGURE2:
+            try:
+                inferred = str(gi.infer(ex.term).type_)
+            except GIError:
+                inferred = "(rejected)"
+            stated = ex.gi_type or ""
+            suffix = f"   [paper: {stated}]" if stated else ""
+            lines.append(f"  {ex.key:4s} {ex.source[:32]:34s} : {inferred}{suffix}")
+    if show_policies:
+        from repro.baselines.registry import POLICY_SYSTEMS
+        from repro.evalsuite.policies import TC211, policy_matrix
+
+        lines.append(
+            "\nInstantiation-policy grid — GHC tc211 corpus "
+            "(T6 flips under lazy, T7 under deep):\n"
+        )
+        lines.append(render_policy_matrix(policy_matrix(env), TC211, POLICY_SYSTEMS))
     return "\n".join(lines)

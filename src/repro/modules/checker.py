@@ -29,14 +29,14 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.core.env import Environment
-from repro.core.errors import CyclicBindingError, GIError, InternalError
+from repro.core.errors import CyclicBindingError, GIError
 from repro.core.infer import Inferencer, InferOptions
 from repro.core.solver import InstanceEnv
 from repro.core.terms import Ann
 from repro.core.types import Type
 from repro.modules.graph import BindingGroup
 from repro.modules.parser import Binding
-from repro.robustness.batch import SEVERITY_ERROR, SEVERITY_INTERNAL, Diagnostic
+from repro.robustness.batch import Diagnostic
 from repro.robustness.budget import Budget
 
 
@@ -56,19 +56,6 @@ class GroupOutcome:
     @property
     def ok(self) -> bool:
         return not self.diagnostics
-
-
-def _diagnose(error: GIError, index: int, name: str) -> Diagnostic:
-    severity = SEVERITY_INTERNAL if isinstance(error, InternalError) else SEVERITY_ERROR
-    return Diagnostic(
-        severity=severity,
-        index=index,
-        error_class=type(error).__name__,
-        message=str(error),
-        phase=getattr(error, "phase", None),
-        binding=name,
-        traceback=getattr(error, "snapshot", {}).get("traceback"),
-    )
 
 
 def check_group(
@@ -109,7 +96,7 @@ def check_group(
             if missing:
                 error = CyclicBindingError(group.names, missing)
                 for binding in group.bindings:
-                    outcome.diagnostics[binding.name] = _diagnose(
+                    outcome.diagnostics[binding.name] = Diagnostic.from_error(
                         error, indices[binding.name], binding.name
                     )
                 outcome.seconds = time.perf_counter() - started
@@ -147,6 +134,6 @@ def _check_one(
         else:
             outcome.types[binding.name] = inferencer.infer(binding.term).type_
     except GIError as error:
-        outcome.diagnostics[binding.name] = _diagnose(
+        outcome.diagnostics[binding.name] = Diagnostic.from_error(
             error, indices[binding.name], binding.name
         )

@@ -80,6 +80,27 @@ class Diagnostic:
     """For ``--seed`` fault-injection sweeps: the sweep seed that
     produced this run's fault plan, for exact reproduction."""
 
+    @classmethod
+    def from_error(
+        cls,
+        error: GIError,
+        index: int,
+        binding: str | None = None,
+        seed: int | None = None,
+    ) -> "Diagnostic":
+        """The diagnostic for one failed item: a contained
+        :class:`InternalError` is ``internal``, any other error ``error``."""
+        return cls(
+            severity=SEVERITY_INTERNAL if isinstance(error, InternalError) else SEVERITY_ERROR,
+            index=index,
+            error_class=type(error).__name__,
+            message=str(error),
+            phase=getattr(error, "phase", None),
+            binding=binding,
+            traceback=getattr(error, "snapshot", {}).get("traceback"),
+            seed=seed,
+        )
+
     def to_dict(self) -> dict:
         return {
             "severity": self.severity,
@@ -254,17 +275,7 @@ def _check_one(
         item.type_ = str(result.type_)
         item.solver_steps = result.solver.steps
     except GIError as error:
-        severity = SEVERITY_INTERNAL if isinstance(error, InternalError) else SEVERITY_ERROR
-        phase = getattr(error, "phase", None)
-        item.diagnostic = Diagnostic(
-            severity=severity,
-            index=index,
-            error_class=type(error).__name__,
-            message=str(error),
-            phase=phase,
-            traceback=getattr(error, "snapshot", {}).get("traceback"),
-            seed=seed,
-        )
+        item.diagnostic = Diagnostic.from_error(error, index, seed=seed)
     return item
 
 
@@ -279,7 +290,7 @@ def _parse_contained(source: str):
         return parse_term(source)
     except GIError:
         raise
-    except (RecursionError, Exception) as error:  # noqa: BLE001 — containment
+    except Exception as error:  # noqa: BLE001 — containment
         raise InternalError(error, phase="parse") from error
 
 

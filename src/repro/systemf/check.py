@@ -20,11 +20,11 @@ from repro.core.types import (
     TCon,
     TVar,
     Type,
-    UVar,
     alpha_equal,
     arrow_parts,
     forall,
     ftv,
+    fuv,
     is_arrow,
     strip_forall,
     subst_tvars,
@@ -48,7 +48,6 @@ class FChecker:
 
     def __init__(self, env: Environment) -> None:
         self.env = env
-        self._skolem_counter = 0
 
     def typecheck(self, term: FTerm) -> Type:
         """The type of a System F term; raises :class:`SystemFTypeError`."""
@@ -194,23 +193,11 @@ def _literal_type(value: object) -> Type:
 
 
 def _ensure_closed(type_: Type) -> None:
-    for node in _walk(type_):
-        if isinstance(node, UVar):
-            raise SystemFTypeError(
-                f"unification variable `{node}` leaked into a System F type"
-            )
-
-
-def _walk(type_: Type):
-    yield type_
-    if isinstance(type_, TCon):
-        for argument in type_.args:
-            yield from _walk(argument)
-    elif isinstance(type_, Forall):
-        yield from _walk(type_.body)
-        for predicate in type_.context:
-            for argument in predicate.args:
-                yield from _walk(argument)
+    leaked = next(iter(fuv(type_)), None)
+    if leaked is not None:
+        raise SystemFTypeError(
+            f"unification variable `{leaked}` leaked into a System F type"
+        )
 
 
 def typecheck(term: FTerm, env: Environment) -> Type:

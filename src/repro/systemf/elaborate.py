@@ -177,17 +177,8 @@ class Elaborator:
 def elaborate_result(result: InferenceResult) -> FTerm:
     """Elaborate an inference result into System F.
 
-    The result must come from a run with ``generalize=True`` (the default):
-    generalisation replaces residual unification variables by quantified
-    type variables, which become the top-level ``Λ`` binders here.
+    Generalisation replaced every residual unification variable by a
+    quantified type variable; those become the top-level ``Λ`` binders.
     """
-    from repro.core.types import fuv
-
-    raw = result.solver.unifier.zonk(result.raw_type)
-    if fuv(raw):
-        raise ElaborationError(
-            "cannot elaborate an under-generalised result (run inference "
-            "with generalize=True)"
-        )
     body = Elaborator(result.evidence).elaborate(result.term)
     return ftylam(result.generalized_binders, body)

@@ -133,6 +133,21 @@ def test_backend_outcomes_match_golden():
     assert not changed, {key: (expected[key], actual[key]) for key in changed[:5]}
 
 
+#: ``digest(42, 500)`` as recorded in EXPERIMENTS.md §19.
+DIGEST_42_500 = "542d28b840b296c04145d456c04c1a3cb2400c3b8e5809d149a76e2cab75fd51"
+
+
+def test_digest_of_seed_42_matches_the_recorded_value():
+    """Every baseline outcome on the first 500 cases of fuzz seed 42 is
+    unchanged.  After an *intended* backend change, regenerate with::
+
+        PYTHONPATH=src python tests/test_backend_golden.py --digest 42 500
+
+    then update :data:`DIGEST_42_500` and EXPERIMENTS.md §19 together and
+    name the change in CHANGES.md."""
+    assert digest(42, 500) == DIGEST_42_500
+
+
 def test_walk_rows_reach_every_shared_rule():
     kinds = {node.__class__ for _, source in WALK for node in walk_terms(parse_term(source))}
     assert {Case, Let, AnnLam} <= kinds

@@ -67,6 +67,16 @@ class TestSystemOutcome:
         outcome = System("Broken", "raw crash", broken).run(parse_term("inc 1"), ENV)
         assert outcome.crashed and not outcome.available
 
+    def test_recursion_limit_is_a_crash(self):
+        # A backend that overflows Python's stack has a defect; reading it
+        # as a mere budget overrun would hide it from the crash oracles.
+        outcome = _fake("Deep", RecursionError("maximum recursion depth exceeded")).run(
+            parse_term("inc 1"), ENV
+        )
+        assert outcome.status is Outcome.UNAVAILABLE
+        assert outcome.crashed
+        assert outcome.error == "RecursionError"
+
     def test_backcompat_infer_and_accepts(self):
         term = parse_term("head ids")
         assert str(SYSTEMS["GI"].infer(term, ENV)) == "forall a. a -> a"

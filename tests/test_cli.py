@@ -1,7 +1,14 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 import repro.__main__
 from repro.__main__ import main
 from repro.core import Inferencer
@@ -42,6 +49,27 @@ class TestCLI:
         assert main(["figure2"]) == 0
         output = capsys.readouterr().out
         assert "A1" in output and "32/32" in output
+
+    def test_figure2_outside_a_source_checkout(self, tmp_path):
+        # An installed package has no `examples/` beside it: the command
+        # must not reach outside the package for the table.
+        shutil.copytree(
+            Path(repro.__file__).parent,
+            tmp_path / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        environment = {**os.environ, "PYTHONPATH": str(tmp_path)}
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "figure2"],
+            cwd=tmp_path,
+            env=environment,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "Figure 2 — measured (*) vs paper (right of |)" in completed.stdout
+        assert "Traceback" not in completed.stderr
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit):

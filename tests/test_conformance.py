@@ -13,8 +13,8 @@ from repro.conformance import (
     MODE_WELL_TYPED,
     FuzzConfig,
     OracleContext,
+    TRANSFORMS,
     TermGenerator,
-    applicable_transforms,
     load_corpus,
     run_battery,
     run_fuzz,
@@ -28,6 +28,7 @@ from repro.conformance.metamorphic import (
 )
 from repro.core.errors import GIError
 from repro.core.infer import Inferencer
+from repro.core.policy import DEFAULT_POLICY
 from repro.core.terms import Ann, Lam, Let, Lit, Var, app
 from repro.core.types import alpha_equal
 from repro.evalsuite.figure2 import figure2_env
@@ -154,25 +155,25 @@ def _infer(env, term):
 def test_eta_expand_preserves_type(env):
     term = Var("inc")
     result = _infer(env, term)
-    expanded = eta_expand(term, result)
+    expanded = eta_expand(term, result, DEFAULT_POLICY, env)
     assert expanded is not None
     assert alpha_equal(_infer(env, expanded).type_, result.type_)
 
 
 def test_eta_expand_guards_poly_domain(env):
     term = Var("poly")  # (forall a. a -> a) -> (Int, Bool)
-    assert eta_expand(term, _infer(env, term)) is None
+    assert eta_expand(term, _infer(env, term), DEFAULT_POLICY, env) is None
 
 
 def test_eta_expand_guards_non_arrow(env):
     term = Lit(3)
-    assert eta_expand(term, _infer(env, term)) is None
+    assert eta_expand(term, _infer(env, term), DEFAULT_POLICY, env) is None
 
 
 def test_annotate_inferred_checks_principal_type(env):
     term = app(Var("single"), Var("id"))
     result = _infer(env, term)
-    annotated = annotate_inferred(term, result)
+    annotated = annotate_inferred(term, result, DEFAULT_POLICY, env)
     assert annotated is not None
     assert alpha_equal(_infer(env, annotated).type_, result.type_)
 
@@ -180,7 +181,7 @@ def test_annotate_inferred_checks_principal_type(env):
 def test_let_float_argument_preserves_type(env):
     term = app(Var("length"), app(Var("single"), Lit(1)))
     result = _infer(env, term)
-    floated = let_float_argument(term, result)
+    floated = let_float_argument(term, result, DEFAULT_POLICY, env)
     assert isinstance(floated, Let)
     assert alpha_equal(_infer(env, floated).type_, result.type_)
 
@@ -188,13 +189,13 @@ def test_let_float_argument_preserves_type(env):
 def test_let_float_skips_lambdas(env):
     term = app(Var("poly"), Lam("x", Var("x")))
     result = _infer(env, term)
-    assert let_float_argument(term, result) is None
+    assert let_float_argument(term, result, DEFAULT_POLICY, env) is None
 
 
 def test_let_swap_independent_bindings(env):
     term = Let("x", Lit(1), Let("y", Lit(True), app(Var("plus"), Var("x"), Var("x"))))
     result = _infer(env, term)
-    swapped = let_swap(term, result)
+    swapped = let_swap(term, result, DEFAULT_POLICY, env)
     assert swapped is not None
     assert alpha_equal(_infer(env, swapped).type_, result.type_)
 
@@ -202,7 +203,7 @@ def test_let_swap_independent_bindings(env):
 def test_let_swap_guards_dependency(env):
     term = Let("x", Lit(1), Let("y", Var("x"), Var("y")))
     result = _infer(env, term)
-    assert let_swap(term, result) is None
+    assert let_swap(term, result, DEFAULT_POLICY, env) is None
 
 
 def test_applicable_transforms_accept_figure2_sample(env):
@@ -211,11 +212,34 @@ def test_applicable_transforms_accept_figure2_sample(env):
 
     term = parse_term("length (single id)")
     result = _infer(env, term)
-    transforms = applicable_transforms(term, result)
+    transforms = [
+        (name, transformed)
+        for name, transform in TRANSFORMS
+        if (transformed := transform(term, result, DEFAULT_POLICY, env)) is not None
+    ]
     assert transforms  # at least one applies
     for name, transformed in transforms:
         new = _infer(env, transformed)
         assert alpha_equal(new.type_, result.type_), name
+
+
+def test_sweep_runs_hm_once_per_case(env, monkeypatch):
+    """The ``hm`` and ``differential`` oracles share one cached, budgeted
+    HM run per term."""
+    from repro.baselines.hm import HMInferencer
+
+    calls = []
+    original = HMInferencer.infer
+
+    def counting(self, term):
+        calls.append(term)
+        return original(self, term)
+
+    monkeypatch.setattr(HMInferencer, "infer", counting)
+    count = 40
+    report = run_fuzz(FuzzConfig(seed=42, count=count), env=env)
+    assert report.ok
+    assert 0 < len(calls) <= count
 
 
 # ---------------------------------------------------------------------

@@ -294,10 +294,3 @@ class TestOptions:
     def test_binary_mode_still_handles_hm(self, env):
         binary = Inferencer(env, options=InferOptions(nary_apps=False))
         assert binary.accepts(parse_term("inc (head (single 1))"))
-
-    def test_no_generalize(self, env):
-        lax = Inferencer(env, options=InferOptions(generalize=False))
-        result = lax.infer(parse_term(r"\x -> x"))
-        from repro.core.types import fuv
-
-        assert fuv(result.raw_type)

@@ -229,16 +229,19 @@ class TestOraclePolicyGuards:
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_stability_holds_on_anchor_terms(self, policy):
-        from repro.conformance.oracles import oracle_stability
+        from repro.conformance.oracles import oracle_metamorphic
 
         for source in ("single id", "head ids", "inc (head (single 1))"):
-            violation = oracle_stability(self._ctx(policy), parse_term(source))
+            violation = oracle_metamorphic(self._ctx(policy), parse_term(source))
             assert violation is None, f"{source} under {policy}: {violation}"
 
     def test_stability_runs_in_the_default_battery(self):
         from repro.conformance.oracles import DEFAULT_ORACLES
 
-        assert "stability" in DEFAULT_ORACLES
+        # The stability claims are policy guards of the one metamorphic
+        # battery, not an oracle of their own.
+        assert "metamorphic" in DEFAULT_ORACLES
+        assert "stability" not in DEFAULT_ORACLES
 
     def test_run_battery_rejects_unknown_oracle_names(self):
         from repro.conformance import OracleContext, run_battery
@@ -256,7 +259,7 @@ class TestOraclePolicyGuards:
         result = Inferencer(figure2_env()).infer(
             parse_term("head ids : tail ids")
         )
-        transformed = let_float_argument(result.term, result)
+        transformed = let_float_argument(result.term, result, DEFAULT_POLICY, ENV)
         # `head ids` is checked against `forall a. a -> a` (ArgGen
         # skolems in the evidence) — floating it into an ungeneralised
         # let would eagerly instantiate the sigma away, so the transform
@@ -270,36 +273,49 @@ class TestOraclePolicyGuards:
         result = Inferencer(figure2_env()).infer(
             parse_term("inc (head (single 1))")
         )
-        assert let_float_argument(result.term, result) is not None
+        assert let_float_argument(result.term, result, DEFAULT_POLICY, ENV) is not None
 
 
 class TestStabilityTransforms:
     def test_let_inline_is_lazy_only(self):
-        from repro.conformance.metamorphic import stability_let_inline
+        from repro.conformance.metamorphic import let_inline
 
         term = parse_term("let f = id in single f")
         result = _infer("let f = id in single f", LAZY_SHALLOW)
-        inlined = stability_let_inline(term, result, LAZY_SHALLOW, ENV)
+        inlined = let_inline(term, result, LAZY_SHALLOW, ENV)
         assert inlined is not None and str(inlined) == "single id"
-        assert stability_let_inline(term, result, EAGER_SHALLOW, ENV) is None
+        assert let_inline(term, result, EAGER_SHALLOW, ENV) is None
 
     def test_let_extract_is_lazy_only_and_capture_safe(self):
-        from repro.conformance.metamorphic import stability_let_extract
+        from repro.conformance.metamorphic import let_extract
         from repro.core.terms import Let
 
         term = parse_term("single id")
         result = _infer("single id", LAZY_SHALLOW)
-        extracted = stability_let_extract(term, result, LAZY_SHALLOW, ENV)
+        extracted = let_extract(term, result, LAZY_SHALLOW, ENV)
         assert isinstance(extracted, Let)
-        assert stability_let_extract(term, result, EAGER_SHALLOW, ENV) is None
+        assert let_extract(term, result, EAGER_SHALLOW, ENV) is None
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_battery_fires_let_inline_and_extract_only_when_lazy(self, policy):
+        from repro.conformance.metamorphic import TRANSFORMS
+
+        result = _infer("let f = id in single f", policy)
+        fired = {
+            name
+            for name, transform in TRANSFORMS
+            if transform(result.term, result, policy, ENV) is not None
+        }
+        lazy_only = {"let-inline", "let-extract"}
+        assert (lazy_only <= fired) if policy.lazy else not (lazy_only & fired)
 
     def test_signature_skips_nested_forall_under_deep(self):
-        from repro.conformance.metamorphic import stability_signature
+        from repro.conformance.metamorphic import annotate_inferred
 
         # Shallow: `h : Int -> (forall a. a -> a)` re-annotates fine.
         shallow = _infer("h", EAGER_SHALLOW)
         assert (
-            stability_signature(shallow.term, shallow, EAGER_SHALLOW, ENV)
+            annotate_inferred(shallow.term, shallow, EAGER_SHALLOW, ENV)
             is not None
         )
         # Deep: a signature with a nested forall would be rewritten by
@@ -308,7 +324,7 @@ class TestStabilityTransforms:
         source = "\\(v :: forall a. a -> a) -> (id :: forall a. a -> a)"
         deep = _infer(source, EAGER_DEEP)
         assert has_nested_forall(deep.type_)
-        assert stability_signature(deep.term, deep, EAGER_DEEP, ENV) is None
+        assert annotate_inferred(deep.term, deep, EAGER_DEEP, ENV) is None
 
     def test_legacy_eta_skips_nested_forall_codomains(self):
         from repro.conformance.metamorphic import eta_expand
@@ -317,7 +333,7 @@ class TestStabilityTransforms:
         # Eta-expanding `h` would let generalisation hoist the nested
         # forall (`forall a. Int -> a -> a`) — the latent violation the
         # policy work surfaced; the guard must skip it.
-        assert eta_expand(result.term, result) is None
+        assert eta_expand(result.term, result, EAGER_SHALLOW, ENV) is None
 
 
 class TestFuzzPolicySweeps:
@@ -423,7 +439,7 @@ class TestPolicyCLI:
 
         assert main(["fuzz", "--oracle", "nope", "--count", "1"]) == 2
         err = capsys.readouterr().err
-        assert "unknown oracle" in err and "stability" in err
+        assert "unknown oracle" in err and "metamorphic" in err
 
     def test_batch_policy_flag(self, tmp_path, capsys):
         from repro.__main__ import main

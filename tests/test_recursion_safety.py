@@ -221,6 +221,23 @@ class TestDeepTraversals:
         assert hash(left) == hash(right)
         assert left == right
 
+    def test_systemf_check_deep_binder_type(self):
+        from repro.evalsuite.figure2 import figure2_env
+        from repro.systemf import FLam, FVar, typecheck
+
+        binder = deep_list(DEPTH, INT)
+        checked = typecheck(FLam("x", binder, FVar("x")), figure2_env())
+        assert checked.args[0] is binder and checked.args[1] is binder
+
+    def test_systemf_check_names_a_leak_under_a_deep_type(self):
+        from repro.core.errors import SystemFTypeError
+        from repro.evalsuite.figure2 import figure2_env
+        from repro.systemf import FLam, FVar, typecheck
+
+        binder = deep_list(DEPTH, UVar("u7", Sort.M))
+        with pytest.raises(SystemFTypeError, match=r"`u7\^m` leaked"):
+            typecheck(FLam("x", binder, FVar("x")), figure2_env())
+
 
 class TestDeepUnifier:
     def test_zonk_through_deep_binding(self):
