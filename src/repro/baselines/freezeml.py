@@ -76,11 +76,11 @@ class FreezeMLInferencer(Kernel):
                     f"`{variable} := {type_}` (annotate the lambda binder)"
                 )
 
-    def _infer_ann(self, term: Ann, local: dict[str, Type]) -> Type:
+    def _infer_ann(self, term: Ann, local: dict[str, Type]):
         # The freeze marker stand-in: the expression's *generalised*
         # (principal) type must instantiate to the signature, and the
         # signature is returned verbatim — no eager instantiation.
-        offered = self._infer(term.expr, local)
+        offered = yield self._infer(term.expr, local)
         offered_sigma = self.generalize(local.values(), offered)
         self.subsume(offered_sigma, term.annotation)
         return term.annotation

@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.baselines.kernel import Kernel
 from repro.core.env import Environment
 from repro.core.errors import TypeError_
-from repro.core.terms import Ann, AnnLam, Case, Lam, Term
+from repro.core.terms import Ann, AnnLam, Case, Lam, Term, scoped
 from repro.core.types import (
     Forall,
     TVar,
@@ -53,13 +53,13 @@ class HMInferencer(Kernel):
 
     # -- inference --------------------------------------------------------
 
-    def _infer_lam(self, term: Lam | AnnLam, local: dict[str, Type]) -> Type:
+    def _infer_lam(self, term: Lam | AnnLam, local: dict[str, Type]):
         if term.__class__ is AnnLam and not is_fully_monomorphic(term.annotation):
             raise HMError("polymorphic lambda annotations are outside HM")
         return super()._infer_lam(term, local)
 
-    def _infer_ann(self, term: Ann, local: dict[str, Type]) -> Type:
-        inferred = self._infer(term.expr, local)
+    def _infer_ann(self, term: Ann, local: dict[str, Type]):
+        inferred = yield self._infer(term.expr, local)
         binders, body = strip_forall(term.annotation)
         if not is_fully_monomorphic(body):
             raise HMError("higher-rank annotations are outside HM")
@@ -76,8 +76,8 @@ class HMInferencer(Kernel):
         # it instantiate freshly.
         return self.instantiate(term.annotation)
 
-    def _infer_case(self, term: Case, local: dict[str, Type]) -> Type:
-        scrutinee = self._infer(term.scrutinee, local)
+    def _infer_case(self, term: Case, local: dict[str, Type]):
+        scrutinee = yield self._infer(term.scrutinee, local)
         if self.env.lookup_datacon(term.alts[0].constructor).existentials:
             raise HMError("existential data constructors are outside HM")
         first, alphas = self._open_case(term, scrutinee)
@@ -89,9 +89,8 @@ class HMInferencer(Kernel):
             fields = [subst_tvars(alphas, field) for field in datacon.fields]
             if any(not is_fully_monomorphic(self.zonk(field)) for field in fields):
                 raise HMError("polymorphic fields are outside HM")
-            inner = dict(local)
-            inner.update(dict(zip(alt.binders, fields)))
-            self.unify(result, self._infer(alt.rhs, inner))
+            rhs = yield scoped(local, alt.binders, fields, self._infer, alt.rhs, local)
+            self.unify(result, rhs)
         return result
 
 

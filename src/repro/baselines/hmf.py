@@ -125,20 +125,20 @@ class HMFInferencer(Kernel):
         """A variable keeps its σ; its use site decides on instantiation."""
         return self._lookup(term.name, local)
 
-    def _infer_lam(self, term: Lam | AnnLam, local: dict[str, Type]) -> Type:
+    def _infer_lam(self, term: Lam | AnnLam, local: dict[str, Type]):
         """A λ's body type instantiates, then the λ's type generalises."""
-        binder, body = super()._infer_lam(term, local).args
+        binder, body = (yield from super()._infer_lam(term, local)).args
         return self.generalize(local.values(), fun(binder, self.instantiate(body)))
 
-    def _infer_ann(self, term: Ann, local: dict[str, Type]) -> Type:
-        offered = self._infer(term.expr, local)
+    def _infer_ann(self, term: Ann, local: dict[str, Type]):
+        offered = yield self._infer(term.expr, local)
         self.subsume(offered, term.annotation)
         return term.annotation
 
     def _infer_app(
         self, term: App, local: dict[str, Type], expected: Type | None = None
-    ) -> Type:
-        fn_type = self.instantiate(self._infer(term.head, local))
+    ):
+        fn_type = self.instantiate((yield self._infer(term.head, local)))
         params: list[Type] = []
         current = fn_type
         for _ in term.args:
@@ -168,7 +168,7 @@ class HMFInferencer(Kernel):
         if self.nary:
             order = self._argument_order(params)
         for index in order:
-            self._check_arg(term.args[index], params[index], local)
+            yield self._check_arg(term.args[index], params[index], local)
         if expected is not None:
             return self.zonk(current)
         return self.generalize(list(local.values()), self.instantiate(self.zonk(current)))
@@ -181,16 +181,16 @@ class HMFInferencer(Kernel):
             key=lambda index: isinstance(self.zonk(params[index]), UVar),
         )
 
-    def _check_arg(self, argument: Term, parameter: Type, local: dict[str, Type]) -> None:
+    def _check_arg(self, argument: Term, parameter: Type, local: dict[str, Type]):
         parameter = self.zonk(parameter)
         if (
             isinstance(argument, App)
             and not isinstance(parameter, UVar)
             and not isinstance(parameter, Forall)
         ):
-            self._infer_app(argument, local, expected=parameter)
+            yield self._infer_app(argument, local, expected=parameter)
             return
-        offered = self._infer(argument, local)
+        offered = yield self._infer(argument, local)
         offered_gen = self.generalize(
             list(local.values()), self.instantiate(offered)
         ) if not isinstance(argument, Var) else self.zonk(offered)

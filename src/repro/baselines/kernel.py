@@ -5,7 +5,7 @@ that machine: a dict substitution, a name supply, zonking, unification
 (with α-equivalent ``∀``/``∀`` unification under shared skolems),
 instantiation, generalisation, deep or shallow skolemisation, the
 skolem-escape check, and the term walk.  :meth:`Kernel._infer` dispatches
-every term node to one rule method and owns the rules the systems share
+every term node to one rule and owns the rules the systems share
 (a variable instantiates its scheme, a λ-binder is a fresh monomorphic
 variable or its annotation, ``let`` generalises, ``case`` unifies its
 branches); a backend overrides only the rules it types differently.  The
@@ -22,9 +22,12 @@ binding:
 * FreezeML refuses a ``∀`` for λ-binder variables and for any variable
   reachable from a λ-binder's image.
 
-Every traversal here is iterative, so type depth is bounded by memory and
-by the :class:`~repro.robustness.budget.Budget`, not by Python's
-recursion limit.
+Every traversal here is iterative: the type walks keep explicit stacks,
+and the term walk and its rules are generators run by
+:func:`~repro.core.terms.drive`, with one scope per run.  So type and term
+depth are bounded by memory and by the
+:class:`~repro.robustness.budget.Budget`, not by Python's recursion
+limit.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from repro.core.errors import (
 from repro.core.names import NameSupply, letters
 from repro.core.sorts import Sort
 from repro.core.terms import Ann, AnnLam, App, Case, CaseAlt, Lam, Let, Lit, Term, Var
+from repro.core.terms import drive, scoped
 from repro.core.types import (
     Forall,
     TCon,
@@ -101,7 +105,7 @@ class Kernel:
         if self.budget is not None:
             self.budget.start()
         self.subst = {}
-        return self.generalize((), self._infer(term, {}))
+        return self.generalize((), drive(self._infer(term, {})))
 
     def accepts(self, term: Term) -> bool:
         try:
@@ -117,14 +121,24 @@ class Kernel:
 
     # -- the term walk ------------------------------------------------------
 
-    def _infer(self, term: Term, local: dict[str, Type]) -> Type:
+    def _infer(self, term: Term, local: dict[str, Type]):
         """The type of ``term`` under ``local``: one rule per node class,
-        tested by identity, variables first (they are most of the nodes)."""
+        tested by identity, variables first (they are most of the nodes).
+
+        A variable's or literal's rule answers at once; every other rule
+        is a walk for :func:`~repro.core.terms.drive`, which ``yield``s
+        the walks of the subterms it types.  ``local`` is the run's one
+        scope, which a binder rule extends through
+        :func:`~repro.core.terms.scoped`.  Each walked node checks the
+        budget's deadline, so a backend whose work grows faster than the
+        term stops at its wall clock.
+        """
         kind = term.__class__
         if kind is Var:
             return self._infer_var(term, local)
         if kind is Lit:
             return term.type_
+        self._check_deadline()
         if kind is App:
             return self._infer_app(term, local)
         if kind is Lam or kind is AnnLam:
@@ -137,58 +151,61 @@ class Kernel:
             return self._infer_ann(term, local)
         raise TypeError(f"unknown term node: {term!r}")
 
-    def _infer_var(self, term: Var, local: dict[str, Type]) -> Type:
+    def _infer_var(self, term: Var, local: dict[str, Type]):
         """A variable instantiates its scheme."""
         return self.instantiate(self._lookup(term.name, local))
 
-    def _infer_app(self, term: App, local: dict[str, Type]) -> Type:
+    def _infer_app(self, term: App, local: dict[str, Type]):
         """ML application: each argument's type unifies with the function
         type's parameter, a ∀-headed function type instantiating first."""
-        result = self._infer(term.head, local)
+        result = yield self._infer(term.head, local)
         for argument in term.args:
             result = self.zonk(result)
             if result.__class__ is Forall:
                 result = self.instantiate(result)
-            arg_type = self._infer(argument, local)
+            arg_type = yield self._infer(argument, local)
             fresh = self.fresh()
             self.unify(result, fun(arg_type, fresh))
             result = fresh
         return self.zonk(result)
 
-    def _infer_lam(self, term: Lam | AnnLam, local: dict[str, Type]) -> Type:
+    def _infer_lam(self, term: Lam | AnnLam, local: dict[str, Type]):
         """An unannotated binder is a fresh fully monomorphic variable; an
         annotated one takes its annotation."""
         binder = term.annotation if term.__class__ is AnnLam else self.fresh(Sort.M)
-        inner = dict(local)
-        inner[term.var] = binder
-        return fun(binder, self._infer(term.body, inner))
+        body = yield scoped(local, (term.var,), (binder,), self._infer, term.body, local)
+        return fun(binder, body)
 
-    def _infer_let(self, term: Let, local: dict[str, Type]) -> Type:
+    def _infer_let(self, term: Let, local: dict[str, Type]):
         """``let`` generalises the bound expression over the local scope."""
-        scheme = self.generalize(local.values(), self._infer(term.bound, local))
-        inner = dict(local)
-        inner[term.var] = scheme
-        return self._infer(term.body, inner)
+        scheme = self.generalize(local.values(), (yield self._infer(term.bound, local)))
+        return (yield scoped(local, (term.var,), (scheme,), self._infer, term.body, local))
 
-    def _infer_case(self, term: Case, local: dict[str, Type]) -> Type:
+    def _infer_case(self, term: Case, local: dict[str, Type]):
         """Open the scrutinee at the first constructor, then join every
         alternative's type into one result."""
-        first, alphas = self._open_case(term, self._infer(term.scrutinee, local))
+        scrutinee = yield self._infer(term.scrutinee, local)
+        first, alphas = self._open_case(term, scrutinee)
         result = self.fresh()
         for alt in term.alts:
-            inner = self._alt_scope(alt, first, alphas, local)
-            self._join_branch(result, self._infer(alt.rhs, inner))
+            fields = self._alt_fields(alt, first, alphas)
+            rhs = yield scoped(local, alt.binders, fields, self._infer, alt.rhs, local)
+            self._join_branch(result, rhs)
         return self.zonk(result)
 
     def _join_branch(self, result: Type, rhs: Type) -> None:
         """Unify one case branch's type into the case's result."""
         self.unify(result, rhs)
 
-    def _infer_ann(self, term: Ann, local: dict[str, Type]) -> Type:
+    def _infer_ann(self, term: Ann, local: dict[str, Type]):
         """The annotation rule, which every backend writes its own way."""
         raise NotImplementedError
 
     # -- the substitution ---------------------------------------------------
+
+    def _check_deadline(self) -> None:
+        if self.budget is not None:
+            self.budget.check_deadline()
 
     def fresh(self, sort: Sort | None = None) -> UVar:
         return UVar(self.supply.fresh(), self.FRESH_SORT if sort is None else sort)
@@ -250,7 +267,12 @@ class Kernel:
                 node = parent
 
     def _free_uvars(self, types: Iterable[Type]) -> dict[UVar, None]:
-        """The free unification variables of the zonked types, in order."""
+        """The free unification variables of the zonked types, in order.
+
+        The walk is as long as the local scope, so it checks the budget's
+        deadline: a term that nests binders makes these walks add up to
+        more than linear work."""
+        self._check_deadline()
         found: dict[UVar, None] = {}
         for type_ in types:
             found.update(dict.fromkeys(fuv(self.zonk(type_))))
@@ -430,15 +452,11 @@ class Kernel:
         )
         return first, alphas
 
-    def _alt_scope(
-        self,
-        alt: CaseAlt,
-        first: DataCon,
-        alphas: dict[str, Type],
-        local: dict[str, Type],
-    ) -> dict[str, Type]:
-        """The scope of one alternative: its binders at the constructor's
-        field types, existentials as fresh skolems."""
+    def _alt_fields(
+        self, alt: CaseAlt, first: DataCon, alphas: dict[str, Type]
+    ) -> list[Type]:
+        """The types one alternative binds: the constructor's field types,
+        existentials as fresh skolems."""
         datacon = self.env.lookup_datacon(alt.constructor)
         if datacon.result_con != first.result_con:
             raise self.Error("mixed constructors in case")
@@ -446,8 +464,4 @@ class Kernel:
         mapping.update(
             {name: TVar(self._fresh_skolem(name)) for name in datacon.existentials}
         )
-        inner = dict(local)
-        inner.update(
-            zip(alt.binders, (subst_tvars(mapping, field) for field in datacon.fields))
-        )
-        return inner
+        return [subst_tvars(mapping, field) for field in datacon.fields]

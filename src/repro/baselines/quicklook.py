@@ -138,7 +138,7 @@ class QuickLookInferencer(RankNInferencer):
 
     # -- the quick look ----------------------------------------------------
 
-    def _quick_type(self, term: Term, local: dict[str, Type]) -> Type | None:
+    def _quick_type(self, term: Term, local: dict[str, Type]):
         """The *rough* type of a quick-lookable argument, or ``None``.
 
         Quick-lookable: variables, literals, annotated terms, and
@@ -148,36 +148,38 @@ class QuickLookInferencer(RankNInferencer):
         Never raises — a shape the quick look cannot see through simply
         contributes no information.
         """
-        try:
-            if isinstance(term, Var):
-                return self.instantiate(self._lookup(term.name, local))
-            if isinstance(term, Lit):
-                return term.type_
-            if isinstance(term, Ann):
-                return term.annotation
-            if isinstance(term, App):
-                return self._quick_spine(term, local)
-        except GIError:
-            return None
-        return None
-
-    def _quick_head_sigma(self, head: Term, local: dict[str, Type]) -> Type | None:
-        if isinstance(head, Var):
+        if isinstance(term, Var):
             try:
-                return self._lookup(head.name, local)
+                return self.instantiate(self._lookup(term.name, local))
             except GIError:
                 return None
-        if isinstance(head, Ann):
-            return head.annotation
-        if isinstance(head, App):
-            return self._quick_spine(head, local)
+        if isinstance(term, Lit):
+            return term.type_
+        if isinstance(term, Ann):
+            return term.annotation
+        if isinstance(term, App):
+            return self._quick_app(term, local)
         return None
 
-    def _quick_spine(self, term: App, local: dict[str, Type]) -> Type | None:
+    def _quick_app(self, term: App, local: dict[str, Type]):
+        try:
+            return (yield from self._quick_spine(term, local))
+        except GIError:
+            return None
+
+    def _quick_spine(self, term: App, local: dict[str, Type]):
         """Quick look for a *nested* spine: match its own arguments,
         commit what is eligible, and return the rough result type."""
-        current = self._quick_head_sigma(term.head, local)
-        if current is None:
+        self._check_deadline()
+        head = term.head
+        if isinstance(head, Var):
+            try:
+                current = self._lookup(head.name, local)
+            except GIError:
+                return None
+        elif isinstance(head, Ann):
+            current = head.annotation
+        else:
             return None
         spine_vars: set[UVar] = set()
         pairs: list[tuple[Term, Type]] = []
@@ -192,7 +194,7 @@ class QuickLookInferencer(RankNInferencer):
             pairs.append((argument, parameter))
         quicks: list[tuple[UVar, Type]] = []
         for argument, parameter in pairs:
-            quick = self._quick_type(argument, local)
+            quick = yield self._quick_type(argument, local)
             if quick is not None:
                 self._quick_match(parameter, quick, spine_vars, quicks)
         self._commit_quicks(
@@ -292,7 +294,7 @@ class QuickLookInferencer(RankNInferencer):
         term: Term,
         local: dict[str, Type],
         expected: Type | None = None,
-    ) -> Type:
+    ):
         """Type one application spine: instantiate the head, quick-look
         the arguments (and the expected result type, when checking),
         commit, then check the arguments predicatively in order."""
@@ -300,11 +302,21 @@ class QuickLookInferencer(RankNInferencer):
             head, args = term.head, term.args
         else:
             head, args = term, ()
-        fn_sigma = self._head_sigma(head, local)
+        # The head's σ-type, *uninstantiated* so its quantifiers become
+        # this spine's instantiation variables.
+        if isinstance(head, Var):
+            fn_sigma = self._lookup(head.name, local)
+        elif isinstance(head, Ann):
+            yield self._check_sigma(head.expr, head.annotation, local)
+            fn_sigma = head.annotation
+        else:
+            fn_sigma = yield self._infer(head, local)
         spine_vars: set[UVar] = set()
         params: list[Type] = []
         current = fn_sigma
         for _ in args:
+            # Each zonk walks the rest of the function type.
+            self._check_deadline()
             current = self.zonk(current)
             if isinstance(current, Forall):
                 current = self._instantiate_spine(current, spine_vars)
@@ -333,14 +345,14 @@ class QuickLookInferencer(RankNInferencer):
             current = self._instantiate_spine(current, spine_vars)
         quicks: list[tuple[UVar, Type]] = []
         for argument, parameter in zip(args, params):
-            quick = self._quick_type(argument, local)
+            quick = yield self._quick_type(argument, local)
             if quick is not None:
                 self._quick_match(parameter, quick, spine_vars, quicks)
         if expected is not None:
             self._quick_match(current, expected, spine_vars, quicks)
         self._commit_quicks(quicks, params + [current], spine_vars)
         for argument, parameter in zip(args, params):
-            self._check_arg(argument, self.zonk(parameter), local)
+            yield self._check_arg(argument, self.zonk(parameter), local)
         current = self.zonk(current)
         if expected is not None:
             self._subsume_rho(current, expected, spine_result=True)
@@ -356,28 +368,16 @@ class QuickLookInferencer(RankNInferencer):
     # A variable is a spine without arguments.
     _infer_var = _infer_app = _infer_app_spine
 
-    def _head_sigma(self, head: Term, local: dict[str, Type]) -> Type:
-        """The head's σ-type, *uninstantiated* so its quantifiers become
-        this spine's instantiation variables."""
-        if isinstance(head, Var):
-            return self._lookup(head.name, local)
-        if isinstance(head, Ann):
-            self._check_sigma(head.expr, head.annotation, local)
-            return head.annotation
-        return self._infer(head, local)
-
-    def _check_arg(self, argument: Term, parameter: Type, local: dict[str, Type]) -> None:
+    def _check_arg(self, argument: Term, parameter: Type, local: dict[str, Type]):
         parameter = self.zonk(parameter)
         if isinstance(argument, (Var, App)) and not isinstance(parameter, Forall):
-            self._infer_app_spine(argument, local, expected=parameter)
-            return
-        super()._check_arg(argument, parameter, local)
+            return self._infer_app_spine(argument, local, expected=parameter)
+        return super()._check_arg(argument, parameter, local)
 
-    def _check_rho(self, term: Term, expected_rho: Type, local: dict[str, Type]) -> None:
+    def _check_rho(self, term: Term, expected_rho: Type, local: dict[str, Type]):
         if isinstance(term, (Var, App)):
-            self._infer_app_spine(term, local, expected=self.zonk(expected_rho))
-            return
-        super()._check_rho(term, expected_rho, local)
+            return self._infer_app_spine(term, local, expected=self.zonk(expected_rho))
+        return super()._check_rho(term, expected_rho, local)
 
     def _join_branch(self, result: Type, rhs: Type) -> None:
         rhs = self.zonk(rhs)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from repro.baselines.kernel import Kernel
 from repro.core.env import DataCon, Environment
 from repro.core.errors import SkolemEscapeError, TypeError_, UnificationError
-from repro.core.terms import Ann, AnnLam, App, Case, Lam, Term, Var
+from repro.core.terms import Ann, AnnLam, App, Case, Lam, Term, Var, scoped
 from repro.core.types import (
     Forall,
     Type,
@@ -97,8 +97,8 @@ class RankNInferencer(Kernel):
             return self.zonk(self._lookup(term.name, local))
         return super()._infer_var(term, local)
 
-    def _infer_app(self, term: App, local: dict[str, Type]) -> Type:
-        fn_rho = self._infer(term.head, local)
+    def _infer_app(self, term: App, local: dict[str, Type]):
+        fn_rho = yield self._infer(term.head, local)
         for argument in term.args:
             fn_rho = self.zonk(fn_rho)
             if isinstance(fn_rho, Forall):
@@ -110,45 +110,43 @@ class RankNInferencer(Kernel):
                 parameter, result = fn_rho.args
             else:
                 raise RankNError(f"too many arguments for `{fn_rho}`")
-            self._check_arg(argument, parameter, local)
+            yield self._check_arg(argument, parameter, local)
             fn_rho = result
         return self.zonk(fn_rho)
 
-    def _infer_ann(self, term: Ann, local: dict[str, Type]) -> Type:
+    def _infer_ann(self, term: Ann, local: dict[str, Type]):
         # Annotations switch to checking mode (the whole point of the
         # bidirectional system).
-        self._check_sigma(term.expr, term.annotation, local)
+        yield self._check_sigma(term.expr, term.annotation, local)
         if self._lazy:
             return self.zonk(term.annotation)
         return self.instantiate(term.annotation)
 
-    def _infer_sigma(self, term: Term, local: dict[str, Type]) -> Type:
-        rho = self._infer(term, local)
-        return self.generalize(local.values(), rho)
-
-    def _check_arg(self, argument: Term, parameter: Type, local: dict[str, Type]) -> None:
+    def _check_arg(self, argument: Term, parameter: Type, local: dict[str, Type]):
         parameter = self.zonk(parameter)
         if isinstance(parameter, Forall):
             # Checking mode: push the polymorphic expected type inwards.
-            self._check_sigma(argument, parameter, local)
+            yield self._check_sigma(argument, parameter, local)
             return
         if isinstance(argument, Lam) and is_arrow(parameter):
-            inner = dict(local)
-            inner[argument.var] = parameter.args[0]
-            self._check_arg(argument.body, parameter.args[1], inner)
+            binder, result = parameter.args
+            yield scoped(
+                local, (argument.var,), (binder,), self._check_arg, argument.body, result, local
+            )
             return
-        offered = self._infer_sigma(argument, local)
+        # Inference mode: the argument's σ-type must cover the parameter.
+        offered = self.generalize(local.values(), (yield self._infer(argument, local)))
         self.subsume(offered, parameter, local)
 
-    def _check_sigma(self, term: Term, expected: Type, local: dict[str, Type]) -> None:
+    def _check_sigma(self, term: Term, expected: Type, local: dict[str, Type]):
         # Skolemise first, as in ``Kernel.subsume``: without skolems
         # nothing can escape, and the environment is not walked.
         skolems, rho = self.skolemise(expected)
         if not skolems:
-            self._check_rho(term, rho, local)
+            yield self._check_rho(term, rho, local)
             return
         outer = self._free_uvars(local.values())
-        self._check_rho(term, rho, local)
+        yield self._check_rho(term, rho, local)
         self._check_escape(skolems, outer)
         # A skolem appearing rigidly in the environment types themselves
         # (not through a unification variable) also escapes.
@@ -159,21 +157,19 @@ class RankNInferencer(Kernel):
         if leaked:
             raise SkolemEscapeError(sorted(leaked)[0])
 
-    def _check_rho(self, term: Term, expected_rho: Type, local: dict[str, Type]) -> None:
+    def _check_rho(self, term: Term, expected_rho: Type, local: dict[str, Type]):
         expected_rho = self.zonk(expected_rho)
-        if isinstance(term, Lam) and is_arrow(expected_rho):
-            inner = dict(local)
-            inner[term.var] = expected_rho.args[0]
-            self._check_rho(term.body, expected_rho.args[1], inner)
-            return
-        if isinstance(term, AnnLam) and is_arrow(expected_rho):
+        if term.__class__ is AnnLam and is_arrow(expected_rho):
             self.subsume(expected_rho.args[0], term.annotation, local)
-            inner = dict(local)
-            inner[term.var] = term.annotation
-            self._check_rho(term.body, expected_rho.args[1], inner)
+            binder: Type = term.annotation
+        elif term.__class__ is Lam and is_arrow(expected_rho):
+            binder = expected_rho.args[0]
+        else:
+            offered = yield self._infer(term, local)
+            self._subsume_rho(self.generalize(local.values(), offered), expected_rho)
             return
-        offered = self._infer(term, local)
-        self._subsume_rho(self.generalize(local.values(), offered), expected_rho)
+        result = expected_rho.args[1]
+        yield scoped(local, (term.var,), (binder,), self._check_rho, term.body, result, local)
 
     def _open_case(self, term: Case, scrutinee: Type) -> tuple[DataCon, dict[str, Type]]:
         # Under a lazy policy the scrutinee may be ∀-headed: matching

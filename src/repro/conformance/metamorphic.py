@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.core.env import Environment
+from repro.core.evidence import ROOT
 from repro.core.infer import InferenceResult
 from repro.core.policy import InstantiationPolicy, has_nested_forall
 from repro.core.terms import (
@@ -115,7 +116,7 @@ def let_float_argument(
     monomorphic binder and the skolem escapes).  Variables and literals
     are skipped as no-ops.  Arguments the run *checked against a σ* are
     excluded too — the solver's evidence records skolems at the
-    argument's path exactly when rule ArgGen generalised it (e.g.
+    argument's key exactly when rule ArgGen generalised it (e.g.
     ``head ids`` checked against ``∀a. a → a`` in ``cons (head ids)
     (tail ids)``); floated out, the binding is typed in inference mode,
     eager instantiation gives it a monotype, and the σ is lost — the
@@ -128,7 +129,7 @@ def let_float_argument(
     for position, argument in enumerate(term.args):
         if argument.__class__.__name__ in ("Var", "Lit", "Lam", "AnnLam"):
             continue
-        gen_info = result.evidence.gen_infos.get((position + 1,))
+        gen_info = result.evidence.gen_infos.get(result.evidence.child(ROOT, position + 1))
         if gen_info is not None and gen_info.skolems:
             continue
         fresh = _fresh_name(term)

@@ -16,9 +16,10 @@ an argument whose generalisation decision must be deferred to the solver
 (Section 4.1).  Rule VarGen produces a degenerate scheme with no captured
 constraints whose type mentions fresh unrestricted variables.
 
-Every :class:`Inst` and :class:`Gen` carries an optional *evidence id*
-linking it to the term node it came from, so the solver can record the
-instantiations and skolemisations needed to elaborate into System F.
+Every :class:`Inst` and :class:`Gen` carries an optional *evidence key*
+(:mod:`repro.core.evidence`) linking it to the term node it came from,
+so the solver can record the instantiations and skolemisations needed to
+elaborate into System F.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 
 from repro.core.classify import Bit
 from repro.core.sorts import Sort
+from repro.core.terms import drive
 from repro.core.types import Type, UVar, fuv, subst_uvars
 
 
@@ -82,9 +84,7 @@ class Scheme:
     type_: Type
 
     def __str__(self) -> str:
-        variables = " ".join(str(variable) for variable in self.captured)
-        inner = " /\\ ".join(str(constraint) for constraint in self.constraints) or "T"
-        return f"(gen {{{variables}}}. {inner} => {self.type_})"
+        return render_constraint(self)
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ class Gen(Constraint):
     evidence: int | None = field(default=None, compare=False)
 
     def __str__(self) -> str:
-        return f"{self.scheme} <~ {self.rhs}"
+        return render_constraint(self)
 
 
 @dataclass(frozen=True)
@@ -135,47 +135,82 @@ class Quant(Constraint):
     evidence: int | None = field(default=None, compare=False)
 
     def __str__(self) -> str:
-        quantified = " ".join(self.skolems)
-        local = " ".join(str(variable) for variable in self.existentials)
-        inner = " /\\ ".join(str(w) for w in self.wanteds) or "T"
-        given = " /\\ ".join(str(g) for g in self.givens)
-        implication = f"{given} => {inner}" if given else inner
-        return f"(forall {quantified}. exists {{{local}}}. {implication})"
+        return render_constraint(self)
+
+
+def render_constraint(constraint: Constraint | Scheme) -> str:
+    """The text of a constraint or scheme.
+
+    Schemes and implications nest as deeply as the term, so the text is
+    written piece by piece from an explicit stack and joined once."""
+    pieces: list[str] = []
+    stack: list = [constraint]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            pieces.append(item)
+        elif isinstance(item, Scheme):
+            variables = " ".join(str(variable) for variable in item.captured)
+            stack.append(f" => {item.type_})")
+            stack.extend(reversed(_conjunction(item.constraints)))
+            stack.append(f"(gen {{{variables}}}. ")
+        elif isinstance(item, Gen):
+            stack.append(f" <~ {item.rhs}")
+            stack.append(item.scheme)
+        elif isinstance(item, Quant):
+            quantified = " ".join(item.skolems)
+            local = " ".join(str(variable) for variable in item.existentials)
+            stack.append(")")
+            stack.extend(reversed(_conjunction(item.wanteds)))
+            if item.givens:
+                stack.append(" => ")
+                stack.extend(reversed(_conjunction(item.givens)))
+            stack.append(f"(forall {quantified}. exists {{{local}}}. ")
+        else:
+            pieces.append(str(item))
+    return "".join(pieces)
+
+
+def _conjunction(constraints: tuple[Constraint, ...]) -> list:
+    """``C1 /\\ C2 /\\ …``, or ``T`` for none, as pieces to render."""
+    if not constraints:
+        return ["T"]
+    pieces: list = [constraints[0]]
+    for constraint in constraints[1:]:
+        pieces.extend((" /\\ ", constraint))
+    return pieces
 
 
 def constraint_fuv(constraint: Constraint) -> set[UVar]:
-    """Free unification variables of a constraint."""
-    result: set[UVar] = set()
-    _collect(constraint, result)
-    return result
-
-
-def _collect(constraint: Constraint, out: set[UVar]) -> None:
-    if isinstance(constraint, Eq):
-        out.update(fuv(constraint.left))
-        out.update(fuv(constraint.right))
-    elif isinstance(constraint, Inst):
-        out.update(fuv(constraint.lhs))
-        for argument in constraint.args:
-            out.update(fuv(argument))
-        out.update(fuv(constraint.result))
-    elif isinstance(constraint, Gen):
-        out.update(fuv(constraint.scheme.type_))
-        out.update(fuv(constraint.rhs))
-        out |= set(constraint.scheme.captured)
-        for inner in constraint.scheme.constraints:
-            _collect(inner, out)
-    elif isinstance(constraint, ClassC):
-        for argument in constraint.args:
-            out.update(fuv(argument))
-    elif isinstance(constraint, Quant):
-        out |= set(constraint.existentials)
-        for given in constraint.givens:
-            _collect(given, out)
-        for wanted in constraint.wanteds:
-            _collect(wanted, out)
-    else:
-        raise TypeError(f"unknown constraint: {constraint!r}")
+    """Free unification variables of a constraint (schemes and
+    implications nest as deeply as the term, so on an explicit stack)."""
+    out: set[UVar] = set()
+    stack = [constraint]
+    while stack:
+        constraint = stack.pop()
+        if isinstance(constraint, Eq):
+            out.update(fuv(constraint.left))
+            out.update(fuv(constraint.right))
+        elif isinstance(constraint, Inst):
+            out.update(fuv(constraint.lhs))
+            for argument in constraint.args:
+                out.update(fuv(argument))
+            out.update(fuv(constraint.result))
+        elif isinstance(constraint, Gen):
+            out.update(fuv(constraint.scheme.type_))
+            out.update(fuv(constraint.rhs))
+            out |= set(constraint.scheme.captured)
+            stack.extend(constraint.scheme.constraints)
+        elif isinstance(constraint, ClassC):
+            for argument in constraint.args:
+                out.update(fuv(argument))
+        elif isinstance(constraint, Quant):
+            out |= set(constraint.existentials)
+            stack.extend(constraint.givens)
+            stack.extend(constraint.wanteds)
+        else:
+            raise TypeError(f"unknown constraint: {constraint!r}")
+    return out
 
 
 def subst_constraint(mapping: dict[UVar, Type], constraint: Constraint) -> Constraint:
@@ -187,6 +222,12 @@ def subst_constraint(mapping: dict[UVar, Type], constraint: Constraint) -> Const
     """
     if not mapping:
         return constraint
+    return drive(_subst(mapping, constraint))
+
+
+def _subst(mapping: dict[UVar, Type], constraint: Constraint):
+    """:func:`subst_constraint` as a walk: simple constraints are answered
+    at once, schemes and implications walk their constraints."""
     if isinstance(constraint, Eq):
         return Eq(subst_uvars(mapping, constraint.left), subst_uvars(mapping, constraint.right))
     if isinstance(constraint, Inst):
@@ -198,26 +239,33 @@ def subst_constraint(mapping: dict[UVar, Type], constraint: Constraint) -> Const
             subst_uvars(mapping, constraint.result),
             constraint.evidence,
         )
+    if isinstance(constraint, ClassC):
+        arguments = tuple(subst_uvars(mapping, argument) for argument in constraint.args)
+        return ClassC(constraint.class_name, arguments)
+    if isinstance(constraint, (Gen, Quant)):
+        return _subst_nested(mapping, constraint)
+    raise TypeError(f"unknown constraint: {constraint!r}")
+
+
+def _subst_nested(mapping: dict[UVar, Type], constraint: Gen | Quant):
     if isinstance(constraint, Gen):
         scheme = constraint.scheme
         new_captured = tuple(_rename_var(mapping, variable) for variable in scheme.captured)
-        new_scheme = Scheme(
-            new_captured,
-            tuple(subst_constraint(mapping, inner) for inner in scheme.constraints),
-            subst_uvars(mapping, scheme.type_),
-        )
+        inner = []
+        for nested in scheme.constraints:
+            inner.append((yield _subst(mapping, nested)))
+        new_scheme = Scheme(new_captured, tuple(inner), subst_uvars(mapping, scheme.type_))
         return Gen(new_scheme, subst_uvars(mapping, constraint.rhs), constraint.star, constraint.evidence)
-    if isinstance(constraint, ClassC):
-        return ClassC(constraint.class_name, tuple(subst_uvars(mapping, argument) for argument in constraint.args))
-    if isinstance(constraint, Quant):
-        return Quant(
-            constraint.skolems,
-            tuple(_rename_var(mapping, variable) for variable in constraint.existentials),
-            tuple(subst_constraint(mapping, given) for given in constraint.givens),
-            tuple(subst_constraint(mapping, wanted) for wanted in constraint.wanteds),
-            constraint.evidence,
-        )
-    raise TypeError(f"unknown constraint: {constraint!r}")
+    existentials = tuple(_rename_var(mapping, variable) for variable in constraint.existentials)
+    givens = []
+    for given in constraint.givens:
+        givens.append((yield _subst(mapping, given)))
+    wanteds = []
+    for wanted in constraint.wanteds:
+        wanteds.append((yield _subst(mapping, wanted)))
+    return Quant(
+        constraint.skolems, existentials, tuple(givens), tuple(wanteds), constraint.evidence
+    )
 
 
 def _rename_var(mapping: dict[UVar, Type], variable: UVar) -> UVar:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from repro.core.classify import Bit, classified_binders
 from repro.core.constraints import Constraint, Gen, Inst, Quant
-from repro.core.evidence import TakeArg, TypeArgs
+from repro.core.evidence import release_key
 from repro.core.infer import InferenceResult
 from repro.core.sorts import Sort
 from repro.core.types import (
@@ -137,65 +137,48 @@ def verify_inference(result: InferenceResult) -> SpecReport:
     def witnesses_for(evidence) -> list[list[Type]]:
         if evidence is None:
             return []
-        if isinstance(evidence, tuple) and evidence and evidence[0] == "release":
-            info = result.evidence.gen_infos.get(evidence[1:])
-            if info is None or not info.release_type_args:
-                return []
-            return [[zonk(t) for t in info.release_type_args]]
-        blocks = []
-        for event in result.evidence.inst_traces.get(evidence, []):
-            if isinstance(event, TypeArgs):
-                blocks.append([zonk(t) for t in event.types])
-        return blocks
+        return [
+            [zonk(t) for t in block]
+            for block in result.evidence.type_arg_blocks(evidence)
+        ]
 
-    def visit(constraint: Constraint) -> None:
+    def check(constraint: Inst, lhs: Type, args: list[Type], res: Type, evidence) -> None:
+        reason = check_instantiation(
+            lhs, constraint.sort, constraint.bits, args, res, witnesses_for(evidence)
+        )
+        report.checked += 1
+        if reason is not None:
+            report.failures.append(SpecFailure(constraint, reason))
+
+    # Constraints nest as deeply as the term, so the tree is walked on an
+    # explicit stack: a generalisation's captured constraints come before
+    # the check of its own release, which a ``True`` entry marks.
+    stack: list[tuple[Constraint, bool]] = [
+        (constraint, False) for constraint in reversed(result.constraints)
+    ]
+    while stack:
+        constraint, released = stack.pop()
         if isinstance(constraint, Inst):
             lhs = zonk(constraint.lhs)
             args = [zonk(argument) for argument in constraint.args]
-            res = zonk(constraint.result)
-            reason = check_instantiation(
-                lhs,
-                constraint.sort,
-                constraint.bits,
-                args,
-                res,
-                witnesses_for(constraint.evidence),
-            )
-            report.checked += 1
-            if reason is not None:
-                report.failures.append(SpecFailure(constraint, reason))
+            check(constraint, lhs, args, zonk(constraint.result), constraint.evidence)
+        elif isinstance(constraint, Gen) and not released:
+            stack.append((constraint, True))
+            stack.extend((inner, False) for inner in reversed(constraint.scheme.constraints))
         elif isinstance(constraint, Gen):
-            for inner in constraint.scheme.constraints:
-                visit(inner)
             # The release of the scheme itself is an instantiation
             # ``σ ⩽mϵ ϵ;η``; it was checked by the solver and its witness
-            # recorded under the ("release", path) evidence — replay it.
+            # recorded under the release key of the argument — replay it.
             rhs = zonk(constraint.rhs)
             if not isinstance(rhs, Forall):
                 lhs = zonk(constraint.scheme.type_)
-                reason = check_instantiation(
+                check(
+                    Inst(lhs, Sort.M, (), (), rhs),
                     lhs,
-                    Sort.M,
-                    (),
-                    (),
+                    [],
                     rhs,
-                    witnesses_for(
-                        ("release",) + tuple(constraint.evidence)
-                        if constraint.evidence is not None
-                        else None
-                    ),
+                    None if constraint.evidence is None else release_key(constraint.evidence),
                 )
-                report.checked += 1
-                if reason is not None:
-                    report.failures.append(
-                        SpecFailure(
-                            Inst(lhs, Sort.M, (), (), rhs), reason
-                        )
-                    )
         elif isinstance(constraint, Quant):
-            for wanted in constraint.wanteds:
-                visit(wanted)
-
-    for constraint in result.constraints:
-        visit(constraint)
+            stack.extend((wanted, False) for wanted in reversed(constraint.wanteds))
     return report

@@ -4,10 +4,10 @@ The generator walks the term once, producing a type (usually containing
 fresh unification variables) and a conjunction of constraints for the
 solver.  Three ancillary judgements from the paper appear as methods:
 
-* :meth:`Generator.gen_fun` — ``⊢fun``: the head of an application;
-* :meth:`Generator.gen_arg` — ``⊢arg``: an argument, deciding between
-  rule VarGen (bare variable with a closed rank-1 type, bit ``⋆``) and
-  rule ArgGen (anything else, bit ``•``);
+* ``⊢fun`` — the head of an application, in :meth:`Generator._spine`;
+* ``⊢arg`` — an argument, deciding between rule VarGen (bare variable
+  with a closed rank-1 type, bit ``⋆``, :meth:`Generator._vargen`) and
+  rule ArgGen (anything else, bit ``•``, :meth:`Generator._arggen`);
 * :meth:`Generator.gen` — the main judgement.
 
 Two configuration switches support the ablation (``results/ablation.txt``):
@@ -25,7 +25,7 @@ from repro.core.classify import Bit
 from repro.core.constraints import ClassC, Constraint, Eq, Gen, Inst, Quant, Scheme
 from repro.core.env import Environment
 from repro.core.errors import GIError
-from repro.core.evidence import EvidenceStore, Path
+from repro.core.evidence import ROOT, EvidenceStore, Key
 from repro.core.names import NameSupply
 from repro.core.policy import DEFAULT_POLICY, InstantiationPolicy
 from repro.core.sorts import Sort
@@ -39,6 +39,8 @@ from repro.core.terms import (
     Lit,
     Term,
     Var,
+    drive,
+    scoped,
     subst_type_vars_in_term,
 )
 from repro.core.types import (
@@ -61,12 +63,22 @@ if TYPE_CHECKING:  # pragma: no cover — avoids a runtime import cycle
 
 
 @dataclass
-class GenOptions:
-    """Switches for the generator (ablation support) plus the
-    instantiation policy (:mod:`repro.core.policy`)."""
+class InferOptions:
+    """Configuration for one inference run.
+
+    ``use_vargen`` / ``nary_apps`` switch off rule VarGen and n-ary
+    applications for the ablation (``results/ablation.txt``);
+    ``defaulting=False`` makes the solver fail deterministically with
+    :class:`StuckConstraintError` on underdetermined programs instead of
+    defaulting the blocked variables (Section 4.3.2); ``policy`` selects
+    the instantiation discipline (:mod:`repro.core.policy`) — the default
+    ``eager-shallow`` is the paper's system, every other value is an
+    experimental eager/lazy × deep/shallow variant.
+    """
 
     use_vargen: bool = True
     nary_apps: bool = True
+    defaulting: bool = True
     policy: InstantiationPolicy = DEFAULT_POLICY
 
 
@@ -83,21 +95,28 @@ class Generator:
     (:meth:`_take_created`).  Its owner's release refreshes it, so an
     enclosing release need not, and nested application costs linear
     rather than quadratic work.
+
+    The walk runs on :func:`~repro.core.terms.drive`: each rule below is
+    a generator that ``yield``s the walk of a subterm, and a variable or
+    literal is answered without one.  The term variables bound inside the
+    term live in one scope, ``local``, over the environment.
     """
 
     def __init__(
         self,
         supply: NameSupply | None = None,
         evidence: EvidenceStore | None = None,
-        options: GenOptions | None = None,
+        options: InferOptions | None = None,
         tracer: "TracerLike | None" = None,
     ) -> None:
         self.supply = supply or NameSupply("u")
         self.skolem_supply = NameSupply("sk")
         self.evidence = evidence or EvidenceStore()
-        self.options = options or GenOptions()
+        self.options = options or InferOptions()
         self.tracer = tracer
         self.created: list[UVar] = []
+        self.env = Environment()
+        self.local: dict[str, Type] = {}
 
     def fresh(self, sort: Sort) -> UVar:
         variable = UVar(self.supply.fresh(), sort)
@@ -115,167 +134,165 @@ class Generator:
         del self.created[snapshot:]
         return owned
 
+    def _lookup(self, name: str) -> Type:
+        found = self.local.get(name)
+        return found if found is not None else self.env.lookup(name)
+
+    def _in_scope(self, name: str) -> bool:
+        return name in self.local or name in self.env
+
     # ------------------------------------------------------------------
     # Main judgement  Γ ⊢ e : σ ⇝ C
     # ------------------------------------------------------------------
 
-    def gen(self, env: Environment, term: Term, path: Path = ()) -> tuple[Type, list[Constraint]]:
-        if isinstance(term, Var):
+    def gen(self, env: Environment, term: Term) -> tuple[Type, list[Constraint]]:
+        """Generate the type and constraints of a whole term under ``env``."""
+        self.env, self.local = env, {}
+        return drive(self._gen(term, ROOT))
+
+    def _gen(self, term: Term, key: Key):
+        kind = term.__class__
+        if kind is Var:
             # A lone variable is a nullary application (Section 3.1).
-            return self.gen_app(env, term, (), path)
-        if isinstance(term, Lit):
+            head_type = self._lookup(term.name)
+            result = self.fresh(Sort.T)
+            return result, [Inst(head_type, Sort.M, (), (), result, evidence=key)]
+        if kind is Lit:
             return term.type_, []
-        if isinstance(term, App):
-            return self.gen_app(env, term.head, term.args, path)
-        if isinstance(term, Lam):
-            binder = self.fresh(Sort.M)
-            self.evidence.lam_binders[path] = binder
-            body_type, constraints = self.gen(
-                env.extended(term.var, binder), term.body, path + (0,)
-            )
-            return fun(binder, body_type), constraints
-        if isinstance(term, AnnLam):
-            body_type, constraints = self.gen(
-                env.extended(term.var, term.annotation), term.body, path + (0,)
-            )
-            return fun(term.annotation, body_type), constraints
-        if isinstance(term, Ann):
-            return self.gen_ann(env, term, path)
-        if isinstance(term, Let):
-            if (
-                self.options.policy.lazy
-                and isinstance(term.bound, Var)
-                and term.bound.name in env
-            ):
-                # Lazy instantiation: a let-bound *variable* aliases its
-                # environment polytype verbatim instead of being pushed
-                # through a nullary instantiation spine.  Since GI does
-                # not re-generalise lets (Section 3.5), this is the one
-                # site where eager vs lazy is observable — aliasing makes
-                # let-inlining of a variable type-preserving.
-                bound_type = env.lookup(term.bound.name)
-                self.evidence.let_types[path] = bound_type
-                body_type, body_constraints = self.gen(
-                    env.extended(term.var, bound_type), term.body, path + (1,)
-                )
-                return body_type, body_constraints
-            bound_type, bound_constraints = self.gen(env, term.bound, path + (0,))
-            self.evidence.let_types[path] = bound_type
-            body_type, body_constraints = self.gen(
-                env.extended(term.var, bound_type), term.body, path + (1,)
-            )
-            return body_type, bound_constraints + body_constraints
-        if isinstance(term, Case):
-            return self.gen_case(env, term, path)
+        if kind is App:
+            return self._spine(term.head, term.args, key)
+        if kind is Lam or kind is AnnLam:
+            return self._gen_lam(term, key)
+        if kind is Ann:
+            return self._gen_ann(term, key)
+        if kind is Let:
+            return self._gen_let(term, key)
+        if kind is Case:
+            return self._gen_case(term, key)
         raise TypeError(f"unknown term node: {term!r}")
 
-    # ------------------------------------------------------------------
-    # Applications (rule App)
-    # ------------------------------------------------------------------
+    def _gen_lam(self, term: Lam | AnnLam, key: Key):
+        if term.__class__ is Lam:
+            binder = self.fresh(Sort.M)
+            self.evidence.lam_binders[key] = binder
+        else:
+            binder = term.annotation
+        body_key = self.evidence.child(key, 0)
+        body_type, constraints = yield scoped(
+            self.local, (term.var,), (binder,), self._gen, term.body, body_key
+        )
+        return fun(binder, body_type), constraints
 
-    def gen_app(
-        self, env: Environment, head: Term, args: tuple[Term, ...], path: Path
-    ) -> tuple[Type, list[Constraint]]:
-        if not self.options.nary_apps and len(args) > 1:
-            return self._gen_app_binary(env, head, args, path)
-        head_type, head_constraints = self.gen_fun(env, head, path + (0,))
-        expected = tuple(self.fresh(Sort.U) for _ in args)
-        result = self.fresh(Sort.T)
-        bits: list[Bit] = []
-        arg_constraints: list[Constraint] = []
-        for index, argument in enumerate(args):
-            bit, constraints = self.gen_arg(
-                env, argument, expected[index], path + (index + 1,)
+    def _gen_let(self, term: Let, key: Key):
+        if (
+            self.options.policy.lazy
+            and term.bound.__class__ is Var
+            and self._in_scope(term.bound.name)
+        ):
+            # Lazy instantiation: a let-bound *variable* aliases its
+            # environment polytype verbatim instead of being pushed
+            # through a nullary instantiation spine.  Since GI does
+            # not re-generalise lets (Section 3.5), this is the one
+            # site where eager vs lazy is observable — aliasing makes
+            # let-inlining of a variable type-preserving.
+            bound_type, constraints = self._lookup(term.bound.name), None
+        else:
+            bound_type, constraints = yield self._gen(
+                term.bound, self.evidence.child(key, 0)
             )
-            bits.append(bit)
-            arg_constraints.extend(constraints)
-        inst = Inst(head_type, Sort.M, tuple(bits), expected, result, evidence=path)
-        return result, head_constraints + [inst] + arg_constraints
+        self.evidence.let_types[key] = bound_type
+        body_key = self.evidence.child(key, 1)
+        body_type, body_constraints = yield scoped(
+            self.local, (term.var,), (bound_type,), self._gen, term.body, body_key
+        )
+        if constraints is None:
+            return body_type, body_constraints
+        constraints.extend(body_constraints)
+        return body_type, constraints
 
-    def _gen_app_binary(
-        self, env: Environment, head: Term, args: tuple[Term, ...], path: Path
-    ) -> tuple[Type, list[Constraint]]:
-        """Ablation mode: type ``e0 e1 ... en`` as ``(...(e0 e1)...) en``.
+    # ------------------------------------------------------------------
+    # Application spines (rules App and AnnApp)
+    # ------------------------------------------------------------------
 
-        Each step sees only one argument, so guardedness can only ever be
-        justified by that single argument — the paper's motivation for the
-        n-ary treatment.  Evidence is not recorded in this mode.
+    def _spine(
+        self,
+        head: Term,
+        args: tuple[Term, ...],
+        key: Key,
+        sort: Sort = Sort.M,
+        target: Type | None = None,
+    ):
+        """The loop rules App and AnnApp share: the head's type by ``⊢fun``
+        (rule VarHead for a variable, ExprHead otherwise), then one
+        instantiation constraint at fresh expected argument types, each
+        argument checked against its own by ``⊢arg``.
+
+        ``target`` is the result type of an annotated spine (rule AnnApp,
+        sort ``U``); a plain spine's result is a fresh variable.  The
+        ablation's binary mode (``nary_apps=False``) types ``e0 e1 … en``
+        as ``(…(e0 e1)…) en``: each argument gets its own constraint, so
+        guardedness can only ever be justified by that one argument — the
+        paper's motivation for the n-ary treatment — and no evidence.
         """
-        current_type, constraints = self.gen_fun(env, head, path + (0,))
-        for index, argument in enumerate(args):
-            expected = self.fresh(Sort.U)
-            result = self.fresh(Sort.T)
-            bit, arg_constraints = self.gen_arg(
-                env, argument, expected, path + (index + 1,)
-            )
-            constraints.append(
-                Inst(current_type, Sort.M, (bit,), (expected,), result)
-            )
-            constraints.extend(arg_constraints)
-            current_type = result
-        return current_type, constraints
-
-    # ------------------------------------------------------------------
-    # Heads (⊢fun)
-    # ------------------------------------------------------------------
-
-    def gen_fun(self, env: Environment, head: Term, path: Path) -> tuple[Type, list[Constraint]]:
-        if isinstance(head, Var):
-            # Rule VarHead: the environment type, uninstantiated.
-            return env.lookup(head.name), []
-        if isinstance(head, App):
+        if head.__class__ is Var:
+            current = self._lookup(head.name)
+            constraints: list[Constraint] = []
+        elif head.__class__ is App:
             raise GIError("application heads are flattened by construction")
-        # Rule ExprHead.
-        return self.gen(env, head, path)
+        else:
+            current, constraints = yield self._gen(head, self.evidence.child(key, 0))
+        binary = target is None and not self.options.nary_apps and len(args) > 1
+        groups = [(argument,) for argument in args] if binary else [args]
+        position = 0
+        for group in groups:
+            expected = tuple(self.fresh(Sort.U) for _ in group)
+            result = self.fresh(Sort.T) if target is None else target
+            bits: list[Bit] = []
+            arg_constraints: list[Constraint] = []
+            for argument, argument_type in zip(group, expected):
+                position += 1
+                arg_key = self.evidence.child(key, position)
+                found = self._vargen(argument, argument_type, arg_key)
+                if found is None:
+                    # Rule ArgGen: type the argument as an expression and
+                    # capture the variables created along the way that no
+                    # nested scheme owns.
+                    snapshot = len(self.created)
+                    arg_type, inner = yield self._gen(argument, arg_key)
+                    found = self._arggen(snapshot, arg_type, inner, argument_type, arg_key)
+                bits.append(Bit.STAR if found.star else Bit.GEN)
+                arg_constraints.append(found)
+            evidence = None if binary else key
+            constraints.append(Inst(current, sort, tuple(bits), expected, result, evidence))
+            constraints.extend(arg_constraints)
+            current = result
+        return current, constraints
 
     # ------------------------------------------------------------------
     # Arguments (⊢arg): VarGen vs ArgGen
     # ------------------------------------------------------------------
 
-    def gen_arg(
-        self, env: Environment, argument: Term, expected: Type, path: Path
-    ) -> tuple[Bit, list[Constraint]]:
-        tracing = self.tracer is not None and self.tracer.enabled
-        if (
+    def _vargen(self, argument: Term, expected: Type, key: Key) -> Gen | None:
+        """Rule VarGen, for a bare variable with a *closed* rank-1 type
+        ``∀p̄. τ``; ``None`` where it does not apply."""
+        if not (
             self.options.use_vargen
-            and isinstance(argument, Var)
-            and argument.name in env
+            and argument.__class__ is Var
+            and self._in_scope(argument.name)
         ):
-            var_type = env.lookup(argument.name)
-            if self._vargen_applicable(var_type):
-                if tracing:
-                    self.tracer.inc("gen.args.star")
-                    self.tracer.event(
-                        "gen.arg",
-                        bit=str(Bit.STAR),
-                        rule="VarGen",
-                        var=argument.name,
-                        type=str(var_type),
-                    )
-                return Bit.STAR, self._vargen(var_type, expected, path)
-        # Rule ArgGen: type the argument as an expression and capture
-        # the variables created along the way that no nested scheme owns.
-        snapshot = len(self.created)
-        arg_type, constraints = self.gen(env, argument, path)
-        captured = self._take_created(snapshot)
-        scheme = Scheme(captured, tuple(constraints), arg_type)
-        if tracing:
-            self.tracer.inc("gen.args.gen")
+            return None
+        var_type = self._lookup(argument.name)
+        if not (is_rank1(var_type) and not ftv(var_type) and not fuv(var_type)):
+            return None
+        if self.tracer is not None and self.tracer.enabled:
+            self.tracer.inc("gen.args.star")
             self.tracer.event(
                 "gen.arg",
-                bit=str(Bit.GEN),
-                rule="ArgGen",
-                captured=len(captured),
-                type=str(arg_type),
+                bit=str(Bit.STAR),
+                rule="VarGen",
+                var=argument.name,
+                type=str(var_type),
             )
-        return Bit.GEN, [Gen(scheme, expected, star=False, evidence=path)]
-
-    @staticmethod
-    def _vargen_applicable(var_type: Type) -> bool:
-        """Rule VarGen needs a *closed* rank-1 type ``∀p̄. τ``."""
-        return is_rank1(var_type) and not ftv(var_type) and not fuv(var_type)
-
-    def _vargen(self, var_type: Type, expected: Type, path: Path) -> list[Constraint]:
         binders, _ = strip_forall(var_type)
         snapshot = len(self.created)
         alphas = [self.fresh(Sort.U) for _ in binders]
@@ -285,17 +302,39 @@ class Generator:
         wanted: list[Constraint] = [
             ClassC(predicate.class_name, predicate.args) for predicate in context
         ]
-        info = self.evidence.gen_info(path)
+        info = self.evidence.gen_info(key)
         info.star = True
         info.star_type_args = list(alphas)
         scheme = Scheme(self._take_created(snapshot), tuple(wanted), instantiated)
-        return [Gen(scheme, expected, star=True, evidence=path)]
+        return Gen(scheme, expected, star=True, evidence=key)
+
+    def _arggen(
+        self,
+        snapshot: int,
+        arg_type: Type,
+        constraints: list[Constraint],
+        expected: Type,
+        key: Key,
+    ) -> Gen:
+        """Rule ArgGen: the scheme of an argument typed as an expression."""
+        captured = self._take_created(snapshot)
+        scheme = Scheme(captured, tuple(constraints), arg_type)
+        if self.tracer is not None and self.tracer.enabled:
+            self.tracer.inc("gen.args.gen")
+            self.tracer.event(
+                "gen.arg",
+                bit=str(Bit.GEN),
+                rule="ArgGen",
+                captured=len(captured),
+                type=str(arg_type),
+            )
+        return Gen(scheme, expected, star=False, evidence=key)
 
     # ------------------------------------------------------------------
     # Annotated applications (rule AnnApp)
     # ------------------------------------------------------------------
 
-    def gen_ann(self, env: Environment, term: Ann, path: Path) -> tuple[Type, list[Constraint]]:
+    def _gen_ann(self, term: Ann, key: Key):
         annotation = term.annotation
         binders, _ = strip_forall(annotation)
 
@@ -308,48 +347,38 @@ class Generator:
         # Lexically scoped type variables: the binders scope over the
         # annotated expression, including its nested annotations.
         scoped_expr = subst_type_vars_in_term(dict(zip(binders, images)), term.expr)
-        if isinstance(scoped_expr, App):
+        if scoped_expr.__class__ is App:
             head, args = scoped_expr.head, scoped_expr.args
         else:
             head, args = scoped_expr, ()
         givens = tuple(ClassC(predicate.class_name, predicate.args) for predicate in context)
 
         snapshot = len(self.created)
-        head_type, head_constraints = self.gen_fun(env, head, path + (0,))
-        expected = tuple(self.fresh(Sort.U) for _ in args)
-        bits: list[Bit] = []
-        arg_constraints: list[Constraint] = []
-        for index, argument in enumerate(args):
-            bit, constraints = self.gen_arg(
-                env, argument, expected[index], path + (index + 1,)
-            )
-            bits.append(bit)
-            arg_constraints.extend(constraints)
-        inst = Inst(head_type, Sort.U, tuple(bits), expected, inner_body, evidence=path)
+        _, wanteds = yield from self._spine(head, args, key, Sort.U, inner_body)
         existentials = self._take_created(snapshot)
-        wanteds = tuple(head_constraints + [inst] + arg_constraints)
-        quant = Quant(skolems, existentials, givens, wanteds, evidence=path)
-        info = self.evidence.gen_info(("ann",) + path)
-        info.skolems = list(skolems)
+        quant = Quant(skolems, existentials, givens, tuple(wanteds), evidence=key)
+        self.evidence.ann_skolems[key] = list(skolems)
         return annotation, [quant]
 
     # ------------------------------------------------------------------
     # Case expressions (Figure 12 / Figure 13)
     # ------------------------------------------------------------------
 
-    def gen_case(self, env: Environment, term: Case, path: Path) -> tuple[Type, list[Constraint]]:
-        scrutinee_type, constraints = self.gen(env, term.scrutinee, path + (0,))
-        first = env.lookup_datacon(term.alts[0].constructor)
+    def _gen_case(self, term: Case, key: Key):
+        scrutinee_type, constraints = yield self._gen(
+            term.scrutinee, self.evidence.child(key, 0)
+        )
+        first = self.env.lookup_datacon(term.alts[0].constructor)
         tycon = first.result_con
         alphas = tuple(self.fresh(Sort.U) for _ in first.universals)
-        case_info = self.evidence.case_info(path)
+        case_info = self.evidence.case_info(key)
         case_info.tycon_args = list(alphas)
         result = self.fresh(Sort.U)
         constraints.append(
             Inst(scrutinee_type, Sort.M, (), (), TCon(tycon, alphas))
         )
         for index, alt in enumerate(term.alts, start=1):
-            datacon = env.lookup_datacon(alt.constructor)
+            datacon = self.env.lookup_datacon(alt.constructor)
             if datacon.result_con != tycon:
                 raise GIError(
                     f"constructor {alt.constructor} belongs to {datacon.result_con}, "
@@ -372,12 +401,14 @@ class Generator:
             field_types = [subst_tvars(mapping, field) for field in datacon.fields]
             case_info.alt_skolems.append(list(skolems))
             case_info.field_types.append(list(field_types))
-            branch_env = env.extended_many(dict(zip(alt.binders, field_types)))
             givens = tuple(
                 _subst_given(mapping, given) for given in datacon.givens
             )
             snapshot = len(self.created)
-            rhs_type, rhs_constraints = self.gen(branch_env, alt.rhs, path + (index,))
+            rhs_key = self.evidence.child(key, index)
+            rhs_type, rhs_constraints = yield scoped(
+                self.local, alt.binders, field_types, self._gen, alt.rhs, rhs_key
+            )
             branch_wanteds = tuple(rhs_constraints + [Eq(result, rhs_type)])
             if skolems or givens:
                 existentials = self._take_created(snapshot)

@@ -30,9 +30,8 @@ from repro.core.errors import (
     MissingInstanceError,
 )
 from repro.core.evidence import EvidenceStore
-from repro.core.generate import GenOptions, Generator
+from repro.core.generate import Generator, InferOptions
 from repro.core.names import NameSupply, letters
-from repro.core.policy import DEFAULT_POLICY, InstantiationPolicy
 from repro.core.solver import InstanceEnv, Solver
 from repro.core.terms import Ann, Term
 from repro.core.types import (
@@ -50,26 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover — keeps the core→robustness edge lazy
     from repro.observability.tracer import TracerLike
     from repro.robustness.budget import Budget
     from repro.robustness.faultinject import FaultPlan
-
-
-@dataclass
-class InferOptions:
-    """Configuration for one inference run.
-
-    ``use_vargen`` / ``nary_apps`` switch off rule VarGen and n-ary
-    applications for the ablation (``results/ablation.txt``);
-    ``defaulting=False`` makes the solver fail deterministically with
-    :class:`StuckConstraintError` on underdetermined programs instead of
-    defaulting the blocked variables (Section 4.3.2); ``policy`` selects
-    the instantiation discipline (:mod:`repro.core.policy`) — the default
-    ``eager-shallow`` is the paper's system, every other value is an
-    experimental eager/lazy × deep/shallow variant.
-    """
-
-    use_vargen: bool = True
-    nary_apps: bool = True
-    defaulting: bool = True
-    policy: InstantiationPolicy = DEFAULT_POLICY
 
 
 @dataclass
@@ -161,16 +140,7 @@ class Inferencer:
             with self._span("infer"):
                 supply = NameSupply("u")
                 evidence = EvidenceStore()
-                generator = Generator(
-                    supply,
-                    evidence,
-                    GenOptions(
-                        use_vargen=self.options.use_vargen,
-                        nary_apps=self.options.nary_apps,
-                        policy=self.options.policy,
-                    ),
-                    tracer=self.tracer,
-                )
+                generator = Generator(supply, evidence, self.options, tracer=self.tracer)
                 with self._span("generate"):
                     result_type, constraints = generator.gen(self.env, term)
                 if tracing:

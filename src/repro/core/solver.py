@@ -44,7 +44,7 @@ from repro.core.errors import (
     MissingInstanceError,
     StuckConstraintError,
 )
-from repro.core.evidence import EvidenceStore, TakeArg, TypeArgs
+from repro.core.evidence import EvidenceStore, TakeArg, TypeArgs, release_key
 from repro.core.names import NameSupply
 from repro.core.policy import DEFAULT_POLICY, InstantiationPolicy, deep_prenex
 from repro.core.sorts import Sort
@@ -456,15 +456,8 @@ class Solver:
         )
 
     def _record_inst_event(self, constraint: Inst, event) -> None:
-        evidence = constraint.evidence
-        if evidence is None:
-            return
-        if isinstance(evidence, tuple) and evidence and evidence[0] == "release":
-            if isinstance(event, TypeArgs):
-                info = self.evidence.gen_info(evidence[1:])
-                info.release_type_args.extend(event.types)
-            return
-        self.evidence.inst_trace(evidence).append(event)
+        if constraint.evidence is not None:
+            self.evidence.record_inst_event(constraint.evidence, event)
 
     # -- generalisation constraints (inst⨅l, inst∀r) ---------------------
 
@@ -532,7 +525,7 @@ class Solver:
             self.queue.append((inner_constraint, scope))
         evidence = None
         if constraint.evidence is not None:
-            evidence = ("release",) + tuple(constraint.evidence)
+            evidence = release_key(constraint.evidence)
         self.queue.append(
             (
                 Inst(scheme.type_, Sort.M, (), (), rhs, evidence),

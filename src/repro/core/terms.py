@@ -23,58 +23,68 @@ new children, the node itself when none changed, through :func:`app` so a
 rewritten head flattens).  Two iterative walks sit on them: the pre-order
 :func:`walk_terms` and a scoped, identity-preserving rebuild behind
 :func:`free_vars`, :func:`subst_term` and :func:`subst_type_vars_in_term`.
-Neither recurses in Python, so term depth is bounded by memory.  Other
-term walks (``pretty_term``, the constraint generator, the backends, the
-System F translation) still recurse; a port of them must reuse these
-helpers rather than describe the shape again.
+
+Every other term walk — the constraint generator, the backends' kernel,
+elaboration, the printers, the System F translation and the interpreter —
+is a generator run by :func:`drive`: it ``yield``s the walk of a child and
+receives the child's result, and one loop keeps the open walks on an
+explicit stack.  A walk keeps its term variables in one scope per run,
+which :func:`scoped` extends for the walk under a binder and restores on
+the way out.  Equality, hashing and ``repr`` of terms are iterative too, so term
+depth is bounded by memory (or by a budget), never by Python's recursion
+limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import is_, is_not
-from typing import Callable, Iterator, Mapping, Sequence, TypeVar
+from types import GeneratorType
+from typing import Any, Callable, Iterator, Mapping, Sequence, TypeVar
 
 from repro.core.types import BOOL, CHAR, INT, STRING, Forall, Type, subst_tvars
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Term:
-    """Base class of all term forms."""
+    """Base class of all term forms.
+
+    Equality, hashing and ``repr`` are structural, as the dataclass ones
+    would be, but iterative; hashes are cached on the node, as for types.
+    """
 
     def __str__(self) -> str:
         from repro.syntax.pretty import pretty_term
 
         return pretty_term(self)
 
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Term):
+            return NotImplemented
+        return _terms_equal(self, other)
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("_hash")
+        return cached if cached is not None else _hash_term(self)
+
+    def __repr__(self) -> str:
+        return drive(_repr(self))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(Term):
     """A term variable occurrence."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Lit(Term):
     """A literal with a built-in type."""
 
     value: object
-
-    # Python's ``True == 1`` (and ``hash(True) == hash(1)``) would make
-    # the dataclass equality conflate ``Lit(True)`` with ``Lit(1)`` —
-    # two terms that infer to *different* types — poisoning any
-    # term-keyed cache or structural comparison (found by the
-    # conformance fuzzer).  Equality must observe the value's type.
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Lit)
-            and type(self.value) is type(other.value)
-            and self.value == other.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((Lit, type(self.value).__name__, self.value))
 
     @property
     def type_(self) -> Type:
@@ -89,7 +99,7 @@ class Lit(Term):
         raise TypeError(f"unsupported literal: {self.value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class App(Term):
     """An n-ary application ``e0 e1 ... en`` (n ≥ 1).
 
@@ -118,7 +128,7 @@ def app(head: Term, *arguments: Term) -> Term:
     return App(head, tuple(arguments))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Lam(Term):
     """An un-annotated lambda ``λx. e``; the binder gets a fully
     monomorphic type (the Lambda Rule, Section 2.3)."""
@@ -127,7 +137,7 @@ class Lam(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class AnnLam(Term):
     """An annotated lambda ``λ(x :: σ). e``."""
 
@@ -136,7 +146,7 @@ class AnnLam(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Ann(Term):
     """An annotated (possibly nullary) application ``(e :: σ)``."""
 
@@ -144,7 +154,7 @@ class Ann(Term):
     annotation: Type
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Let(Term):
     """``let x = e1 in e2`` — no implicit generalisation (Section 3.5)."""
 
@@ -166,7 +176,7 @@ class CaseAlt:
             object.__setattr__(self, "binders", tuple(self.binders))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Case(Term):
     """``case e0 of { alts }`` (Appendix A)."""
 
@@ -268,6 +278,173 @@ def rebuild_term(term: Term, children: Sequence[Term]) -> Term:
             for alt, rhs in zip(term.alts, children[1:])
         ),
     )
+
+
+# ---------------------------------------------------------------------
+# The driver every recursive term walk runs on, and the one scope per run
+# its binder rules share.
+# ---------------------------------------------------------------------
+
+def drive(walk: Any) -> Any:
+    """Run a walk to its result on an explicit stack.
+
+    A walk is a generator that ``yield``s the walk of a child and receives
+    the child's result; the child's exception is raised at that ``yield``
+    instead, so a parent's ``try`` sees it as it would a recursive call's.
+    A walk function answers a leaf directly, without creating a generator:
+    a yielded value that is not a generator is a result already and goes
+    straight back, and so does a ``walk`` that is not one.
+    """
+    if walk.__class__ is not GeneratorType:
+        return walk
+    stack: list = []
+    value = error = None
+    while True:
+        try:
+            child = walk.send(value) if error is None else walk.throw(error)
+        except StopIteration as stop:
+            if not stack:
+                return stop.value
+            walk, value, error = stack.pop(), stop.value, None
+            continue
+        except BaseException as exc:
+            if not stack:
+                raise
+            walk, error = stack.pop(), exc
+            continue
+        error = None
+        if child.__class__ is GeneratorType:
+            stack.append(walk)
+            walk, value = child, None
+        else:
+            value = child
+
+
+_UNBOUND = object()
+
+
+def scoped(scope: dict, names: Sequence[str], values: Sequence, walk: Callable, *args):
+    """The walk ``walk(*args)`` with ``names`` bound to ``values`` in a
+    run's one scope, which is restored on the way out, normally or not.
+
+    A rebound name keeps its place in the scope's order and a new one goes
+    last, as in a copy of the scope extended with the names, so
+    ``scope.values()`` reads as it would from such a copy."""
+    saved = [(name, scope.get(name, _UNBOUND)) for name in names]
+    scope.update(zip(names, values))
+    try:
+        return (yield walk(*args))
+    finally:
+        for name, old in reversed(saved):
+            if old is _UNBOUND:
+                scope.pop(name, None)
+            else:
+                scope[name] = old
+
+
+# ---------------------------------------------------------------------
+# Structural equality, hashing and repr, without recursion.
+# ---------------------------------------------------------------------
+
+
+def _label(term: Term) -> object:
+    """What a node holds besides its children: two nodes of one class are
+    equal when their labels and their children are.  A literal's label
+    carries the value's type, since ``True == 1`` in Python but the two
+    literals have different types (found by the conformance fuzzer)."""
+    kind = term.__class__
+    if kind is Var:
+        return term.name
+    if kind is Lit:
+        return (type(term.value), term.value)
+    if kind is App:
+        return len(term.args)
+    if kind is Lam or kind is Let:
+        return term.var
+    if kind is AnnLam:
+        return (term.var, term.annotation)
+    if kind is Ann:
+        return term.annotation
+    if kind is Case:
+        return tuple((alt.constructor, alt.binders) for alt in term.alts)
+    raise TypeError(f"unknown term node: {term!r}")
+
+
+def _terms_equal(left: Term, right: Term) -> bool:
+    stack = [(left, right)]
+    while stack:
+        l, r = stack.pop()
+        if l is r:
+            continue
+        if l.__class__ is not r.__class__:
+            return False
+        left_hash = l.__dict__.get("_hash")
+        if left_hash is not None:
+            right_hash = r.__dict__.get("_hash")
+            if right_hash is not None and left_hash != right_hash:
+                return False
+        if _label(l) != _label(r):
+            return False
+        stack.extend(zip(term_children(l), term_children(r)))
+    return True
+
+
+def _hash_term(root: Term) -> int:
+    """Compute (and cache) the structural hash of ``root`` bottom-up."""
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if "_hash" in node.__dict__:
+            stack.pop()
+            continue
+        children = term_children(node)
+        pending = [child for child in children if "_hash" not in child.__dict__]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        label = _label(node)
+        if node.__class__ is Lit:
+            label = (label[0].__name__, label[1])
+        value = hash((node.__class__.__name__, label, tuple(map(hash, children))))
+        object.__setattr__(node, "_hash", value)
+    return root.__dict__["_hash"]
+
+
+def _repr(term: Term):
+    """The dataclass ``repr`` of a term, as a walk."""
+    kind = term.__class__
+    if kind is Var:
+        return f"Var(name={term.name!r})"
+    if kind is Lit:
+        return f"Lit(value={term.value!r})"
+    return _repr_node(term)
+
+
+def _repr_node(term: Term):
+    parts = []
+    for child in term_children(term):
+        parts.append((yield _repr(child)))
+    kind = term.__class__
+    if kind is App:
+        return f"App(head={parts[0]}, args={_tuple_repr(parts[1:])})"
+    if kind is Lam:
+        return f"Lam(var={term.var!r}, body={parts[0]})"
+    if kind is AnnLam:
+        return f"AnnLam(var={term.var!r}, annotation={term.annotation!r}, body={parts[0]})"
+    if kind is Ann:
+        return f"Ann(expr={parts[0]}, annotation={term.annotation!r})"
+    if kind is Let:
+        return f"Let(var={term.var!r}, bound={parts[0]}, body={parts[1]})"
+    alts = [
+        f"CaseAlt(constructor={alt.constructor!r}, binders={alt.binders!r}, rhs={rhs})"
+        for alt, rhs in zip(term.alts, parts[1:])
+    ]
+    return f"Case(scrutinee={parts[0]}, alts={_tuple_repr(alts)})"
+
+
+def _tuple_repr(parts: Sequence[str]) -> str:
+    return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
 
 
 # ---------------------------------------------------------------------

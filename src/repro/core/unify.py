@@ -196,6 +196,7 @@ class Unifier:
         summary = table.get(id(type_))
         if summary is not None:
             return summary
+        budget = self.budget
         stack = [type_]
         while stack:
             node = stack[-1]
@@ -219,6 +220,10 @@ class Unifier:
                 stack.extend(pending)
                 continue
             stack.pop()
+            if budget is not None:
+                # Merging name tuples costs up to their length per node,
+                # so one long spine can take more than linear time.
+                budget.check_deadline()
             names: tuple[str, ...] = ()
             level = -1
             rigid: tuple[str, ...] = ()

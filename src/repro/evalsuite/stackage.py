@@ -40,7 +40,7 @@ from enum import Enum
 from repro.core.env import Environment
 from repro.core.errors import GIError
 from repro.core.infer import Inferencer
-from repro.core.terms import Ann, AnnLam, App, Lam, Term, Var, app
+from repro.core.terms import Ann, AnnLam, App, Lam, Term, Var, app, drive
 from repro.core.types import Forall, Type, arrow_parts, is_arrow, strip_forall
 from repro.syntax.parser import parse_term, parse_type
 from repro.evalsuite.figure2 import figure2_env
@@ -228,22 +228,33 @@ def generate_corpus(seed: int = 2018, size: int = 2400) -> list[Package]:
 
 def eta_expand_var_args(term: Term) -> Term:
     """η-expand every bare-variable argument: ``f g`` becomes
-    ``f (λx. g x)`` — the repair the paper reports for all 75 packages."""
+    ``f (λx. g x)`` — the repair the paper reports for all 75 packages.
+    The repair goes under applications, λs and annotations, not into
+    ``let`` or ``case``."""
+    return drive(_eta_expand(term))
+
+
+def _eta_expand(term: Term):
+    if isinstance(term, (App, Lam, AnnLam, Ann)):
+        return _eta_expand_node(term)
+    return term
+
+
+def _eta_expand_node(term: Term):
     if isinstance(term, App):
+        head = yield _eta_expand(term.head)
         new_args = []
         for argument in term.args:
             if isinstance(argument, Var):
                 new_args.append(Lam("eta_x", app(argument, Var("eta_x"))))
             else:
-                new_args.append(eta_expand_var_args(argument))
-        return app(eta_expand_var_args(term.head), *new_args)
+                new_args.append((yield _eta_expand(argument)))
+        return app(head, *new_args)
     if isinstance(term, Lam):
-        return Lam(term.var, eta_expand_var_args(term.body))
+        return Lam(term.var, (yield _eta_expand(term.body)))
     if isinstance(term, AnnLam):
-        return AnnLam(term.var, term.annotation, eta_expand_var_args(term.body))
-    if isinstance(term, Ann):
-        return Ann(eta_expand_var_args(term.expr), term.annotation)
-    return term
+        return AnnLam(term.var, term.annotation, (yield _eta_expand(term.body)))
+    return Ann((yield _eta_expand(term.expr)), term.annotation)
 
 
 def push_annotation_inward(term: Term, signature: Type) -> Term | None:

@@ -27,6 +27,7 @@ from repro.core.terms import (
     Lit,
     Term,
     Var,
+    drive,
 )
 
 
@@ -84,35 +85,53 @@ class Env:
 
 
 def evaluate(term: Term, env: Env) -> object:
-    """Evaluate a term to a value."""
+    """Evaluate a term to a value.
+
+    The evaluation is a walk on :func:`~repro.core.terms.drive`, and so
+    is the application of a :class:`Closure` inside it: neither the term's
+    depth nor a chain of closure applications is bounded by Python's
+    recursion limit (a prelude function that calls a closure still
+    nests).
+    """
+    return drive(_eval(term, env))
+
+
+def _eval(term: Term, env: Env):
     if isinstance(term, Var):
         return env.lookup(term.name)
     if isinstance(term, Lit):
         return term.value
     if isinstance(term, (Lam, AnnLam)):
         return Closure(term.var, term.body, env)
+    return _eval_node(term, env)
+
+
+def _eval_node(term: Term, env: Env):
     if isinstance(term, Ann):
-        return evaluate(term.expr, env)
+        return (yield _eval(term.expr, env))
     if isinstance(term, App):
-        value = evaluate(term.head, env)
+        value = yield _eval(term.head, env)
         for argument in term.args:
-            arg_value = evaluate(argument, env)
+            arg_value = yield _eval(argument, env)
             if not callable(value):
                 raise EvalError(f"applying a non-function value: {_show(value)}")
-            value = value(arg_value)
+            if value.__class__ is Closure:
+                value = yield _eval(value.body, value.env.extended(value.var, arg_value))
+            else:
+                value = value(arg_value)
         return value
     if isinstance(term, Let):
-        bound = evaluate(term.bound, env)
-        return evaluate(term.body, env.extended(term.var, bound))
+        bound = yield _eval(term.bound, env)
+        return (yield _eval(term.body, env.extended(term.var, bound)))
     if isinstance(term, Case):
-        scrutinee = evaluate(term.scrutinee, env)
+        scrutinee = yield _eval(term.scrutinee, env)
         data = _as_data(scrutinee)
         for alt in term.alts:
             if alt.constructor == data.constructor:
                 branch_env = env
                 for name, field in zip(alt.binders, data.fields):
                     branch_env = branch_env.extended(name, field)
-                return evaluate(alt.rhs, branch_env)
+                return (yield _eval(alt.rhs, branch_env))
         raise EvalError(f"non-exhaustive patterns: no case for {data.constructor}")
     raise TypeError(f"unknown term node: {term!r}")
 

@@ -107,7 +107,7 @@ class Budget:
                 counters=self.counters(),
                 constraint=constraint,
             )
-        self._check_deadline("solver", constraint)
+        self.check_deadline(constraint)
 
     def check_unify_depth(self, depth: int, left=None, right=None) -> None:
         """Record ``depth`` and raise if the depth or time budget is gone."""
@@ -123,9 +123,11 @@ class Budget:
                 limit=self.max_unify_depth,
                 counters=self.counters(),
             )
-        self._check_deadline("unify")
+        self.check_deadline()
 
-    def _check_deadline(self, phase: str, constraint=None) -> None:
+    def check_deadline(self, constraint=None) -> None:
+        """Raise if the time budget is gone (the term walks check it once
+        per node, so a walk that does superlinear work stops in time)."""
         if self._deadline_at is not None and time.monotonic() > self._deadline_at:
             limit = self.wall_clock
             if limit is None and self._started_at is not None:

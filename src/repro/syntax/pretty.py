@@ -12,6 +12,7 @@ from repro.core.terms import (
     Lit,
     Term,
     Var,
+    drive,
 )
 from repro.core.types import Type, render_type
 
@@ -29,6 +30,11 @@ def pretty_type(type_: Type) -> str:
 
 def pretty_term(term: Term, precedence: int = _TOP) -> str:
     """Render a term in surface syntax."""
+    return drive(_pretty(term, precedence))
+
+
+def _pretty(term: Term, precedence: int):
+    """A leaf's text, or the walk that renders any other node."""
     if isinstance(term, Var):
         return term.name
     if isinstance(term, Lit):
@@ -39,6 +45,10 @@ def pretty_term(term: Term, precedence: int = _TOP) -> str:
         if isinstance(term.value, str):
             return f'"{term.value}"'
         return str(term.value)
+    return _pretty_node(term, precedence)
+
+
+def _pretty_node(term: Term, precedence: int):
     if isinstance(term, App):
         if (
             isinstance(term.head, Var)
@@ -46,13 +56,13 @@ def pretty_term(term: Term, precedence: int = _TOP) -> str:
             and len(term.args) == 2
         ):
             symbol = _INFIX[term.head.name]
-            rendered = (
-                f"{pretty_term(term.args[0], _ATOM)} {symbol} "
-                f"{pretty_term(term.args[1], _APP)}"
-            )
+            left = yield _pretty(term.args[0], _ATOM)
+            right = yield _pretty(term.args[1], _APP)
+            rendered = f"{left} {symbol} {right}"
             return f"({rendered})" if precedence >= _APP else rendered
-        pieces = [pretty_term(term.head, _ATOM)]
-        pieces += [pretty_term(argument, _ATOM) for argument in term.args]
+        pieces = [(yield _pretty(term.head, _ATOM))]
+        for argument in term.args:
+            pieces.append((yield _pretty(argument, _ATOM)))
         rendered = " ".join(pieces)
         return f"({rendered})" if precedence >= _ATOM else rendered
     if isinstance(term, (Lam, AnnLam)):
@@ -64,23 +74,27 @@ def pretty_term(term: Term, precedence: int = _TOP) -> str:
             else:
                 binders.append(f"({body.var} :: {pretty_type(body.annotation)})")
             body = body.body
-        rendered = f"\\{' '.join(binders)} -> {pretty_term(body, _TOP)}"
+        body_text = yield _pretty(body, _TOP)
+        rendered = f"\\{' '.join(binders)} -> {body_text}"
         return f"({rendered})" if precedence > _TOP else rendered
     if isinstance(term, Ann):
-        return f"({pretty_term(term.expr, _TOP)} :: {pretty_type(term.annotation)})"
+        expr = yield _pretty(term.expr, _TOP)
+        return f"({expr} :: {pretty_type(term.annotation)})"
     if isinstance(term, Let):
-        rendered = (
-            f"let {term.var} = {pretty_term(term.bound, _TOP)} "
-            f"in {pretty_term(term.body, _TOP)}"
-        )
+        bound = yield _pretty(term.bound, _TOP)
+        body = yield _pretty(term.body, _TOP)
+        rendered = f"let {term.var} = {bound} in {body}"
         return f"({rendered})" if precedence > _TOP else rendered
     if isinstance(term, Case):
-        alts = " ; ".join(
-            f"{alt.constructor}"
-            + ("" if not alt.binders else " " + " ".join(alt.binders))
-            + f" -> {pretty_term(alt.rhs, _TOP)}"
-            for alt in term.alts
-        )
-        rendered = f"case {pretty_term(term.scrutinee, _TOP)} of {{ {alts} }}"
+        scrutinee = yield _pretty(term.scrutinee, _TOP)
+        rendered_alts = []
+        for alt in term.alts:
+            rhs = yield _pretty(alt.rhs, _TOP)
+            rendered_alts.append(
+                f"{alt.constructor}"
+                + ("" if not alt.binders else " " + " ".join(alt.binders))
+                + f" -> {rhs}"
+            )
+        rendered = f"case {scrutinee} of {{ {' ; '.join(rendered_alts)} }}"
         return f"({rendered})" if precedence > _TOP else rendered
     raise TypeError(f"unknown term node: {term!r}")

@@ -9,8 +9,11 @@ oracle: it performs no unification, only α-equality comparisons.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.core.env import DataCon, Environment
 from repro.core.errors import SystemFTypeError
+from repro.core.terms import drive, scoped
 from repro.core.types import (
     BOOL,
     CHAR,
@@ -44,27 +47,38 @@ from repro.systemf.ast import (
 
 
 class FChecker:
-    """Checks System F terms against an environment of (F) types."""
+    """Checks System F terms against an environment of (F) types.
+
+    The check is a walk on :func:`~repro.core.terms.drive`; the term and
+    type variables bound inside the term live in one scope per run.
+    """
 
     def __init__(self, env: Environment) -> None:
         self.env = env
 
-    def typecheck(self, term: FTerm) -> Type:
-        """The type of a System F term; raises :class:`SystemFTypeError`."""
-        return self._check(term, self.env, set())
+    def typecheck(self, term: FTerm, local: dict[str, Type] | None = None) -> Type:
+        """The type of a System F term under the environment extended by
+        ``local``; raises :class:`SystemFTypeError`."""
+        return drive(self._check(term, {} if local is None else local, set()))
 
-    def _check(self, term: FTerm, env: Environment, in_scope: set[str]) -> Type:
+    def _check(self, term: FTerm, local: dict[str, Type], in_scope: set[str]):
         if isinstance(term, FVar):
+            found = local.get(term.name)
+            if found is not None:
+                return found
             try:
-                return env.lookup(term.name)
+                return self.env.lookup(term.name)
             except Exception as error:
                 raise SystemFTypeError(str(error)) from None
         if isinstance(term, FLit):
             return _literal_type(term.value)
+        return self._check_node(term, local, in_scope)
+
+    def _check_node(self, term: FTerm, local: dict[str, Type], in_scope: set[str]):
         if isinstance(term, FLam):
             _ensure_closed(term.annotation)
-            body_type = self._check(
-                term.body, env.extended(term.var, term.annotation), in_scope
+            body_type = yield scoped(
+                local, (term.var,), (term.annotation,), self._check, term.body, local, in_scope
             )
             return TCon("->", (term.annotation, body_type))
         if isinstance(term, FTyLam):
@@ -73,11 +87,15 @@ class FChecker:
                 raise SystemFTypeError(
                     f"type binder shadows an in-scope type variable: {sorted(clash)}"
                 )
-            body_type = self._check(term.body, env, in_scope | set(term.binders))
+            in_scope.update(term.binders)
+            try:
+                body_type = yield self._check(term.body, local, in_scope)
+            finally:
+                in_scope.difference_update(term.binders)
             return forall(term.binders, body_type)
         if isinstance(term, FApp):
-            fn_type = self._check(term.fn, env, in_scope)
-            arg_type = self._check(term.arg, env, in_scope)
+            fn_type = yield self._check(term.fn, local, in_scope)
+            arg_type = yield self._check(term.arg, local, in_scope)
             if not is_arrow(fn_type):
                 raise SystemFTypeError(
                     f"application of a non-function: `{term.fn}` has type `{fn_type}`"
@@ -90,7 +108,7 @@ class FChecker:
                 )
             return result
         if isinstance(term, FTyApp):
-            fn_type = self._check(term.fn, env, in_scope)
+            fn_type = yield self._check(term.fn, local, in_scope)
             binders, body = strip_forall(fn_type)
             if isinstance(fn_type, Forall) and fn_type.context:
                 raise SystemFTypeError(
@@ -109,26 +127,30 @@ class FChecker:
             mapping = dict(zip(used, term.types))
             return forall(rest, subst_tvars(mapping, body))
         if isinstance(term, FLet):
-            bound_type = self._check(term.bound, env, in_scope)
+            bound_type = yield self._check(term.bound, local, in_scope)
             if not alpha_equal(bound_type, term.annotation):
                 raise SystemFTypeError(
                     f"let annotation mismatch: declared `{term.annotation}`, "
                     f"bound expression has `{bound_type}`"
                 )
-            return self._check(term.body, env.extended(term.var, bound_type), in_scope)
+            return (
+                yield scoped(
+                    local, (term.var,), (bound_type,), self._check, term.body, local, in_scope
+                )
+            )
         if isinstance(term, FCase):
-            return self._check_case(term, env, in_scope)
+            return (yield from self._check_case(term, local, in_scope))
         raise TypeError(f"unknown System F term: {term!r}")
 
-    def _check_case(self, term: FCase, env: Environment, in_scope: set[str]) -> Type:
-        scrutinee_type = self._check(term.scrutinee, env, in_scope)
+    def _check_case(self, term: FCase, local: dict[str, Type], in_scope: set[str]):
+        scrutinee_type = yield self._check(term.scrutinee, local, in_scope)
         if not isinstance(scrutinee_type, TCon):
             raise SystemFTypeError(
                 f"case scrutinee must have a data type, got `{scrutinee_type}`"
             )
         result_type: Type | None = None
         for alt in term.alts:
-            datacon = self._datacon(env, alt.constructor)
+            datacon = self._datacon(alt.constructor)
             if datacon.result_con != scrutinee_type.name:
                 raise SystemFTypeError(
                     f"constructor {alt.constructor} does not build `{scrutinee_type}`"
@@ -146,18 +168,15 @@ class FChecker:
                 raise SystemFTypeError(
                     f"constructor {alt.constructor} has arity {datacon.arity}"
                 )
-            mapping: dict[str, Type] = dict(
-                zip(datacon.universals, scrutinee_type.args)
-            )
-            mapping.update(
-                {
-                    old: TVar(new)
-                    for old, new in zip(datacon.existentials, alt.type_binders)
-                }
-            )
-            fields = [subst_tvars(mapping, field) for field in datacon.fields]
-            alt_env = env.extended_many(dict(zip(alt.binders, fields)))
-            alt_type = self._check(alt.rhs, alt_env, in_scope | set(alt.type_binders))
+            fields = alt_field_types(datacon, scrutinee_type.args, alt.type_binders)
+            opened = set(alt.type_binders) - in_scope
+            in_scope.update(opened)
+            try:
+                alt_type = yield scoped(
+                    local, alt.binders, fields, self._check, alt.rhs, local, in_scope
+                )
+            finally:
+                in_scope.difference_update(opened)
             if set(alt.type_binders) & ftv(alt_type):
                 raise SystemFTypeError(
                     f"existential type variable escapes from branch "
@@ -172,12 +191,24 @@ class FChecker:
         assert result_type is not None
         return result_type
 
-    @staticmethod
-    def _datacon(env: Environment, name: str) -> DataCon:
+    def _datacon(self, name: str) -> DataCon:
         try:
-            return env.lookup_datacon(name)
+            return self.env.lookup_datacon(name)
         except Exception as error:
             raise SystemFTypeError(str(error)) from None
+
+
+def alt_field_types(
+    datacon: DataCon, tycon_args: Sequence[Type], type_binders: Sequence[str]
+) -> list[Type]:
+    """The field types of a case alternative over ``datacon``: the
+    universals at the scrutinee's type arguments, the existentials at the
+    alternative's type binders."""
+    mapping: dict[str, Type] = dict(zip(datacon.universals, tycon_args))
+    mapping.update(
+        {old: TVar(new) for old, new in zip(datacon.existentials, type_binders)}
+    )
+    return [subst_tvars(mapping, field) for field in datacon.fields]
 
 
 def _literal_type(value: object) -> Type:

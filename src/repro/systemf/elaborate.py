@@ -1,7 +1,7 @@
 """Elaboration of inferred GI programs into System F (Figure 16).
 
 Constraint generation tagged every instantiation / generalisation /
-annotation site with the path of its term node; the solver recorded which
+annotation site with the key of its term node; the solver recorded which
 type arguments each instantiation chose (interleaved with the explicit
 arguments, rule by rule) and which skolems each generalisation introduced.
 This module replays the source term against that evidence, emitting:
@@ -20,7 +20,7 @@ the executable content of Theorems 4.2 and C.1.
 from __future__ import annotations
 
 from repro.core.errors import ElaborationError
-from repro.core.evidence import EvidenceStore, Path, TakeArg, TypeArgs
+from repro.core.evidence import ROOT, EvidenceStore, GenEvidence, Key, TakeArg, TypeArgs
 from repro.core.infer import InferenceResult
 from repro.core.terms import (
     Ann,
@@ -32,6 +32,7 @@ from repro.core.terms import (
     Lit,
     Term,
     Var,
+    drive,
 )
 from repro.systemf.ast import (
     FAlt,
@@ -41,7 +42,6 @@ from repro.systemf.ast import (
     FLet,
     FLit,
     FTerm,
-    FTyApp,
     FVar,
     ftyapp,
     ftylam,
@@ -49,129 +49,121 @@ from repro.systemf.ast import (
 
 
 class Elaborator:
-    """Replays a type-inferred term into System F."""
+    """Replays a type-inferred term into System F.
+
+    The replay is a walk on :func:`~repro.core.terms.drive` that reads
+    the evidence under the same node keys constraint generation handed
+    out.
+    """
 
     def __init__(self, evidence: EvidenceStore) -> None:
         self.evidence = evidence
 
+    def elaborate(self, term: Term, key: Key = ROOT) -> FTerm:
+        return drive(self._elaborate(term, key))
+
     # ------------------------------------------------------------------
 
-    def elaborate(self, term: Term, path: Path = ()) -> FTerm:
-        if isinstance(term, Var):
-            return self._elaborate_app(term, (), path)
-        if isinstance(term, Lit):
+    def _elaborate(self, term: Term, key: Key):
+        kind = term.__class__
+        if kind is Lit:
             return FLit(term.value)
-        if isinstance(term, App):
-            return self._elaborate_app(term.head, term.args, path)
-        if isinstance(term, Lam):
-            binder_type = self.evidence.lam_binders.get(path)
-            if binder_type is None:
-                raise ElaborationError(f"no binder type recorded for λ at {path}")
-            return FLam(term.var, binder_type, self.elaborate(term.body, path + (0,)))
-        if isinstance(term, AnnLam):
-            return FLam(term.var, term.annotation, self.elaborate(term.body, path + (0,)))
-        if isinstance(term, Ann):
-            return self._elaborate_ann(term, path)
+        if kind is Var:
+            return self._spine(term, (), key)
+        if kind is App:
+            return self._spine(term.head, term.args, key)
+        if kind is Ann:
+            return self._elaborate_ann(term, key)
+        return self._elaborate_node(term, key)
+
+    def _elaborate_node(self, term: Term, key: Key):
+        child = self.evidence.child
+        if isinstance(term, (Lam, AnnLam)):
+            if term.__class__ is AnnLam:
+                binder_type = term.annotation
+            else:
+                binder_type = self.evidence.lam_binders.get(key)
+                if binder_type is None:
+                    raise ElaborationError(f"no binder type recorded for λ at node {key}")
+            body = yield self._elaborate(term.body, child(key, 0))
+            return FLam(term.var, binder_type, body)
         if isinstance(term, Let):
-            bound_type = self.evidence.let_types.get(path)
+            bound_type = self.evidence.let_types.get(key)
             if bound_type is None:
-                raise ElaborationError(f"no bound type recorded for let at {path}")
-            return FLet(
-                term.var,
-                bound_type,
-                self.elaborate(term.bound, path + (0,)),
-                self.elaborate(term.body, path + (1,)),
-            )
+                raise ElaborationError(f"no bound type recorded for let at node {key}")
+            bound = yield self._elaborate(term.bound, child(key, 0))
+            body = yield self._elaborate(term.body, child(key, 1))
+            return FLet(term.var, bound_type, bound, body)
         if isinstance(term, Case):
-            return self._elaborate_case(term, path)
+            info = self.evidence.case_infos.get(key)
+            if info is None:
+                raise ElaborationError(f"no case evidence at node {key}")
+            scrutinee = yield self._elaborate(term.scrutinee, child(key, 0))
+            alts = []
+            for index, alt in enumerate(term.alts):
+                rhs = yield self._elaborate(alt.rhs, child(key, index + 1))
+                skolems = tuple(info.alt_skolems[index]) if index < len(info.alt_skolems) else ()
+                alts.append(FAlt(alt.constructor, skolems, alt.binders, rhs))
+            return FCase(scrutinee, tuple(alts))
         raise TypeError(f"unknown term node: {term!r}")
 
     # ------------------------------------------------------------------
 
-    def _elaborate_app(self, head: Term, args: tuple[Term, ...], path: Path) -> FTerm:
-        current = self._elaborate_head(head, path + (0,))
-        trace = self.evidence.inst_traces.get(path, [])
-        next_argument = 0
-        for event in trace:
+    def _spine(self, head: Term, args: tuple[Term, ...], key: Key):
+        """Rules App and AnnApp: replay the instantiation trace at ``key``
+        as ``ψ1 e1 ψ2 e2 ... ψr`` over the head."""
+        if head.__class__ is Var:
+            current: FTerm = FVar(head.name)
+        else:
+            current = yield self._elaborate(head, self.evidence.child(key, 0))
+        taken = 0
+        for event in self.evidence.inst_traces.get(key, ()):
             if isinstance(event, TypeArgs):
                 current = ftyapp(current, event.types)
-            elif isinstance(event, TakeArg):
-                if next_argument >= len(args):
-                    raise ElaborationError(
-                        f"instantiation trace at {path} consumes more arguments "
-                        f"than the application has"
-                    )
-                current = FApp(
-                    current,
-                    self._elaborate_arg(args[next_argument], path + (next_argument + 1,)),
-                )
-                next_argument += 1
-            else:
+            elif not isinstance(event, TakeArg):
                 raise TypeError(f"unknown instantiation event: {event!r}")
-        if next_argument != len(args):
+            elif taken < len(args):
+                argument = yield self._elaborate_arg(
+                    args[taken], self.evidence.child(key, taken + 1)
+                )
+                current = FApp(current, argument)
+                taken += 1
+            else:
+                raise ElaborationError(
+                    f"instantiation trace at node {key} consumes more arguments "
+                    f"than the application has"
+                )
+        if taken != len(args):
             raise ElaborationError(
-                f"instantiation trace at {path} consumed {next_argument} of "
+                f"instantiation trace at node {key} consumed {taken} of "
                 f"{len(args)} arguments"
             )
         return current
 
-    def _elaborate_head(self, head: Term, path: Path) -> FTerm:
-        if isinstance(head, Var):
-            return FVar(head.name)
-        return self.elaborate(head, path)
-
-    def _elaborate_arg(self, argument: Term, path: Path) -> FTerm:
-        info = self.evidence.gen_infos.get(path)
+    def _elaborate_arg(self, argument: Term, key: Key):
+        info = self.evidence.gen_infos.get(key)
         if info is None:
             # The argument produced no generalisation evidence (can happen
             # for arguments whose Gen constraint was fully degenerate).
-            return self.elaborate(argument, path)
-        if info.star:
-            if not isinstance(argument, Var):
-                raise ElaborationError("VarGen evidence on a non-variable argument")
-            inner: FTerm = ftyapp(FVar(argument.name), info.star_type_args)
-        else:
-            inner = self.elaborate(argument, path)
-            inner = ftyapp(inner, info.release_type_args)
-        return ftylam(info.skolems, inner)
+            return self._elaborate(argument, key)
+        if not info.star:
+            return self._generalised(argument, key, info)
+        if not isinstance(argument, Var):
+            raise ElaborationError("VarGen evidence on a non-variable argument")
+        return ftylam(info.skolems, ftyapp(FVar(argument.name), info.star_type_args))
 
-    def _elaborate_ann(self, term: Ann, path: Path) -> FTerm:
+    def _generalised(self, argument: Term, key: Key, info: GenEvidence):
+        """Rule ArgGen: ``Λb̄. eF τ̄``."""
+        inner = yield self._elaborate(argument, key)
+        return ftylam(info.skolems, ftyapp(inner, info.release_type_args))
+
+    def _elaborate_ann(self, term: Ann, key: Key):
         if isinstance(term.expr, App):
             head, args = term.expr.head, term.expr.args
         else:
             head, args = term.expr, ()
-        info = self.evidence.gen_infos.get(("ann",) + path)
-        skolems = info.skolems if info is not None else []
-        current = self._elaborate_head(head, path + (0,))
-        trace = self.evidence.inst_traces.get(path, [])
-        next_argument = 0
-        for event in trace:
-            if isinstance(event, TypeArgs):
-                current = ftyapp(current, event.types)
-            elif isinstance(event, TakeArg):
-                current = FApp(
-                    current,
-                    self._elaborate_arg(args[next_argument], path + (next_argument + 1,)),
-                )
-                next_argument += 1
-        if next_argument != len(args):
-            raise ElaborationError(
-                f"annotated application at {path} consumed {next_argument} of "
-                f"{len(args)} arguments"
-            )
-        return ftylam(skolems, current)
-
-    def _elaborate_case(self, term: Case, path: Path) -> FTerm:
-        info = self.evidence.case_infos.get(path)
-        if info is None:
-            raise ElaborationError(f"no case evidence at {path}")
-        scrutinee = self.elaborate(term.scrutinee, path + (0,))
-        alts = []
-        for index, alt in enumerate(term.alts):
-            rhs = self.elaborate(alt.rhs, path + (index + 1,))
-            skolems = tuple(info.alt_skolems[index]) if index < len(info.alt_skolems) else ()
-            alts.append(FAlt(alt.constructor, skolems, alt.binders, rhs))
-        return FCase(scrutinee, tuple(alts))
+        current = yield from self._spine(head, args, key)
+        return ftylam(self.evidence.ann_skolems.get(key, ()), current)
 
 
 def elaborate_result(result: InferenceResult) -> FTerm:

@@ -21,8 +21,8 @@ claims.
 from __future__ import annotations
 
 from repro.core.env import Environment
-from repro.core.terms import Ann, AnnLam, Case, CaseAlt, Let, Term, Var, app
-from repro.core.terms import Lit
+from repro.core.terms import Ann, AnnLam, Case, CaseAlt, Let, Lit, Term, Var, app
+from repro.core.terms import drive, scoped
 from repro.core.types import Type, is_fully_monomorphic, strip_forall
 from repro.systemf.ast import (
     FApp,
@@ -35,65 +35,72 @@ from repro.systemf.ast import (
     FTyLam,
     FVar,
 )
-from repro.systemf.check import FChecker
+from repro.systemf.check import FChecker, alt_field_types
 
 
 class Embedder:
-    """Translates checked System F terms into annotated GI terms."""
+    """Translates checked System F terms into annotated GI terms.
+
+    The translation is a walk on :func:`~repro.core.terms.drive`; the
+    variables bound inside the term live in one scope, ``local``, over the
+    environment, and the checker types each subterm under it.
+    """
 
     def __init__(self, env: Environment) -> None:
         self.env = env
         self.checker = FChecker(env)
+        self.local: dict[str, Type] = {}
 
     def embed(self, term: FTerm) -> tuple[Term, Type]:
         """The GI translation of a well-typed F term, with its type."""
-        type_ = self.checker.typecheck(term)
-        return self._go(term, self.env, type_), type_
+        self.local = {}
+        type_ = self._type_of(term)
+        return drive(self._go(term, type_)), type_
+
+    def _type_of(self, term: FTerm) -> Type:
+        return self.checker.typecheck(term, self.local)
 
     # ------------------------------------------------------------------
 
-    def _go(self, term: FTerm, env: Environment, type_: Type) -> Term:
+    def _go(self, term: FTerm, type_: Type):
         if isinstance(term, FVar):
             return Var(term.name)
         if isinstance(term, FLit):
             return Lit(term.value)
+        return self._go_node(term, type_)
+
+    def _go_node(self, term: FTerm, type_: Type):
         if isinstance(term, FLam):
-            inner_env = env.extended(term.var, term.annotation)
-            inner_type = FChecker(inner_env).typecheck(term.body)
-            return AnnLam(
-                term.var,
-                term.annotation,
-                self._result_annotated(term.body, inner_env, inner_type),
+            body = yield scoped(
+                self.local, (term.var,), (term.annotation,), self._result_annotated, term.body
             )
+            return AnnLam(term.var, term.annotation, body)
         if isinstance(term, FTyLam):
-            inner_type = FChecker(env).typecheck(term)  # ∀binders. σ
-            body_f_type = FChecker(env).typecheck(term.body)
-            inner = self._go(term.body, env, body_f_type)
+            inner_type = self._type_of(term)  # ∀binders. σ
+            inner = yield self._typed(term.body)
             return Ann(_strip_ann(inner), inner_type)
         if isinstance(term, (FApp, FTyApp)):
-            return self._embed_spine(term, env, type_)
+            return (yield from self._embed_spine(term, type_))
         if isinstance(term, FLet):
-            bound = self._go(term.bound, env, term.annotation)
-            inner_env = env.extended(term.var, term.annotation)
-            body_type = FChecker(inner_env).typecheck(term.body)
-            return Let(
-                term.var,
-                Ann(_strip_ann(bound), term.annotation),
-                self._go(term.body, inner_env, body_type),
-            )
+            bound = yield self._go(term.bound, term.annotation)
+            binder = (term.annotation,)
+            body = yield scoped(self.local, (term.var,), binder, self._typed, term.body)
+            return Let(term.var, Ann(_strip_ann(bound), term.annotation), body)
         if isinstance(term, FCase):
-            return self._embed_case(term, env, type_)
+            return (yield from self._embed_case(term, type_))
         raise TypeError(f"unknown System F term: {term!r}")
 
-    def _embed_spine(self, term: FTerm, env: Environment, type_: Type) -> Term:
+    def _embed_spine(self, term: FTerm, type_: Type):
         """Translate an application spine, annotating with its result type."""
         head, arguments = _spine(term)
-        checker = FChecker(env)
-        head_gi = self._head(head, env, checker)
+        if isinstance(head, FVar):
+            head_gi: Term = Var(head.name)
+        else:
+            head_gi = yield self._go(head, self._type_of(head))
         args_gi = []
         for argument in arguments:
-            arg_type = checker.typecheck(argument)
-            arg_gi = self._go(argument, env, arg_type)
+            arg_type = self._type_of(argument)
+            arg_gi = yield self._go(argument, arg_type)
             args_gi.append(self._pin(arg_gi, arg_type))
         result = app(head_gi, *args_gi) if args_gi else head_gi
         if not args_gi and is_fully_monomorphic(type_):
@@ -102,12 +109,6 @@ class Embedder:
         if isinstance(result, Ann) and result.annotation == type_:
             return result
         return Ann(_strip_ann(result), type_)
-
-    def _head(self, head: FTerm, env: Environment, checker: FChecker) -> Term:
-        if isinstance(head, FVar):
-            return Var(head.name)
-        head_type = checker.typecheck(head)
-        return self._go(head, env, head_type)
 
     def _pin(self, argument: Term, arg_type: Type) -> Term:
         """Annotate an argument with its exact F type (unless trivial)."""
@@ -119,39 +120,31 @@ class Embedder:
             return argument
         return Ann(argument, arg_type)
 
-    def _result_annotated(self, body: FTerm, env: Environment, type_: Type) -> Term:
+    def _typed(self, term: FTerm):
+        """The translation of ``term`` at its type under the scope."""
+        return self._go(term, self._type_of(term))
+
+    def _result_annotated(self, body: FTerm):
         """A lambda body, annotated when its type is polymorphic (GI's
         un-annotated application results are top-level monomorphic)."""
-        inner = self._go(body, env, type_)
+        type_ = self._type_of(body)
+        inner = yield self._go(body, type_)
         binders, _ = strip_forall(type_)
         if binders and not isinstance(inner, Ann):
             return Ann(_strip_ann(inner), type_)
         return inner
 
-    def _embed_case(self, term: FCase, env: Environment, type_: Type) -> Term:
-        checker = FChecker(env)
-        scrutinee_type = checker.typecheck(term.scrutinee)
-        scrutinee = self._go(term.scrutinee, env, scrutinee_type)
+    def _embed_case(self, term: FCase, type_: Type):
+        scrutinee_type = self._type_of(term.scrutinee)
+        scrutinee = yield self._go(term.scrutinee, scrutinee_type)
         alts = []
         for alt in term.alts:
-            datacon = env.lookup_datacon(alt.constructor)
-            from repro.core.types import TVar, subst_tvars
-
-            mapping: dict[str, Type] = dict(
-                zip(datacon.universals, getattr(scrutinee_type, "args", ()))
+            datacon = self.env.lookup_datacon(alt.constructor)
+            fields = alt_field_types(
+                datacon, getattr(scrutinee_type, "args", ()), alt.type_binders
             )
-            mapping.update(
-                {
-                    old: TVar(new)
-                    for old, new in zip(datacon.existentials, alt.type_binders)
-                }
-            )
-            fields = [subst_tvars(mapping, field) for field in datacon.fields]
-            alt_env = env.extended_many(dict(zip(alt.binders, fields)))
-            rhs_type = FChecker(alt_env).typecheck(alt.rhs)
-            alts.append(
-                CaseAlt(alt.constructor, alt.binders, self._go(alt.rhs, alt_env, rhs_type))
-            )
+            rhs = yield scoped(self.local, alt.binders, fields, self._typed, alt.rhs)
+            alts.append(CaseAlt(alt.constructor, alt.binders, rhs))
         case = Case(scrutinee, tuple(alts))
         return Ann(case, type_)
 

@@ -77,8 +77,8 @@ class TestCLI:
 
 
 DEEP_EXPRESSION = "inc (" * 2000 + "0" + ")" * 2000
-"""Parses (the parser keeps its nesting on an explicit stack), then nests
-far past the recursion limit of the recursive constraint generator."""
+"""Nests far past Python's recursion limit; the parser and every term walk
+keep their nesting on explicit stacks, so it type-checks at ``Int``."""
 
 
 class TestCrashContainment:
@@ -86,8 +86,8 @@ class TestCrashContainment:
     contained (an :class:`InternalError`, which is a ``GIError``) prints
     as ``internal error …``, never as a type error.
 
-    The engine's containment is stood in for, so the tests keep their
-    meaning once the generator types terms this deep.
+    The engine's containment is stood in for: the generator types terms
+    this deep, so no known input crashes it.
     """
 
     DIAGNOSTIC = "internal error during generate (RecursionError)"

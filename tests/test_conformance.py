@@ -4,6 +4,7 @@ fault-injection acceptance, CLI."""
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -32,7 +33,8 @@ from repro.core.policy import DEFAULT_POLICY
 from repro.core.terms import Ann, Lam, Let, Lit, Var, app
 from repro.core.types import alpha_equal
 from repro.evalsuite.figure2 import figure2_env
-from repro.robustness import read_batch_file
+from repro.evalsuite.workloads import application_chain, lambda_tower, let_chain
+from repro.robustness import Budget, read_batch_file
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +101,22 @@ def test_battery_clean_on_seeded_sweep(env, generator):
     for case in generator.cases(42, 120):
         violation = run_battery(ctx, case.term)
         assert violation is None, f"case {case.index} `{case.source}`: {violation}"
+
+
+DEEP_SHAPES = (application_chain, let_chain, lambda_tower)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_battery_clean_on_deep_shapes(env, seed):
+    # The deep shapes at seeded depths around and past Python's recursion
+    # limit: no system may crash, and the implications between systems
+    # hold wherever both sides decide in time.
+    rng = random.Random(seed)
+    ctx = OracleContext(env, budget=Budget(wall_clock=0.5))
+    for shape in DEEP_SHAPES:
+        term = shape(rng.randint(300, 1500))
+        violation = run_battery(ctx, term, ("crash", "differential"))
+        assert violation is None, (shape.__name__, str(violation))
 
 
 def test_run_fuzz_is_reproducible(env):

@@ -4,7 +4,9 @@ import pytest
 
 from repro.core.classify import Bit
 from repro.core.constraints import Eq, Gen, Inst, Quant
-from repro.core.generate import GenOptions, Generator
+from repro.core.evidence import ROOT
+from repro.core.generate import Generator
+from repro.core.infer import InferOptions
 from repro.core.sorts import Sort
 from repro.core.types import Forall, UVar, fuv
 from repro.syntax import parse_term, parse_type
@@ -14,7 +16,7 @@ ENV = figure2_env()
 
 
 def generate(source: str, **options):
-    generator = Generator(options=GenOptions(**options) if options else None)
+    generator = Generator(options=InferOptions(**options) if options else None)
     return generator.gen(ENV, parse_term(source))
 
 
@@ -99,13 +101,13 @@ class TestShapes:
     def test_lambda_binder_is_fully_monomorphic(self):
         generator = Generator()
         type_, _ = generator.gen(ENV, parse_term(r"\x -> x"))
-        binder = generator.evidence.lam_binders[()]
+        binder = generator.evidence.lam_binders[ROOT]
         assert binder.sort is Sort.M
 
     def test_let_records_bound_type(self):
         generator = Generator()
         generator.gen(ENV, parse_term("let x = inc 1 in x"))
-        assert () in generator.evidence.let_types
+        assert ROOT in generator.evidence.let_types
 
     def test_case_constraints(self):
         _, constraints = generate(

@@ -26,9 +26,11 @@ The solver's step counts on the Figure-2 sweep, on a chain of deferred
 generalisations and on ``deep_chain_term`` are pinned exactly: they are
 deterministic, so any change to scheduling or wake-ups shows here.
 
-Sizes stay below the depth at which the recursive term walk of the
-generator runs out of Python stack (about 330 nested applications).
+Constraint generation's memory is linear in the term too: one binder
+scope per run, and evidence keys of constant size.
 """
+
+import tracemalloc
 
 import pytest
 
@@ -142,6 +144,27 @@ def test_work_counts_grow_linearly(family):
     large_captured, large_bindings = work(family, 2 * size)
     assert large_captured <= 2.5 * small_captured, (small_captured, large_captured)
     assert large_bindings <= 2.5 * small_bindings, (small_bindings, large_bindings)
+
+
+def generation_peak(family: str, size: int) -> int:
+    """Peak bytes traced while generating constraints for one term (no
+    solver): the driver's open walks, the one binder scope, the evidence
+    keys and the constraints themselves."""
+    term = getattr(workloads, family)(size)
+    tracemalloc.start()
+    try:
+        Generator().gen(ENV, term)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("family", ["let_chain", "lambda_tower"])
+def test_generation_memory_grows_linearly(family):
+    # A copy of the whole scope per binder, or an evidence key holding
+    # the whole path to its node, made this grow about fourfold.
+    small, large = generation_peak(family, 2000), generation_peak(family, 4000)
+    assert large <= 2.5 * small, (small, large)
 
 
 def summarised(family: str, size: int) -> int:

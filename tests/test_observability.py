@@ -22,6 +22,7 @@ import pytest
 from repro.__main__ import main
 from repro.core.errors import GIError, InternalError
 from repro.core.infer import Inferencer
+from repro.core.generate import Generator
 from repro.evalsuite import workloads
 from repro.evalsuite.figure2 import FIGURE2, figure2_env
 from repro.evalsuite.modules_corpus import synthetic_module_source
@@ -391,7 +392,13 @@ class TestWorkerTraceback:
         assert snapshot["worker"]
         assert "\n" not in str(info.value)
 
-    def test_internal_error_traceback_reaches_batch_json(self):
+    def test_internal_error_traceback_reaches_batch_json(self, monkeypatch):
+        # No known input crashes the engine any more: stand in for an
+        # overflow inside constraint generation, past the parser.
+        def gen(self, env, term):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(Generator, "gen", gen)
         result = check_batch(["inc (" * 2000 + "0" + ")" * 2000], ENV)
         (diagnostic,) = result.diagnostics
         assert diagnostic.severity == "internal"

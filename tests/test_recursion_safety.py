@@ -8,10 +8,11 @@ structural term walks (``walk_terms``/``term_size``/``free_vars``/
 ``candidates``) are iterative with explicit stacks, so depth is bounded
 by memory — not by Python's recursion limit.  These tests drive each one
 at depths far beyond ``sys.getrecursionlimit()``; a regression to
-recursive form fails them immediately.  They never compare, hash or print
-a deep term: term equality, ``repr`` and ``pretty_term`` still recurse.
-The parser keeps its nesting on an explicit stack too: source text
-nested 10 000 deep parses at every text entry point.
+recursive form fails them immediately.  Term equality, hashing, ``repr``
+and ``pretty_term`` are iterative too.  The parser keeps its nesting on
+an explicit stack: source text nested 10 000 deep parses at every text
+entry point.  ``tests/test_term_depth.py`` takes deep terms through
+inference and every other entry point.
 Budgets still apply: a depth *budget* must trip as a
 :class:`BudgetExceededError`, never as a raw ``RecursionError``.
 """
@@ -27,6 +28,7 @@ from repro.baselines.registry import SYSTEMS
 from repro.conformance.shrink import candidates
 from repro.core.terms import (
     Ann,
+    App,
     Lit,
     Var,
     free_vars,
@@ -320,6 +322,27 @@ class TestDeepTerms:
         assert annotated.annotation == INT and annotated.expr is term
 
     @pytest.mark.parametrize("shape", list(TERM_SHAPES))
+    def test_equality_hash_repr_and_printing(self, shape):
+        term, twin = shape(TERM_DEPTH), shape(TERM_DEPTH)
+        assert term == twin and term is not twin
+        assert hash(term) == hash(twin)
+        assert term != shape(TERM_DEPTH - 1)
+        assert {term: 1}[twin] == 1
+        assert repr(term) == repr(twin) and repr(term).count("(") > TERM_DEPTH
+        assert parse_term(str(term)) == term
+
+    def test_literal_equality_observes_the_value_type(self):
+        # ``True == 1`` in Python, but the two literals have different types.
+        def chain(leaf):
+            for _ in range(TERM_DEPTH):
+                leaf = App(Var("inc"), (leaf,))
+            return leaf
+
+        assert chain(Lit(1)) == chain(Lit(1))
+        assert chain(Lit(True)) != chain(Lit(1))
+        assert len({chain(Lit(True)), chain(Lit(1)), chain(Lit(1))}) == 2
+
+    @pytest.mark.parametrize("shape", list(TERM_SHAPES))
     def test_shrink_candidates(self, shape):
         term = shape(TERM_DEPTH)
         size = term_size(term)
@@ -401,9 +424,8 @@ DEEP_TYPE_SOURCES = {
 
 
 class TestDeepSource:
-    """Parsing is bounded by memory at every text entry point.  Inference
-    of a deep *term* still recurses (ROADMAP, term depth end to end), so
-    past the parser those items may fail, but never in the parse phase."""
+    """Parsing is bounded by memory at every text entry point; past the
+    parser an item may fail, but never in the parse phase."""
 
     @pytest.mark.parametrize("name", list(DEEP_TERM_SOURCES))
     def test_parse_term(self, name):
