@@ -35,6 +35,8 @@ while checking ``[]``.  The measured Figure-2 column lives in
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.baselines.kernel import Kernel
 from repro.baselines.rankn import RankNInferencer
 from repro.core.env import Environment
@@ -57,6 +59,19 @@ from repro.core.types import (
 
 class QuickLookError(TypeError_):
     """A Quick-Look type error."""
+
+
+class _Looked(NamedTuple):
+    """A nested spine's finished quick look, kept for its real check as
+    GHC keeps an ``EValArgQL``: the head's instantiation — parameter
+    types, result type and instantiation variables — and the saved look
+    of each of its own arguments.  Checking the spine reuses it instead
+    of instantiating the head and quick-looking the arguments again."""
+
+    params: list[Type]
+    result: Type
+    spine_vars: set[UVar]
+    args: list["_Looked | None"]
 
 
 # UVar sorts:
@@ -138,8 +153,15 @@ class QuickLookInferencer(RankNInferencer):
 
     # -- the quick look ----------------------------------------------------
 
-    def _quick_type(self, term: Term, local: dict[str, Type]):
-        """The *rough* type of a quick-lookable argument, or ``None``.
+    def _quick_args(
+        self,
+        args: tuple[Term, ...],
+        params: list[Type],
+        spine_vars: set[UVar],
+        local: dict[str, Type],
+    ):
+        """Quick-look each argument against its parameter type: returns
+        the candidate commits and, per argument, its nested spine's look.
 
         Quick-lookable: variables, literals, annotated terms, and
         application spines of those.  Nested spines run their own quick
@@ -148,6 +170,22 @@ class QuickLookInferencer(RankNInferencer):
         Never raises — a shape the quick look cannot see through simply
         contributes no information.
         """
+        quicks: list[tuple[UVar, Type]] = []
+        looks: list[_Looked | None] = []
+        for argument, parameter in zip(args, params):
+            look = None
+            if isinstance(argument, App):
+                look = yield self._quick_app(argument, local)
+                quick = None if look is None else self.zonk(look.result)
+            else:
+                quick = self._quick_type(argument, local)
+            looks.append(look)
+            if quick is not None:
+                self._quick_match(parameter, quick, spine_vars, quicks)
+        return quicks, looks
+
+    def _quick_type(self, term: Term, local: dict[str, Type]) -> Type | None:
+        """The *rough* type of a quick-lookable leaf, or ``None``."""
         if isinstance(term, Var):
             try:
                 return self.instantiate(self._lookup(term.name, local))
@@ -157,8 +195,6 @@ class QuickLookInferencer(RankNInferencer):
             return term.type_
         if isinstance(term, Ann):
             return term.annotation
-        if isinstance(term, App):
-            return self._quick_app(term, local)
         return None
 
     def _quick_app(self, term: App, local: dict[str, Type]):
@@ -169,7 +205,7 @@ class QuickLookInferencer(RankNInferencer):
 
     def _quick_spine(self, term: App, local: dict[str, Type]):
         """Quick look for a *nested* spine: match its own arguments,
-        commit what is eligible, and return the rough result type."""
+        commit what is eligible, and save the look for the check."""
         self._check_deadline()
         head = term.head
         if isinstance(head, Var):
@@ -182,8 +218,8 @@ class QuickLookInferencer(RankNInferencer):
         else:
             return None
         spine_vars: set[UVar] = set()
-        pairs: list[tuple[Term, Type]] = []
-        for argument in term.args:
+        params: list[Type] = []
+        for _ in term.args:
             current = self.zonk(current)
             if isinstance(current, Forall):
                 current = self._instantiate_spine(current, spine_vars)
@@ -191,16 +227,10 @@ class QuickLookInferencer(RankNInferencer):
                 parameter, current = current.args
             else:
                 return None
-            pairs.append((argument, parameter))
-        quicks: list[tuple[UVar, Type]] = []
-        for argument, parameter in pairs:
-            quick = yield self._quick_type(argument, local)
-            if quick is not None:
-                self._quick_match(parameter, quick, spine_vars, quicks)
-        self._commit_quicks(
-            quicks, [parameter for _, parameter in pairs] + [current], spine_vars
-        )
-        return self.zonk(current)
+            params.append(parameter)
+        quicks, looks = yield self._quick_args(term.args, params, spine_vars, local)
+        self._commit_quicks(quicks, params + [current], spine_vars)
+        return _Looked(params, current, spine_vars, looks)
 
     def _quick_match(
         self,
@@ -294,10 +324,14 @@ class QuickLookInferencer(RankNInferencer):
         term: Term,
         local: dict[str, Type],
         expected: Type | None = None,
+        look: _Looked | None = None,
     ):
         """Type one application spine: instantiate the head, quick-look
         the arguments (and the expected result type, when checking),
-        commit, then check the arguments predicatively in order."""
+        commit, then check the arguments predicatively in order.  A spine
+        the enclosing quick look already looked at (``look``) keeps that
+        instantiation and those commits: looking again would redo the
+        whole nested quick look once per enclosing spine."""
         if isinstance(term, App):
             head, args = term.head, term.args
         else:
@@ -311,48 +345,54 @@ class QuickLookInferencer(RankNInferencer):
             fn_sigma = head.annotation
         else:
             fn_sigma = yield self._infer(head, local)
-        spine_vars: set[UVar] = set()
-        params: list[Type] = []
-        current = fn_sigma
-        for _ in args:
-            # Each zonk walks the rest of the function type.
-            self._check_deadline()
-            current = self.zonk(current)
-            if isinstance(current, Forall):
-                current = self._instantiate_spine(current, spine_vars)
-            if isinstance(current, UVar):
-                if current in spine_vars:
-                    # Splitting an instantiation variable into an arrow
-                    # yields instantiation variables: `id poly (λx.x)`
-                    # needs the split parameter to take a quick-look
-                    # commit to `∀a.a→a`.
-                    parameter, result = self.fresh(Sort.U), self.fresh(Sort.U)
-                    spine_vars.update((parameter, result))
+        if look is None:
+            spine_vars: set[UVar] = set()
+            params: list[Type] = []
+            current = fn_sigma
+            for _ in args:
+                # Each zonk walks the rest of the function type.
+                self._check_deadline()
+                current = self.zonk(current)
+                if isinstance(current, Forall):
+                    current = self._instantiate_spine(current, spine_vars)
+                if isinstance(current, UVar):
+                    if current in spine_vars:
+                        # Splitting an instantiation variable into an
+                        # arrow yields instantiation variables: `id poly
+                        # (λx.x)` needs the split parameter to take a
+                        # quick-look commit to `∀a.a→a`.
+                        parameter, result = self.fresh(Sort.U), self.fresh(Sort.U)
+                        spine_vars.update((parameter, result))
+                    else:
+                        parameter, result = self.fresh(), self.fresh()
+                    self.unify(current, fun(parameter, result))
+                    current = result
+                elif is_arrow(current):
+                    parameter, current = current.args
                 else:
-                    parameter, result = self.fresh(), self.fresh()
-                self.unify(current, fun(parameter, result))
-                current = result
-            elif is_arrow(current):
-                parameter, current = current.args
-            else:
-                raise QuickLookError(f"too many arguments for `{current}`")
-            params.append(parameter)
+                    raise QuickLookError(f"too many arguments for `{current}`")
+                params.append(parameter)
+        else:
+            params, current, spine_vars, _ = look
         current = self.zonk(current)
         if expected is not None and isinstance(current, Forall):
             # Checking mode: the expected ρ-type takes part in the quick
             # look, so the result's own quantifiers become instantiation
             # variables too (`[] : [∀a.a→a]` commits through this).
             current = self._instantiate_spine(current, spine_vars)
-        quicks: list[tuple[UVar, Type]] = []
-        for argument, parameter in zip(args, params):
-            quick = yield self._quick_type(argument, local)
-            if quick is not None:
-                self._quick_match(parameter, quick, spine_vars, quicks)
+        if look is None:
+            quicks, looks = yield self._quick_args(args, params, spine_vars, local)
+        else:
+            # The arguments' commits are made; only the expected type's
+            # are left, and they never override an argument's.
+            quicks, looks = [], look.args
         if expected is not None:
             self._quick_match(current, expected, spine_vars, quicks)
         self._commit_quicks(quicks, params + [current], spine_vars)
-        for argument, parameter in zip(args, params):
-            yield self._check_arg(argument, self.zonk(parameter), local)
+        for argument, parameter, argument_look in zip(args, params, looks):
+            yield self._check_arg(
+                argument, self.zonk(parameter), local, argument_look
+            )
         current = self.zonk(current)
         if expected is not None:
             self._subsume_rho(current, expected, spine_result=True)
@@ -368,10 +408,18 @@ class QuickLookInferencer(RankNInferencer):
     # A variable is a spine without arguments.
     _infer_var = _infer_app = _infer_app_spine
 
-    def _check_arg(self, argument: Term, parameter: Type, local: dict[str, Type]):
+    def _check_arg(
+        self,
+        argument: Term,
+        parameter: Type,
+        local: dict[str, Type],
+        look: _Looked | None = None,
+    ):
         parameter = self.zonk(parameter)
         if isinstance(argument, (Var, App)) and not isinstance(parameter, Forall):
-            return self._infer_app_spine(argument, local, expected=parameter)
+            return self._infer_app_spine(argument, local, parameter, look)
+        # A polymorphic parameter skolemises first; the spine is then
+        # checked afresh.
         return super()._check_arg(argument, parameter, local)
 
     def _check_rho(self, term: Term, expected_rho: Type, local: dict[str, Type]):

@@ -175,13 +175,19 @@ class MissingInstanceError(TypeError_):
         super().__init__(f"no instance for `{constraint}`")
 
 
+#: Characters of the stopped-at constraint a budget message shows.
+CONSTRAINT_SHOWN = 400
+
+
 class BudgetExceededError(GIError):
     """An inference run exhausted one of its resource budgets.
 
     Carries enough structure for callers to tell *which* limit tripped and
     where: the ``phase`` ("solver", "unify" or "deadline"), the name and
     value of the limit, a snapshot of the run counters, and — when the
-    solver was mid-step — the constraint being processed.
+    solver was mid-step — the constraint being processed (whole on
+    ``constraint``; the message shows its first :data:`CONSTRAINT_SHOWN`
+    characters and its full length).
     """
 
     def __init__(
@@ -198,7 +204,13 @@ class BudgetExceededError(GIError):
         self.counters = dict(counters or {})
         self.constraint = constraint
         used = ", ".join(f"{key}={value}" for key, value in self.counters.items())
-        at = f" while processing `{constraint}`" if constraint is not None else ""
+        at = ""
+        if constraint is not None:
+            # The constraint grows with the term; the message must not.
+            shown = str(constraint)
+            if len(shown) > CONSTRAINT_SHOWN:
+                shown = f"{shown[:CONSTRAINT_SHOWN]}… ({len(shown)} chars)"
+            at = f" while processing `{shown}`"
         super().__init__(
             f"budget exceeded in {phase}: {limit_name} limit of {limit} "
             f"reached ({used}){at}"

@@ -57,6 +57,7 @@ from repro.core.types import (
     alpha_equal,
     fun,
     fuv,
+    is_arrow,
     open_forall,
     subst_tvars,
 )
@@ -397,10 +398,19 @@ class Solver:
             return
         if tracing:
             self.tracer.event("solver.rule", rule="inst→", constraint=str(constraint))
-        rest = self.unifier.fresh(Sort.U, scope.level)
-        self.unifier.unify(
-            lhs, fun(constraint.args[0], rest), scope.level, scope.resolver
-        )
+        unifier = self.unifier
+        argument = constraint.args[0]
+        if is_arrow(lhs) and unifier.within_level(lhs.args[1], scope.level):
+            # A known arrow hands its own codomain on: no fresh variable,
+            # no binding, for a variable at this level could stand for it
+            # unchanged (nothing to promote, no skolem to escape).
+            unifier.unify_domain(lhs, argument, scope.level, scope.resolver)
+            rest = lhs.args[1]
+        else:
+            # An ``m`` head would demote a ``u`` rest anyway (eqfully).
+            sort = Sort.M if isinstance(lhs, UVar) and lhs.sort is Sort.M else Sort.U
+            rest = unifier.fresh(sort, scope.level)
+            unifier.unify(lhs, fun(argument, rest), scope.level, scope.resolver)
         self._record_inst_event(constraint, TakeArg())
         self.queue.append(
             (

@@ -517,6 +517,68 @@ class Unifier:
         finally:
             self.depth = base
 
+    def unify_domain(
+        self,
+        arrow: TCon,
+        argument: Type,
+        level: int = 0,
+        resolver: TVarResolver | None = None,
+    ) -> None:
+        """Equate the domain of a function type with ``argument``.
+
+        The equation stands for ``arrow ≡ argument → ρ`` with ``ρ`` the
+        arrow's own codomain, so only the domains are left to solve: the
+        arrow's frame is observed at the depth :meth:`unify` would give
+        it, and the domains are unified one level below it, exactly as
+        decomposition would.  The codomain's frame sits at the depth the
+        domain's frame already reached, so skipping it hides nothing from
+        the budget or the fault plan.
+        """
+        base = self.depth
+        depth = base + 1
+        self.depth = depth
+        try:
+            if self.budget is not None:
+                self.budget.check_unify_depth(depth, arrow, argument)
+            if self.faults is not None:
+                self.faults.unify_depth(depth)
+            if depth == 1 and self.tracer is not None and self.tracer.enabled:
+                self.tracer.inc("unify.calls")
+            self.unify(arrow.args[0], argument, level, resolver)
+        finally:
+            self.depth = base
+
+    def within_level(self, type_: Type, level: int) -> bool:
+        """Whether a variable at ``level`` could stand for ``type_`` under
+        the current substitution with nothing for :meth:`bind` to do but
+        the write: no unification variable to promote, no skolem that
+        escapes.  Reads summaries only; a solved variable's image is
+        checked the same way, never rebuilt."""
+        solved = self._solved
+        skolems = self.skolem_levels
+        pending = [type_]
+        seen: set[str] = set()
+        while pending:
+            _, names, deepest, rigid = self._summary(pending.pop())
+            for name in rigid:
+                if skolems.get(name, 0) > level:
+                    return False
+            if deepest > level:
+                for name in names:
+                    if name not in solved and self._variables[name].level > level:
+                        return False
+            for name in solved.intersection(names) if solved else ():
+                if name in seen:
+                    continue
+                seen.add(name)
+                root = self._find(self._variables[name])
+                bound = self._binding.get(root.name)
+                if bound is not None:
+                    pending.append(bound)
+                elif root.level > level:
+                    return False
+        return True
+
     def _mismatch(self, left: Type, right: Type, reason: str = "") -> UnificationError:
         """The error for two types that cannot be made equal.  Frames
         resolve only their heads, so both sides are zonked for the

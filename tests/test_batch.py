@@ -73,6 +73,16 @@ class TestCheckBatch:
         assert diagnostic.error_class == "BudgetExceededError"
         assert diagnostic.phase == "solver"
 
+    def test_budget_message_stays_bounded(self):
+        # The message rendered the whole stopped-at constraint, so it
+        # grew with the term: 877 KB on this input.
+        deep = "inc (" * 10000 + "0" + ")" * 10000
+        result = check_batch([deep], ENV, budget=Budget(max_solver_steps=500))
+        diagnostic = result.items[0].diagnostic
+        assert diagnostic.error_class == "BudgetExceededError"
+        assert len(diagnostic.message) < 1000, len(diagnostic.message)
+        assert " chars)`" in diagnostic.message
+
     def test_parser_crash_is_contained(self, monkeypatch):
         # No known input crashes the parser any more; stand one in.
         def crash(source):

@@ -6,6 +6,8 @@ import pytest
 
 from repro.core import Inferencer
 from repro.core.errors import (
+    CONSTRAINT_SHOWN,
+    BudgetExceededError,
     GIError,
     MissingInstanceError,
     OccursCheckError,
@@ -80,6 +82,24 @@ class TestErrorClasses:
         for source in ("missing", "inc True", r"\x -> x x", "k h lst"):
             with pytest.raises(GIError):
                 Inferencer(ENV).infer(parse_term(source))
+
+
+class TestBudgetMessage:
+    def test_short_constraint_is_shown_whole(self):
+        error = BudgetExceededError(
+            "solver", "max_solver_steps", 5, {"solver_steps": 6}, constraint="a ~ b"
+        )
+        assert str(error) == (
+            "budget exceeded in solver: max_solver_steps limit of 5 reached "
+            "(solver_steps=6) while processing `a ~ b`"
+        )
+
+    def test_long_constraint_is_cut_with_its_length(self):
+        long = "x" * (CONSTRAINT_SHOWN * 10)
+        error = BudgetExceededError("solver", "max_solver_steps", 5, constraint=long)
+        assert error.constraint is long
+        assert f"`{'x' * CONSTRAINT_SHOWN}… ({len(long)} chars)`" in str(error)
+        assert len(str(error)) < 2 * CONSTRAINT_SHOWN
 
 
 class TestErrorsDoNotPoisonState:

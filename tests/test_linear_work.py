@@ -24,7 +24,12 @@ is never walked again by the ``forall`` around it.
 
 The solver's step counts on the Figure-2 sweep, on a chain of deferred
 generalisations and on ``deep_chain_term`` are pinned exactly: they are
-deterministic, so any change to scheduling or wake-ups shows here.
+deterministic, so any change to scheduling or wake-ups shows here.  So
+are the store writes of three stress families: rule inst→ on a known
+arrow hands its codomain on without binding a fresh variable to it.
+
+Quick Look quick-looks each nested spine once: checking an argument
+spine reuses the look its enclosing spine took.
 
 Constraint generation's memory is linear in the term too: one binder
 scope per run, and evidence keys of constant size.
@@ -34,6 +39,8 @@ import tracemalloc
 
 import pytest
 
+from repro.baselines.quicklook import QuickLookInferencer
+from repro.baselines.registry import SYSTEMS
 from repro.core import Inferencer
 from repro.core.constraints import Gen, Quant
 from repro.core.env import DataCon
@@ -64,6 +71,7 @@ from repro.evalsuite.figure2 import FIGURE2, figure2_env
 from repro.syntax import parse_term, parse_type
 
 from benchmarks.pipeline.workloads import STRESS_FAMILIES
+from tests.test_faultinject import _profile
 
 ENV = figure2_env()
 
@@ -293,6 +301,79 @@ def test_wake_steps_on_a_generalisation_chain():
 
 def test_deep_chain_term_solver_steps():
     assert Inferencer(ENV).infer(workloads.deep_chain_term(300)).solver.steps == 1200
+
+
+def store_writes(family: str, size: int) -> int:
+    return Inferencer(ENV).infer(getattr(workloads, family)(size)).solver.unifier.bindings
+
+
+@pytest.mark.parametrize(
+    "family, size, writes",
+    [
+        # Rule inst→ on a known arrow writes nothing: binding a fresh
+        # ``rest`` to the codomain cost one write per argument
+        # (3n + 2, 5n - 1 and 10n - 3 before).
+        ("lambda_tower", 100, 202),
+        ("lambda_tower", 200, 402),
+        ("let_chain", 100, 399),
+        ("let_chain", 200, 799),
+        ("wide_application", 100, 797),
+        ("wide_application", 200, 1597),
+    ],
+)
+def test_store_writes_are_pinned(family, size, writes):
+    assert store_writes(family, size) == writes
+
+
+def test_deep_chain_term_writes_three_per_argument():
+    # Each argument writes the head's arrow, the demotion of its expected
+    # type and that type's binding.  A ``u``-sort rest under an ``m``-sort
+    # head was a fourth: rule eqfully demoted it.
+    small, large = store_writes("deep_chain_term", 150), store_writes("deep_chain_term", 300)
+    assert (small, large) == (452, 902)
+    assert large - small == 3 * 150
+
+
+#: ``(solver_steps, peak_unify_depth)`` per Figure-2 row, as the
+#: fault-injection sweep profiles them.
+FIGURE2_PROFILES = {
+    "A1": (1, 1), "A2": (6, 2), "A3": (11, 2), "A4": (6, 2), "A5": (7, 2),
+    "A6": (8, 2), "A7": (11, 2), "A8": (12, 2), "A9": (16, 2), "A10": (5, 2),
+    "A11": (6, 2), "A12": (13, 2), "B1": (18, 2), "B2": (13, 2), "C1": (7, 2),
+    "C2": (7, 2), "C3": (9, 2), "C4": (6, 2), "C5": (12, 2), "C6": (13, 2),
+    "C7": (22, 2), "C8": (16, 2), "C9": (16, 2), "C10": (17, 2), "D1": (12, 2),
+    "D2": (13, 2), "D3": (8, 2), "D4": (14, 2), "D5": (14, 2), "E1": (15, 2),
+    "E2": (20, 2), "E3": (6, 2),
+}
+
+
+def test_figure2_profiles_are_pinned():
+    # The fault-injection sweep injects at every step and depth of these
+    # profiles, so a change to either changes what it covers.
+    assert {example.key: _profile(example) for example in FIGURE2} == FIGURE2_PROFILES
+
+
+def quick_spines(monkeypatch, size: int) -> int:
+    """Nested-spine quick looks Quick Look runs on ``application_chain``."""
+    plain = QuickLookInferencer._quick_spine
+    calls = 0
+
+    def counting(self, term, local):
+        nonlocal calls
+        calls += 1
+        return plain(self, term, local)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(QuickLookInferencer, "_quick_spine", counting)
+        outcome = SYSTEMS["QuickLook"].run(workloads.application_chain(size), ENV)
+    assert str(outcome.type_) == "Int", outcome
+    return calls
+
+
+def test_quick_look_runs_once_per_nested_spine(monkeypatch):
+    # Checking an argument spine quick-looked its nested spines again, so
+    # every level repeated the looks below it: n(n - 1)/2 in all.
+    assert [quick_spines(monkeypatch, n) for n in (150, 300)] == [149, 299]
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

@@ -143,10 +143,10 @@ class TestTheorem34Substitution:
     )
     def test_inlining_preserves_typing(self, binding, body):
         bound = parse_term(binding)
-        gi_outer = Inferencer(ENV)
-        bound_type = gi_outer.infer(bound).raw_type
-        # Type the body with x : raw type of the binding...
-        env_with_x = ENV.extended("x", Inferencer(ENV).infer(bound).raw_type)
+        # Type the body with x : σ, the binding's principal type.  (Its raw
+        # type would carry another run's unification variables, whose
+        # names the body's run may reuse for different variables.)
+        env_with_x = ENV.extended("x", Inferencer(ENV).infer(bound).type_)
         body_term = parse_term(body)
         with_x = Inferencer(env_with_x).infer(body_term).type_
         # ...then inline and retype.

@@ -19,6 +19,7 @@ from repro.core.types import (
     UVar,
     forall,
     fun,
+    fuv,
     list_of,
 )
 
@@ -123,6 +124,84 @@ class TestInstantiation:
         scheme = Scheme((), (), INT)
         solver.solve([Gen(scheme, rhs)])
         assert solver.unifier.zonk(rhs) == INT
+
+
+class TestInstArrow:
+    """Rule inst→ on a known arrow hands its codomain to the next step
+    without a store write, unless a variable at the constraint's level
+    could not stand for the codomain: then a fresh ``rest`` is bound to it,
+    which promotes deeper variables and rejects deeper skolems."""
+
+    def test_known_arrow_writes_nothing_itself(self):
+        solver = make_solver()
+        arg, res = UVar("a1", Sort.U), UVar("r", Sort.T)
+        solver.solve([Inst(fun(INT, BOOL), Sort.M, (Bit.GEN,), (arg,), res)])
+        assert solver.unifier.zonk(arg) == INT
+        assert solver.unifier.zonk(res) == BOOL
+        # Only the argument and the result are written; no name is drawn.
+        assert solver.unifier.bindings == 2
+        assert solver.steps == 2
+        assert solver.unifier.supply.fresh() == "s0"
+
+    def test_deeper_variable_in_codomain_is_promoted(self):
+        solver = make_solver()
+        inner = UVar("i", Sort.M, 1)
+        arg, res = UVar("a1", Sort.U), UVar("r", Sort.T)
+        solver.solve(
+            [Inst(fun(INT, list_of(inner)), Sort.M, (Bit.GEN,), (arg,), res)]
+        )
+        promoted = solver.unifier.zonk(inner)
+        assert isinstance(promoted, UVar) and promoted.level == 0
+        assert solver.unifier.zonk(res) == list_of(promoted)
+        assert (solver.unifier.bindings, solver.steps) == (4, 2)
+
+    def test_deeper_variable_as_codomain_is_promoted(self):
+        solver = make_solver()
+        inner = UVar("i", Sort.U, 1)
+        arg, res = UVar("a1", Sort.U), UVar("r", Sort.T)
+        solver.solve([Inst(fun(INT, inner), Sort.M, (Bit.GEN,), (arg,), res)])
+        resolved = solver.unifier.zonk(res)
+        assert isinstance(resolved, UVar) and resolved.level == 0
+        assert solver.unifier.zonk(inner) == resolved
+        assert (solver.unifier.bindings, solver.steps) == (4, 3)
+
+    def test_codomain_is_read_through_solved_variables(self):
+        # ``v`` stands for a type with a deeper variable, as a refreshed
+        # existential can: the check sees it, and it is promoted.
+        solver = make_solver()
+        v, inner = UVar("v", Sort.U), UVar("i", Sort.M, 1)
+        solver.unifier.assign(v, list_of(inner))
+        arg, res = UVar("a1", Sort.U), UVar("r", Sort.T)
+        solver.solve([Inst(fun(INT, v), Sort.M, (Bit.GEN,), (arg,), res)])
+        promoted = solver.unifier.zonk(inner)
+        assert isinstance(promoted, UVar) and promoted.level == 0
+        assert solver.unifier.zonk(res) == list_of(promoted)
+        assert (solver.unifier.bindings, solver.steps) == (5, 2)
+
+    def test_deeper_skolem_in_codomain_escapes(self):
+        from repro.core.errors import SkolemEscapeError
+
+        solver = make_solver()
+        solver.unifier.skolem_levels["sk"] = 1
+        arg, res = UVar("a1", Sort.U), UVar("r", Sort.T)
+        with pytest.raises(SkolemEscapeError) as info:
+            solver.solve(
+                [Inst(fun(INT, fun(BOOL, TVar("sk"))), Sort.M, (Bit.GEN,), (arg,), res)]
+            )
+        assert str(info.value) == (
+            "rigid type variable `sk` would escape its scope via `Bool -> sk`"
+        )
+        assert (solver.unifier.bindings, solver.steps) == (1, 1)
+
+    def test_monomorphic_head_draws_its_rest_monomorphic(self):
+        # Rule eqfully would demote a `u` rest; it is drawn at `m` instead.
+        solver = make_solver()
+        head = UVar("h", Sort.M)
+        arg, res = UVar("a1", Sort.U), UVar("r", Sort.T)
+        solver.solve([Inst(head, Sort.M, (Bit.GEN,), (arg,), res)])
+        resolved = solver.unifier.zonk(head)
+        assert all(v.sort is Sort.M for v in fuv(resolved))
+        assert (solver.unifier.bindings, solver.steps) == (3, 2)
 
 
 class TestGeneralisation:
