@@ -92,9 +92,9 @@ class Generator:
 
     Each variable has exactly one owner: the innermost scheme or
     implication it was created under, which takes it out of ``created``
-    (:meth:`_take_created`).  Its owner's release refreshes it, so an
-    enclosing release need not, and nested application costs linear
-    rather than quadratic work.
+    (:meth:`_take_created`).  Its owner's release floats it into the
+    release's scope, so an enclosing release need not, and nested
+    application costs linear rather than quadratic work.
 
     The walk runs on :func:`~repro.core.terms.drive`: each rule below is
     a generator that ``yield``s the walk of a subterm, and a variable or

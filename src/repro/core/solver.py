@@ -515,9 +515,12 @@ class Solver:
                 )
             )
             return
-        # Rule inst⨅l: release.  Refresh the captured variables into the
+        # Rule inst⨅l: release.  Float the captured variables into the
         # current scope, queue the captured constraints, and require the
         # scheme type to instantiate (fully monomorphically) to the rhs.
+        # Each scheme is released once, so a captured variable already at
+        # the scope's level is released in place: refreshing it would
+        # only rename it.
         scheme = constraint.scheme
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.event(
@@ -528,7 +531,7 @@ class Solver:
             )
         for captured in scheme.captured:
             current = self.unifier.zonk_head(captured)
-            if isinstance(current, UVar):
+            if isinstance(current, UVar) and current.level != scope.level:
                 refreshed = self.unifier.fresh(current.sort, scope.level)
                 self.unifier.assign(current, refreshed)
         for inner_constraint in scheme.constraints:

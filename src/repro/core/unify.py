@@ -30,13 +30,15 @@ Both :meth:`Unifier.unify` and :meth:`Unifier.zonk` run on explicit
 worklists — a deep type exhausts the budget (or fails honestly), never
 the interpreter stack.  The unifier *summarises* each type node once:
 its free unification variables (by name, first-occurrence order), their
-maximum level and its free rigid names, built from its children's
-summaries.  A new node on top of already-summarised suffixes costs one
-merge of its children's name tuples, not a walk of the whole type.  The
-checks of :meth:`Unifier.bind` read the summary: cleanliness is one
+maximum level, its free rigid names and whether a quantifier occurs in
+it, built from its children's summaries.  A new node on top of
+already-summarised suffixes costs one merge of its children's name
+tuples, not a walk of the whole type.  The checks of
+:meth:`Unifier.bind` read one summary of the image: cleanliness is one
 disjointness test against the set of solved names, the occurs check is
-a name lookup, promotion is skipped when the maximum level allows it,
-and the skolem check iterates the cached rigid names.
+a name lookup, eqfully's quantifier check is one flag, promotion is
+skipped when the maximum level allows it, and the skolem check iterates
+the cached rigid names.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from repro.core.types import (
     TVar,
     Type,
     UVar,
-    mentions_forall,
     open_forall,
     subst_uvars,
 )
@@ -72,12 +73,13 @@ if TYPE_CHECKING:  # pragma: no cover — avoids a runtime import cycle
 
 TVarResolver = Callable[[str], Type | None]
 
-# A node's summary: ``(node, names, level, rigid)``.  ``names`` are the
-# names of its free unification variables and ``rigid`` its free rigid
-# names, both in first-occurrence pre-order; ``level`` is the deepest
-# level of a variable in ``names`` (-1 when there is none).  The node is
-# kept so that its ``id`` — the table key — cannot be reused.
-Summary = tuple[Type, tuple[str, ...], int, tuple[str, ...]]
+# A node's summary: ``(node, names, level, rigid, poly)``.  ``names`` are
+# the names of its free unification variables and ``rigid`` its free
+# rigid names, both in first-occurrence pre-order; ``level`` is the
+# deepest level of a variable in ``names`` (-1 when there is none), and
+# ``poly`` whether a quantifier occurs in the node.  The node is kept so
+# that its ``id`` — the table key — cannot be reused.
+Summary = tuple[Type, tuple[str, ...], int, tuple[str, ...], bool]
 
 
 def _merged(left: tuple[str, ...], right: tuple[str, ...]) -> tuple[str, ...]:
@@ -227,28 +229,30 @@ class Unifier:
             names: tuple[str, ...] = ()
             level = -1
             rigid: tuple[str, ...] = ()
+            poly = kind is Forall
             for child in children:
-                _, child_names, child_level, child_rigid = table[id(child)]
+                _, child_names, child_level, child_rigid, child_poly = table[id(child)]
                 if child_names:
                     names = _merged(names, child_names)
                     if child_level > level:
                         level = child_level
                 if child_rigid:
                     rigid = _merged(rigid, child_rigid)
+                poly = poly or child_poly
             if kind is Forall and rigid:
                 binders = node.binders
                 if not set(binders).isdisjoint(rigid):
                     rigid = tuple(name for name in rigid if name not in binders)
-            table[id(node)] = (node, names, level, rigid)
+            table[id(node)] = (node, names, level, rigid, poly)
         return table[id(type_)]
 
     def _leaf(self, node: Type) -> Summary:
         if isinstance(node, TVar):
-            return (node, (), -1, (node.name,))
+            return (node, (), -1, (node.name,), False)
         if not isinstance(node, UVar):
             raise TypeError(f"unknown type node: {node!r}")
         self._register(node)
-        return (node, (node.name,), node.level, ())
+        return (node, (node.name,), node.level, (), False)
 
     def _register(self, variable: UVar) -> None:
         """Record the variable a name stands for.  The store, the solved
@@ -559,7 +563,7 @@ class Unifier:
         pending = [type_]
         seen: set[str] = set()
         while pending:
-            _, names, deepest, rigid = self._summary(pending.pop())
+            _, names, deepest, rigid, _ = self._summary(pending.pop())
             for name in rigid:
                 if skolems.get(name, 0) > level:
                     return False
@@ -634,11 +638,15 @@ class Unifier:
         if isinstance(type_, UVar):
             self._bind_var_var(root, type_)
             return
-        if root.name in self._summary(type_)[1]:
+        # The checks read the image's summary; demotion and promotion
+        # hand on a new one only when they rebuild the image.
+        summary = self._summary(type_)
+        if root.name in summary[1]:
             raise OccursCheckError(root, type_)
-        type_ = self._enforce_sort(root, type_)
-        type_ = self._promote(root, type_)
-        self._check_skolems(root, type_)
+        summary = self._enforce_sort(root, summary)
+        summary = self._promote(root, summary)
+        type_ = summary[0]
+        self._check_skolems(root, summary)
         self._binding[root.name] = type_
         self._solved.add(root.name)
         self.bindings += 1
@@ -712,41 +720,44 @@ class Unifier:
                 left, right = right, left
         self._union(left, right)
 
-    def _enforce_sort(self, variable: UVar, type_: Type) -> Type:
-        """Rules eqvar/eqfully: make the type respect the variable's sort."""
+    def _enforce_sort(self, variable: UVar, summary: Summary) -> Summary:
+        """Rules eqvar/eqfully: make the image respect the variable's
+        sort.  Takes and returns the image's summary."""
         if variable.sort is Sort.U:
-            return type_
+            return summary
+        type_ = summary[0]
         if isinstance(type_, Forall):
             raise SortError(variable, type_, variable.sort)
         if variable.sort is Sort.T:
-            return type_
+            return summary
         # Sort.M — demote every unification variable in the type (eqfully)
         # and reject any quantifier hiding under a constructor.
-        if mentions_forall(type_):
+        if summary[4]:
             raise SortError(variable, type_, Sort.M)
         mapping: dict[UVar, Type] = {}
-        for inner in self.fuv_of(type_):
+        for inner in map(self._variables.__getitem__, summary[1]):
             if inner.sort is not Sort.M:
                 demoted = self.fresh(Sort.M, inner.level)
                 self._union(inner, demoted)
                 mapping[inner] = demoted
-        return subst_uvars(mapping, type_) if mapping else type_
+        return self._summary(subst_uvars(mapping, type_)) if mapping else summary
 
-    def _promote(self, variable: UVar, type_: Type) -> Type:
+    def _promote(self, variable: UVar, summary: Summary) -> Summary:
         """Rule float: deeper unification variables in the image of an
-        outer variable are replaced by fresh outer ones."""
-        _, names, level, _ = self._summary(type_)
+        outer variable are replaced by fresh outer ones.  Takes and
+        returns the image's summary."""
+        type_, names, level, _, _ = summary
         if level <= variable.level:
-            return type_
+            return summary
         mapping: dict[UVar, Type] = {}
         for inner in map(self._variables.__getitem__, names):
             if inner.level > variable.level:
                 promoted = self.fresh(inner.sort, variable.level)
                 self._union(inner, promoted)
                 mapping[inner] = promoted
-        return subst_uvars(mapping, type_) if mapping else type_
+        return self._summary(subst_uvars(mapping, type_)) if mapping else summary
 
-    def _check_skolems(self, variable: UVar, type_: Type) -> None:
-        for name in self._summary(type_)[3]:
+    def _check_skolems(self, variable: UVar, summary: Summary) -> None:
+        for name in summary[3]:
             if self.skolem_level(name) > variable.level:
-                raise SkolemEscapeError(name, type_)
+                raise SkolemEscapeError(name, summary[0])

@@ -3,8 +3,9 @@
 Every unification variable the generator creates is owned by exactly one
 generalisation scheme (``Scheme.captured``) or implication
 (``Quant.existentials``): the innermost one it was created under.  Its
-owner's release refreshes it, so the captured lists of a term of size n
-add up to O(n) and so do the solver's bindings.  Capturing the variables
+owner's release floats it into the release's scope (one write, or none
+when it is already at that level), so the captured lists of a term of
+size n add up to O(n) and so do the solver's bindings.  Capturing the variables
 of nested schemes again in every enclosing one made both grow as n² on
 nested application (``inc (inc … 0)``, ``tail (tail … ids)``).
 
@@ -25,8 +26,10 @@ is never walked again by the ``forall`` around it.
 The solver's step counts on the Figure-2 sweep, on a chain of deferred
 generalisations and on ``deep_chain_term`` are pinned exactly: they are
 deterministic, so any change to scheduling or wake-ups shows here.  So
-are the store writes of three stress families: rule inst→ on a known
-arrow hands its codomain on without binding a fresh variable to it.
+are the store writes of the Figure-2 sweep and of five stress families:
+rule inst→ on a known arrow hands its codomain on without binding a
+fresh variable to it, and rule inst⨅l releases a scheme at the scope's
+own level without renaming its captured variables.
 
 Quick Look quick-looks each nested spine once: checking an argument
 spine reuses the look its enclosing spine took.
@@ -264,10 +267,11 @@ def test_wide_and_mixed_programs_infer():
         inferencer.infer(workloads.mixed_program(size, seed=size))
 
 
-def figure2_sweep() -> tuple[int, int]:
-    """Figure-2 rows GI accepts, and the solver steps they take."""
+def figure2_sweep() -> tuple[int, int, int]:
+    """Figure-2 rows GI accepts, and the solver steps and store writes
+    they take."""
     inferencer = Inferencer(ENV)
-    accepted = steps = 0
+    accepted = steps = writes = 0
     for example in FIGURE2:
         try:
             result = inferencer.infer(example.term)
@@ -275,12 +279,15 @@ def figure2_sweep() -> tuple[int, int]:
             continue
         accepted += 1
         steps += result.solver.steps
-    return accepted, steps
+        writes += result.solver.unifier.bindings
+    return accepted, steps, writes
 
 
 def test_figure2_sweep_solver_steps():
+    # A release at the scope's own level writes nothing (192 writes
+    # before).
     assert sum(1 for example in FIGURE2 if example.expected["GI"]) == 24
-    assert figure2_sweep() == (24, 248)
+    assert figure2_sweep() == (24, 248, 163)
 
 
 def wake_steps(length: int) -> int:
@@ -312,13 +319,21 @@ def store_writes(family: str, size: int) -> int:
     [
         # Rule inst→ on a known arrow writes nothing: binding a fresh
         # ``rest`` to the codomain cost one write per argument
-        # (3n + 2, 5n - 1 and 10n - 3 before).
+        # (3n + 2, 5n - 1 and 10n - 3 before).  Rule inst⨅l releases a
+        # scheme at the scope's own level in place: refreshing each
+        # captured variable cost one write (4n - 1, 8n - 3, 15n - 11 and
+        # 5n before).  ``lambda_tower`` passes only literal arguments and
+        # captures nothing.
         ("lambda_tower", 100, 202),
         ("lambda_tower", 200, 402),
-        ("let_chain", 100, 399),
-        ("let_chain", 200, 799),
-        ("wide_application", 100, 797),
-        ("wide_application", 200, 1597),
+        ("let_chain", 100, 300),
+        ("let_chain", 200, 600),
+        ("wide_application", 100, 500),
+        ("wide_application", 200, 1000),
+        ("defaulting_fan", 50, 495),
+        ("defaulting_fan", 100, 995),
+        ("impredicative_pipeline", 100, 301),
+        ("impredicative_pipeline", 200, 601),
     ],
 )
 def test_store_writes_are_pinned(family, size, writes):

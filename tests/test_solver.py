@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.core import Inferencer
 from repro.core.constraints import ClassC, Eq, Gen, Inst, Quant, Scheme
 from repro.core.classify import Bit
 from repro.core.errors import (
     MissingInstanceError,
+    SkolemEscapeError,
     StuckConstraintError,
     UnificationError,
 )
@@ -22,6 +24,8 @@ from repro.core.types import (
     fuv,
     list_of,
 )
+from repro.evalsuite.figure2 import figure2_env
+from repro.syntax import parse_term
 
 
 def make_solver(instances=None):
@@ -229,6 +233,61 @@ class TestGeneralisation:
 
         with pytest.raises(SkolemEscapeError):
             solver.solve([Gen(scheme, ID), Eq(outer, outer)])
+
+
+class TestReleaseInPlace:
+    """Rule inst⨅l floats a scheme's captured variables into the scope it
+    is released in.  A variable already at that level is released in
+    place: each scheme is released once, so refreshing it would only
+    rename it."""
+
+    def test_level_zero_release_draws_and_writes_nothing(self):
+        solver = make_solver()
+        rhs = UVar("x", Sort.T)
+        captured = UVar("c", Sort.M)
+        scheme = Scheme((captured,), (Eq(captured, INT),), fun(captured, captured))
+        solver.solve([Gen(scheme, rhs)])
+        assert solver.unifier.zonk(rhs) == fun(INT, INT)
+        # ``c := Int`` and ``x := Int -> Int``; the release itself writes
+        # nothing, and no name is drawn.
+        assert solver.unifier.bindings == 2
+        assert solver.unifier.supply.fresh() == "s0"
+
+    def test_level_zero_release_keeps_the_captured_variable(self):
+        solver = make_solver()
+        rhs = UVar("x", Sort.T)
+        captured = UVar("c", Sort.M)
+        solver.solve([Gen(Scheme((captured,), (), fun(captured, captured)), rhs)])
+        assert solver.unifier.zonk(rhs) == fun(captured, captured)
+        assert solver.unifier.bindings == 1
+
+    def test_release_under_inst_forall_r_floats_one_level_deeper(self):
+        # (⨅{αᵐ}. ⊤ ⇒ α → α) ⪯ ∀p. p → p: the release is at level 1, so α
+        # is refreshed there and may hold the skolem; bound in place at
+        # level 0, it would let the skolem escape.
+        solver = make_solver()
+        captured = UVar("c", Sort.M)
+        solver.solve([Gen(Scheme((captured,), (), fun(captured, captured)), ID)])
+        solved = solver.unifier.zonk(captured)
+        assert isinstance(solved, TVar)
+        assert solver.unifier.skolem_level(solved.name) == 1
+        assert solver.unifier.bindings == 2
+
+    def test_poly_of_identity_is_accepted(self):
+        result = Inferencer(figure2_env()).infer(parse_term(r"poly (\x -> x)"))
+        assert str(result.type_) == "(Int, Bool)"
+        assert result.solver.unifier.bindings == 6
+
+    @pytest.mark.parametrize(
+        "source, skolem",
+        [(r"\y -> poly (\x -> y)", "a_5"), (r"\f -> poly (\x -> f x)", "a_7")],
+    )
+    def test_outer_variables_still_cannot_hold_the_skolem(self, source, skolem):
+        with pytest.raises(SkolemEscapeError) as info:
+            Inferencer(figure2_env()).infer(parse_term(source))
+        assert str(info.value) == (
+            f"rigid type variable `{skolem}` would escape its scope via `{skolem}`"
+        )
 
 
 class TestQuantification:

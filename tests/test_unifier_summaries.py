@@ -1,5 +1,6 @@
 """The unifier's per-node summaries: free unification variables (by name,
-first-occurrence order) with their deepest level, and free rigid names.
+first-occurrence order) with their deepest level, free rigid names, and
+whether a quantifier occurs.
 
 Each summary is built once from the children's summaries, so these tests
 check it against the walks of ``repro.core.types`` on shared (DAG) and
@@ -18,6 +19,7 @@ from repro.core.errors import (
     InternalError,
     OccursCheckError,
     SkolemEscapeError,
+    SortError,
 )
 from repro.core.sorts import Sort
 from repro.core.types import (
@@ -33,6 +35,7 @@ from repro.core.types import (
     fun,
     fuv,
     list_of,
+    mentions_forall,
 )
 from repro.core.unify import Unifier
 
@@ -81,8 +84,9 @@ def test_summaries_equal_the_free_variable_walks_in_order(batch):
     for type_ in batch + [fun(*batch) if len(batch) > 1 else list_of(batch[0])]:
         assert unifier.fuv_of(type_) == tuple(fuv(type_))
         assert unifier.ftv_of(type_) == tuple(ftv(type_))
-        _, _, level, _ = unifier._summary(type_)
+        _, _, level, _, poly = unifier._summary(type_)
         assert level == max((inner.level for inner in fuv(type_)), default=-1)
+        assert poly is mentions_forall(type_)
 
 
 # -- cleanliness while the store changes --------------------------------
@@ -208,6 +212,28 @@ def test_skolem_escape_sees_into_a_summarised_suffix():
     assert unifier.ftv_of(suffix) == (skolem,)
     with pytest.raises(SkolemEscapeError):
         unifier.bind(UVar("o", Sort.U, 0), fun(BOOL, suffix))
+
+
+def test_sort_check_sees_a_quantifier_in_a_summarised_suffix():
+    # m := [∀a. a → a] is rule eqfully's rejection, read from the summary.
+    a = TVar("a")
+    poly = list_of(Forall(("a",), fun(a, a)))
+    unifier = Unifier()
+    assert unifier.fuv_of(poly) == ()
+    with pytest.raises(SortError):
+        unifier.bind(UVar("m", Sort.M), poly)
+    with pytest.raises(SortError):
+        unifier.bind(UVar("n", Sort.M), fun(INT, poly))
+
+
+def test_promotion_reads_the_image_demotion_rebuilt():
+    outer, deep = UVar("o", Sort.M, 0), UVar("d", Sort.U, 2)
+    unifier = Unifier()
+    unifier.bind(outer, fun(INT, list_of(deep)))
+    resolved = unifier.zonk(deep)
+    assert isinstance(resolved, UVar)
+    assert (resolved.sort, resolved.level) == (Sort.M, 0)
+    assert unifier.zonk(outer) == fun(INT, list_of(resolved))
 
 
 # -- one name, one variable ---------------------------------------------
