@@ -93,6 +93,11 @@ class Kernel:
         self.budget = budget
         self.supply = NameSupply(self.PREFIX)
         self.subst: dict[UVar, Type] = {}
+        """Each unification variable's image, written only by
+        :meth:`_assign`."""
+        self._zonked: dict[int, tuple[Type, Type]] = {}
+        """``id(node) → (node, zonked node)`` for the composite nodes
+        zonked since the last write into ``subst``."""
         self._deep = False
 
     # -- entry points -------------------------------------------------------
@@ -105,6 +110,7 @@ class Kernel:
         if self.budget is not None:
             self.budget.start()
         self.subst = {}
+        self._zonked = {}
         return self.generalize((), drive(self._infer(term, {})))
 
     def accepts(self, term: Term) -> bool:
@@ -213,14 +219,27 @@ class Kernel:
     def _fresh_skolem(self, hint: str) -> str:
         return self.supply.fresh(hint + "_sk")
 
+    def _assign(self, variable: UVar, type_: Type) -> None:
+        """Write ``variable := type_``: the one write into the
+        substitution.  ``variable`` has no image yet (every caller binds
+        a variable it has just resolved), so nothing is overwritten or
+        deleted.  The write can change the zonk of any node that mentions
+        ``variable``, so the zonk memo is dropped."""
+        self.subst[variable] = type_
+        if self._zonked:
+            self._zonked.clear()
+
     def zonk(self, type_: Type) -> Type:
         """Apply the substitution exhaustively.
 
-        Variable chains are resolved inline, leaves are returned as they
-        are, and a node none of whose children changed is returned by
-        identity, so zonking a solved type allocates nothing.
+        An empty substitution changes nothing.  Variable chains are
+        resolved inline and leaves are returned as they are.  A composite
+        node zonked since the last write is answered from the memo;
+        otherwise :meth:`_zonk_walk` rebuilds it.
         """
         subst = self.subst
+        if not subst:
+            return type_
         while type_.__class__ is UVar:
             bound = subst.get(type_)
             if bound is None:
@@ -229,11 +248,24 @@ class Kernel:
         if type_.__class__ is TCon:
             if not type_.args:
                 return type_
-            children = iter(type_.args)
-        elif type_.__class__ is Forall:
-            children = iter((type_.body,))
-        else:
+        elif type_.__class__ is not Forall:
             return type_
+        known = self._zonked.get(id(type_))
+        if known is not None:
+            return known[1]
+        zonked = self._zonk_walk(type_)
+        self._zonked[id(type_)] = (type_, zonked)
+        return zonked
+
+    def _zonk_walk(self, type_: TCon | Forall) -> Type:
+        """Zonk a composite node on an explicit stack.  A node none of
+        whose children changed is returned by identity, so zonking a
+        solved type allocates nothing."""
+        subst = self.subst
+        if type_.__class__ is TCon:
+            children = iter(type_.args)
+        else:
+            children = iter((type_.body,))
         # The open composite nodes above ``node``, each with its children
         # still to visit and its zonked children so far.
         stack: list[tuple[Type, Iterator[Type], list[Type]]] = []
@@ -283,11 +315,16 @@ class Kernel:
     def unify(self, left: Type, right: Type, depth: int = 0) -> None:
         """Make two types equal, depth-first and left to right.
 
-        Every pair is budget-checked at its depth; a variable is bound
-        through :meth:`_bind`, two quantified types through
-        :meth:`_match_polytypes`.
+        Every pair is budget-checked at its depth.  A frame resolves only
+        the heads of its two sides, so unifying two spines walks each
+        node once; a side is zonked in full only where all of it is
+        read: the image a variable is bound to through :meth:`_bind`,
+        two quantified types before :meth:`_match_polytypes` (which
+        compares and renames them whole), and the two sides of a
+        :class:`UnificationError`.
         """
         budget = self.budget
+        subst = self.subst
         work: list[tuple] = [(left, right, depth)]
         while work:
             item = work.pop()
@@ -297,25 +334,37 @@ class Kernel:
             left, right, depth = item
             if budget is not None:
                 budget.check_unify_depth(depth, left, right)
-            left, right = self.zonk(left), self.zonk(right)
-            if left == right:
+            while left.__class__ is UVar:
+                bound = subst.get(left)
+                if bound is None:
+                    break
+                left = bound
+            while right.__class__ is UVar:
+                bound = subst.get(right)
+                if bound is None:
+                    break
+                right = bound
+            if left is right:
                 continue
-            if isinstance(left, UVar):
-                self._bind(left, right)
-            elif isinstance(right, UVar):
-                self._bind(right, left)
+            if left.__class__ is UVar:
+                if left != right:
+                    self._bind(left, self.zonk(right))
+            elif right.__class__ is UVar:
+                self._bind(right, self.zonk(left))
             elif (
-                isinstance(left, TCon)
-                and isinstance(right, TCon)
+                left.__class__ is TCon
+                and right.__class__ is TCon
                 and left.name == right.name
                 and len(left.args) == len(right.args)
             ):
                 pairs = zip(reversed(left.args), reversed(right.args), repeat(depth + 1))
                 work.extend(pairs)
-            elif isinstance(left, Forall) and isinstance(right, Forall):
-                work.extend(self._match_polytypes(left, right, depth))
-            else:
-                raise UnificationError(left, right)
+            elif left.__class__ is Forall and right.__class__ is Forall:
+                left, right = self.zonk(left), self.zonk(right)
+                if left != right:
+                    work.extend(self._match_polytypes(left, right, depth))
+            elif left != right:
+                raise UnificationError(self.zonk(left), self.zonk(right))
 
     def _match_polytypes(self, left: Forall, right: Forall, depth: int) -> list[tuple]:
         """The unification work for two quantified types: equal up to
@@ -333,23 +382,33 @@ class Kernel:
 
     def _check_forall_escape(self, shared: list[str], left: Forall) -> None:
         """The shared skolems of a ``∀``/``∀`` unification must not reach
-        the image of any variable that is not free in the ``∀`` itself."""
+        the image of any variable that is not free in the ``∀`` itself.
+
+        One pass over the substitution finds, for each skolem, the first
+        variable it escapes into; the first skolem in ``shared`` order
+        that escapes is reported, with that variable's image."""
+        skolems = set(shared)
         inside = None
+        escapes: dict[str, Type] = {}
+        for variable, image in self.subst.items():
+            image = self.zonk(image)
+            reached = skolems.intersection(ftv(image))
+            if not reached:
+                continue
+            if inside is None:
+                inside = fuv(self.zonk(left))
+            if variable not in inside:
+                for skolem in reached:
+                    escapes.setdefault(skolem, image)
         for skolem in shared:
-            for variable, image in list(self.subst.items()):
-                image = self.zonk(image)
-                if skolem not in ftv(image):
-                    continue
-                if inside is None:
-                    inside = fuv(self.zonk(left))
-                if variable not in inside:
-                    raise SkolemEscapeError(skolem, image)
+            if skolem in escapes:
+                raise SkolemEscapeError(skolem, escapes[skolem])
 
     def _bind(self, variable: UVar, type_: Type) -> None:
         if contains_uvar(type_, variable):
             raise OccursCheckError(variable, type_)
         self.admit(variable, type_)
-        self.subst[variable] = type_
+        self._assign(variable, type_)
 
     def admit(self, variable: UVar, type_: Type) -> None:
         """Raise unless ``variable := type_`` is allowed (the occurs check
@@ -371,9 +430,10 @@ class Kernel:
         variables."""
         type_ = self.zonk(type_)
         variables = fuv(type_)
-        # A type with no variables generalises to itself: skip the walk
-        # over the environment.
-        env_vars = self._free_uvars(env_types) if variables else {}
+        if not variables:
+            # Nothing to quantify: the zonked type is its own scheme.
+            return type_
+        env_vars = self._free_uvars(env_types)
         names: list[str] = []
         used = set(ftv(type_))
         supply = letters()
@@ -385,7 +445,7 @@ class Kernel:
                 if name not in used:
                     used.add(name)
                     names.append(name)
-                    self.subst[variable] = TVar(name)
+                    self._assign(variable, TVar(name))
                     break
         return forall(names, self.zonk(type_))
 

@@ -92,7 +92,8 @@ class QuickLookInferencer(RankNInferencer):
     binders and ``speed="lazy"`` keeps ∀-headed spine results
     uninstantiated (GHC 9's actual configuration).  Ordinary unification
     stays predicative; polytypes reach instantiation variables only
-    through quick-look commits, which write the substitution directly.
+    through quick-look commits, which write through
+    :meth:`~repro.baselines.kernel.Kernel._assign` without :meth:`admit`.
     """
 
     PREFIX = "q"
@@ -141,7 +142,7 @@ class QuickLookInferencer(RankNInferencer):
                     # terms at their RankN types.
                     if contains_uvar(offered, expected_rho):
                         raise OccursCheckError(expected_rho, offered)
-                    self.subst[expected_rho] = offered
+                    self._assign(expected_rho, offered)
                     return
                 offered = self.instantiate(offered)
             elif is_arrow(offered) and is_arrow(expected_rho):
@@ -294,7 +295,7 @@ class QuickLookInferencer(RankNInferencer):
                     continue  # ∀-headed and unguarded: no commit (like GI)
             if contains_uvar(image, variable):
                 continue
-            self.subst[variable] = image
+            self._assign(variable, image)
 
     def _guarded_vars(
         self, spine_types: list[Type], spine_vars: set[UVar]
@@ -441,7 +442,7 @@ class QuickLookInferencer(RankNInferencer):
         ):
             # The first branch with a polytype result fixes the
             # case's σ; later branches must α-agree through unify.
-            self.subst[resolved] = rhs
+            self._assign(resolved, rhs)
         else:
             self.unify(result, rhs)
 
