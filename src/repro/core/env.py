@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from repro.core.errors import ScopeError
-from repro.core.types import Type, ftv, fuv, UVar
+from repro.core.types import Type, UVar, type_facts
 
 
 @dataclass(frozen=True)
@@ -41,13 +41,14 @@ class Environment:
     sharing structure with the old one.  Data constructors live in a
     separate table so ``case`` alternatives can find them.
 
-    The free skolem variables of each binding are memoised per name the
-    first time :meth:`free_type_vars` needs them, and their union once per
-    environment.  Derived environments start from a copy of that table
-    minus the names they rebind, so the answer stays exact under shadowing
-    and the memo lives exactly as long as the environment that owns it.
-    Every write stores the value any other writer would, so threads may
-    share one environment.
+    Every type that enters an environment gets its facts recorded on the
+    node (:func:`~repro.core.types.type_facts`), so the walks that ask
+    about a binding — rule VarGen's closed-and-rank-1 test, the free
+    variables of generalisation, the unifier's summaries — read the
+    record instead of walking it again.  The union of the bindings' free
+    skolem variables is memoised once per environment.  Every write
+    stores the value any other writer would, so threads may share one
+    environment.
     """
 
     def __init__(
@@ -56,22 +57,19 @@ class Environment:
         datacons: Mapping[str, DataCon] | None = None,
     ) -> None:
         self._bindings: dict[str, Type] = dict(bindings or {})
+        for type_ in self._bindings.values():
+            type_facts(type_)
         self._datacons: dict[str, DataCon] = dict(datacons or {})
-        self._ftvs: dict[str, frozenset[str]] = {}
         self._free_type_vars: frozenset[str] | None = None
 
     @classmethod
     def _derived(
-        cls,
-        bindings: dict[str, Type],
-        datacons: dict[str, DataCon],
-        ftvs: dict[str, frozenset[str]],
+        cls, bindings: dict[str, Type], datacons: dict[str, DataCon]
     ) -> "Environment":
         """An environment owning the given (already copied) tables."""
         env = cls.__new__(cls)
         env._bindings = bindings
         env._datacons = datacons
-        env._ftvs = ftvs
         env._free_type_vars = None
         return env
 
@@ -94,26 +92,26 @@ class Environment:
 
     def extended(self, name: str, type_: Type) -> "Environment":
         """A new environment with one extra binding."""
+        type_facts(type_)
         bindings = dict(self._bindings)
         bindings[name] = type_
-        ftvs = dict(self._ftvs)
-        ftvs.pop(name, None)
-        return Environment._derived(bindings, self._datacons, ftvs)
+        return Environment._derived(bindings, self._datacons)
 
     def extended_many(self, pairs: Mapping[str, Type]) -> "Environment":
         """A new environment with several extra bindings."""
+        for type_ in pairs.values():
+            type_facts(type_)
         bindings = dict(self._bindings)
         bindings.update(pairs)
-        ftvs = dict(self._ftvs)
-        for name in pairs:
-            ftvs.pop(name, None)
-        return Environment._derived(bindings, self._datacons, ftvs)
+        return Environment._derived(bindings, self._datacons)
 
     def with_datacon(self, datacon: DataCon) -> "Environment":
         """A new environment with one extra data constructor."""
         datacons = dict(self._datacons)
         datacons[datacon.name] = datacon
-        return Environment._derived(self._bindings, datacons, dict(self._ftvs))
+        env = Environment._derived(self._bindings, datacons)
+        env._free_type_vars = self._free_type_vars  # the same bindings
+        return env
 
     def items(self) -> Iterator[tuple[str, Type]]:
         return iter(self._bindings.items())
@@ -125,15 +123,9 @@ class Environment:
         """Skolem variables free in any binding (memoised, see the class)."""
         result = self._free_type_vars
         if result is None:
-            ftvs = self._ftvs
             found: set[str] = set()
-            for name, type_ in self._bindings.items():
-                free = ftvs.get(name)
-                if free is None:
-                    free = frozenset(ftv(type_))
-                    ftvs[name] = free
-                if free:
-                    found |= free
+            for type_ in self._bindings.values():
+                found.update(type_facts(type_)[0])
             result = self._free_type_vars = frozenset(found)
         return result
 
@@ -141,7 +133,7 @@ class Environment:
         """Unification variables free in any binding."""
         result: set[UVar] = set()
         for type_ in self._bindings.values():
-            result.update(fuv(type_))
+            result.update(type_facts(type_)[1])
         return result
 
     def is_closed(self) -> bool:

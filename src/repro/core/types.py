@@ -372,6 +372,8 @@ def forall(
     it a ``forall`` over a body containing this one — never walks it
     again: quantifiers nested under constructors cost linear work.
     """
+    if not binders and not context and body.__class__ is not Forall:
+        return body
     context = tuple(context)
     if isinstance(body, Forall):
         binders = tuple(binders) + body.binders
@@ -452,8 +454,12 @@ def ftv(type_: Type) -> OrderedSet[str]:
     checks, generalisation) deterministic across processes regardless of
     the hash seed; membership and the set operators behave like a set.
     A composite node shared in a DAG adds nothing the second time it is
-    reached under the same binders, so it is walked once per scope.
+    reached under the same binders, so it is walked once per scope, and
+    a node that carries its facts (:func:`type_facts`) is not walked.
     """
+    facts = type_.__dict__.get("_facts")
+    if facts is not None:
+        return OrderedSet(facts[0])
     result: OrderedSet[str] = OrderedSet()
     found = result._items
     seen: set[object] = set()  # id(node), or (id(node), bound) under binders
@@ -472,13 +478,19 @@ def ftv(type_: Type) -> OrderedSet[str]:
                     key = (id(node), bound) if bound else id(node)
                     if key not in seen:
                         seen.add(key)
+                        facts = node.__dict__.get("_facts")
+                        if facts is not None:
+                            found.update((name, None) for name in facts[0] if name not in bound)
+                            continue
                         stack.append((iter(node.args), bound))
                         break
             elif kind is Forall:
                 key = (id(node), bound) if bound else id(node)
                 if key not in seen:
                     seen.add(key)
-                    summary = node.__dict__.get("_ftv")  # set by :func:`forall`
+                    facts = node.__dict__.get("_facts")
+                    # ``_ftv`` is set by :func:`forall`.
+                    summary = node.__dict__.get("_ftv") if facts is None else facts[0]
                     if summary is not None:
                         found.update((name, None) for name in summary if name not in bound)
                         continue
@@ -493,7 +505,11 @@ def ftv(type_: Type) -> OrderedSet[str]:
 def fuv(type_: Type) -> OrderedSet[UVar]:
     """Free unification variables, in first-occurrence pre-order (all
     unification variables are free; binders only ever bind skolems).  A
-    composite node shared in a DAG is walked once."""
+    composite node shared in a DAG is walked once, and one that carries
+    its facts (:func:`type_facts`) is not walked."""
+    facts = type_.__dict__.get("_facts")
+    if facts is not None:
+        return OrderedSet(facts[1])
     result: OrderedSet[UVar] = OrderedSet()
     found = result._items
     seen: set[int] = set()
@@ -503,14 +519,13 @@ def fuv(type_: Type) -> OrderedSet[UVar]:
             kind = node.__class__
             if kind is UVar:
                 found[node] = None
-            elif kind is TCon:
-                if node.args and id(node) not in seen:
-                    seen.add(id(node))
-                    stack.append(iter(node.args))
-                    break
-            elif kind is Forall and id(node) not in seen:
+            elif (kind is TCon and node.args or kind is Forall) and id(node) not in seen:
                 seen.add(id(node))
-                stack.append(_forall_children(node))
+                facts = node.__dict__.get("_facts")
+                if facts is not None:
+                    found.update(dict.fromkeys(facts[1]))
+                    continue
+                stack.append(iter(node.args) if kind is TCon else _forall_children(node))
                 break
         else:
             stack.pop()
@@ -682,7 +697,9 @@ def respects(type_: Type, sort: Sort) -> bool:
     * a type respects ``M`` when it contains no quantifier anywhere and all
       its unification variables have sort ``M``.
 
-    The ``M`` walk visits a constructor application shared in a DAG once.
+    The ``M`` walk visits a constructor application shared in a DAG once,
+    and reads a constructor application's facts (:func:`type_facts`)
+    instead of walking it: there, ``M`` is the rank-1 fact.
     """
     if sort is Sort.U:
         return True
@@ -697,6 +714,9 @@ def respects(type_: Type, sort: Sort) -> bool:
         raise TypeError(f"unknown type node: {type_!r}")
     if sort is not Sort.M:  # sort T looks at the top node only
         return True
+    facts = type_.__dict__.get("_facts")
+    if facts is not None:
+        return facts[2]
     # The root is never reached again, so a type whose arguments are
     # leaves touches no visited set.
     seen: set[int] = set()
@@ -707,7 +727,11 @@ def respects(type_: Type, sort: Sort) -> bool:
         if kind is TCon:
             if node.args and id(node) not in seen:
                 seen.add(id(node))
-                stack.extend(node.args)
+                facts = node.__dict__.get("_facts")
+                if facts is None:
+                    stack.extend(node.args)
+                elif not facts[2]:
+                    return False
         elif kind is UVar:
             if node.sort is not Sort.M:
                 return False
@@ -738,6 +762,9 @@ def is_rank1(type_: Type) -> bool:
     Rule VarGen (Figure 5) only applies to variables with closed rank-1
     types.
     """
+    facts = type_.__dict__.get("_facts")
+    if facts is not None:
+        return facts[2]
     _, body = strip_forall(type_)
     return is_fully_monomorphic(body)
 
@@ -849,9 +876,13 @@ def type_size(type_: Type) -> int:
 
 def mentions_forall(type_: Type) -> bool:
     """Whether a quantifier occurs anywhere in the type (iterative; a
-    constructor application shared in a DAG is visited once)."""
+    constructor application shared in a DAG is visited once, and one that
+    carries its facts (:func:`type_facts`) is not walked)."""
     if type_.__class__ is not TCon:
         return type_.__class__ is Forall
+    facts = type_.__dict__.get("_facts")
+    if facts is not None:
+        return facts[3]
     seen: set[int] = set()
     stack: list[Type] = list(type_.args)
     while stack:
@@ -861,8 +892,43 @@ def mentions_forall(type_: Type) -> bool:
             return True
         if kind is TCon and node.args and id(node) not in seen:
             seen.add(id(node))
-            stack.extend(node.args)
+            facts = node.__dict__.get("_facts")
+            if facts is None:
+                stack.extend(node.args)
+            elif facts[3]:
+                return True
     return False
+
+
+# What :func:`type_facts` records on a type: its free rigid names and its
+# free unification variables, both in first-occurrence pre-order, whether
+# it is rank-1 and whether a quantifier occurs in it.
+Facts = tuple[tuple[str, ...], tuple[UVar, ...], bool, bool]
+
+
+def type_facts(type_: Type) -> Facts:
+    """The facts of ``type_``, written on the node the first time they
+    are asked for, the way its hash is.
+
+    An :class:`~repro.core.env.Environment` asks for the facts of every
+    type it binds, so the types that outlive an inference are walked once:
+    :func:`ftv`, :func:`fuv`, :func:`is_rank1`, :func:`respects` (sort
+    ``M``) and :func:`mentions_forall` read the record and stop at any node
+    that carries one, and the unifier summarises a recorded root from it.
+    Only environments ask for records: on throwaway types the write
+    would cost more than it saves.  The record lives as long as its node, and any writer stores
+    the same value, so threads may share recorded types.
+    """
+    facts = type_.__dict__.get("_facts")
+    if facts is None:
+        facts = (
+            tuple(ftv(type_)),
+            tuple(fuv(type_)),
+            is_rank1(type_),
+            mentions_forall(type_),
+        )
+        object.__setattr__(type_, "_facts", facts)
+    return facts
 
 
 def contains_uvar(type_: Type, variable: UVar) -> bool:

@@ -193,10 +193,20 @@ class Unifier:
 
     def _summary(self, type_: Type) -> Summary:
         """The summary of ``type_``, summarising each node not yet seen
-        in one iterative post-order walk."""
+        in one iterative post-order walk.  A root that carries its facts
+        (:func:`~repro.core.types.type_facts`) and has no unification
+        variable is summarised from them, without a walk.  Only the root
+        is asked: a recorded type reaches the unifier as a root (an
+        instantiated environment type, a variable's image) before it
+        sits under another node, and asking every node slowed the
+        ``stress`` workload (EXPERIMENTS.md §25)."""
         table = self._summaries
         summary = table.get(id(type_))
         if summary is not None:
+            return summary
+        facts = type_.__dict__.get("_facts")
+        if facts is not None and not facts[1]:
+            summary = table[id(type_)] = (type_, (), -1, facts[0], facts[3])
             return summary
         budget = self.budget
         stack = [type_]

@@ -72,6 +72,12 @@ def synthetic_module_source(chains: int = 4, depth: int = 25) -> str:
     ``c0_0 :: Int`` / ``c0_0 = 0``, so tests and benchmarks can dirty one
     chain with a plain string replacement (e.g. to ``Bool`` / ``True``
     for a type-changing edit, or ``= 7`` for a type-preserving one).
+
+    Keep ``depth`` at 50 or below.  The checked types are DAGs, but their
+    printed form doubles every third step: at depth 50 the longest is
+    about 1.2 million characters, and a module check renders every
+    binding's type (``ModuleCache.store`` keeps ``str(type_)``), so depth
+    100 would ask for some 10^11 characters and run out of memory.
     """
     parts = ["module Synthetic where"]
     for chain in range(chains):

@@ -52,9 +52,9 @@ class CacheEntry:
     type_text: str
     """``str(type_)``, precomputed: it feeds the type hash and reports."""
 
-    @property
-    def type_hash(self) -> str:
-        return content_hash(self.type_text)
+    type_hash: str
+    """``content_hash(type_text)``, precomputed: every dependent's key
+    reads it."""
 
 
 @dataclass
@@ -92,7 +92,8 @@ class ModuleCache:
         return None
 
     def store(self, name: str, key: str, type_: Type) -> CacheEntry:
-        entry = CacheEntry(key=key, type_=type_, type_text=str(type_))
+        type_text = str(type_)
+        entry = CacheEntry(key, type_, type_text, content_hash(type_text))
         self.entries[name] = entry
         return entry
 
@@ -181,6 +182,7 @@ class ModuleCache:
                     key=item["key"],
                     type_=parse_type(type_text),
                     type_text=type_text,
+                    type_hash=content_hash(type_text),
                 )
         except Exception:  # noqa: BLE001 — cold start on any damage
             return cls()
@@ -192,6 +194,7 @@ def binding_key(
     group: BindingGroup,
     dep_type_hashes: dict[str, str],
     env: Environment,
+    env_hashes: dict[str, tuple[Type, str]],
 ) -> str:
     """The cache key of one binding inside its group.
 
@@ -199,6 +202,9 @@ def binding_key(
     hash of their checked type.  In-group dependencies (the mutual
     recursion case) are keyed by their declared signatures — which the
     group requires anyway — and prelude names by their environment types.
+    ``env_hashes`` memoises the hash of each environment type by name
+    across calls (pass the same dict for every key of one environment);
+    an entry is used only while the name still has the same type object.
     """
     members = set(group.names)
     pieces = [binding.source_key]
@@ -212,7 +218,17 @@ def binding_key(
         elif dependency in dep_type_hashes:
             pieces.append(f"{dependency}~mod:{dep_type_hashes[dependency]}")
         elif dependency in env:
-            pieces.append(f"{dependency}~env:{content_hash(str(env.lookup(dependency)))}")
+            pieces.append(f"{dependency}~env:{_env_type_hash(env, dependency, env_hashes)}")
         else:
             pieces.append(f"{dependency}~unbound")
     return content_hash("\n".join(pieces))
+
+
+def _env_type_hash(env: Environment, name: str, memo: dict[str, tuple[Type, str]]) -> str:
+    """``content_hash(str(env.lookup(name)))``, read from ``memo`` when
+    it holds the hash of this very type."""
+    type_ = env.lookup(name)
+    known = memo.get(name)
+    if known is None or known[0] is not type_:
+        known = memo[name] = (type_, content_hash(str(type_)))
+    return known[1]

@@ -187,6 +187,8 @@ class ModuleEngine:
         # to save it after the run.
         self.cache = cache if cache is not None else ModuleCache()
         self.tracer = tracer
+        self._env_hashes: dict[str, tuple[Type, str]] = {}
+        """The key hash of each environment name a check has read."""
 
     def _span(self, name: str, parent=None, **attrs):
         if self.tracer is not None and self.tracer.enabled:
@@ -253,7 +255,9 @@ class ModuleEngine:
                                 )
                             continue
                         keys = {
-                            binding.name: binding_key(binding, group, dep_hashes, env)
+                            binding.name: binding_key(
+                                binding, group, dep_hashes, env, self._env_hashes
+                            )
                             for binding in group.bindings
                         }
                         entries = {

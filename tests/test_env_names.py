@@ -170,17 +170,19 @@ class TestFreeTypeVarsMemo:
         assert Counter(answers) == {full: 40, shadowed: 40}
 
     def test_module_check_walks_each_binding_once(self, monkeypatch):
+        # The environment walks a type only to write its record.
         walked: Counter[int] = Counter()
-        real_ftv = env_module.ftv
+        real_facts = env_module.type_facts
 
-        def counting_ftv(type_):
-            walked[id(type_)] += 1
-            return real_ftv(type_)
+        def counting_facts(type_):
+            if "_facts" not in type_.__dict__:
+                walked[id(type_)] += 1
+            return real_facts(type_)
 
-        monkeypatch.setattr(env_module, "ftv", counting_ftv)
+        monkeypatch.setattr(env_module, "type_facts", counting_facts)
         result = ModuleEngine(figure2_env()).check_source(synthetic_module_source(4, 25))
         assert all(report.ok for report in result.reports)
-        assert walked, "generalisation never asked for the environment's variables"
+        assert walked, "no checked type entered the environment"
         bound = Counter(id(type_) for _, type_ in result.env.items())
         assert sum(walked.values()) <= len(result.env)
         assert all(count <= bound[key] for key, count in walked.items())
