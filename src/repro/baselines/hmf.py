@@ -142,7 +142,7 @@ class HMFInferencer(Kernel):
         params: list[Type] = []
         current = fn_type
         for _ in term.args:
-            current = self.zonk(current)
+            current = self._head(current)
             if isinstance(current, Forall):
                 current = self.instantiate(current)
             if isinstance(current, UVar):
@@ -152,14 +152,14 @@ class HMFInferencer(Kernel):
             elif is_arrow(current):
                 parameter, current = current.args
             else:
-                raise HMFError(f"too many arguments for type `{current}`")
+                raise HMFError(f"too many arguments for type `{self.zonk(current)}`")
             params.append(parameter)
         if expected is not None:
             # Type propagation: the expected type fixes the result before
             # the arguments are matched, so impredicative instantiations
             # demanded by the context are available to them (map poly
             # (single id) needs this to type-check in HMF).
-            inner = self.zonk(current)
+            inner = self._head(current)
             if isinstance(inner, Forall):
                 inner = self.instantiate(inner)
             self.unify(inner, expected)
@@ -171,18 +171,18 @@ class HMFInferencer(Kernel):
             yield self._check_arg(term.args[index], params[index], local)
         if expected is not None:
             return self.zonk(current)
-        return self.generalize(list(local.values()), self.instantiate(self.zonk(current)))
+        return self.generalize(list(local.values()), self.instantiate(current))
 
     def _argument_order(self, params: list[Type]) -> list[int]:
         """Leijen's n-ary extension: arguments facing a bare variable are
         postponed behind the others, each group in source order."""
         return sorted(
             range(len(params)),
-            key=lambda index: isinstance(self.zonk(params[index]), UVar),
+            key=lambda index: isinstance(self._head(params[index]), UVar),
         )
 
     def _check_arg(self, argument: Term, parameter: Type, local: dict[str, Type]):
-        parameter = self.zonk(parameter)
+        parameter = self._head(parameter)
         if (
             isinstance(argument, App)
             and not isinstance(parameter, UVar)
@@ -191,18 +191,17 @@ class HMFInferencer(Kernel):
             yield self._infer_app(argument, local, expected=parameter)
             return
         offered = yield self._infer(argument, local)
-        offered_gen = self.generalize(
-            list(local.values()), self.instantiate(offered)
-        ) if not isinstance(argument, Var) else self.zonk(offered)
+        if not isinstance(argument, Var):
+            offered = self.generalize(list(local.values()), self.instantiate(offered))
         if isinstance(parameter, Forall):
-            self.subsume(offered_gen, parameter)
+            self.subsume(offered, parameter)
         elif isinstance(parameter, UVar):
             # Predicative preference: a bare expected variable takes the
             # *instantiated* argument type at restricted variables
             # (choose id : (a→a)→a→a, and choose id auto is rejected).
-            self.unify(parameter, self.instantiate(offered_gen, predicative=True))
+            self.unify(parameter, self.instantiate(offered, predicative=True))
         else:
-            self.unify(self.instantiate(offered_gen), parameter)
+            self.unify(self.instantiate(offered), parameter)
 
     def _join_branch(self, result: Type, rhs: Type) -> None:
         self.unify(result, self.instantiate(rhs))

@@ -93,11 +93,9 @@ class Kernel:
         self.budget = budget
         self.supply = NameSupply(self.PREFIX)
         self.subst: dict[UVar, Type] = {}
-        """Each unification variable's image, written only by
-        :meth:`_assign`."""
-        self._zonked: dict[int, tuple[Type, Type]] = {}
-        """``id(node) → (node, zonked node)`` for the composite nodes
-        zonked since the last write into ``subst``."""
+        """Each unification variable's image.  A write only adds a
+        variable that has no image yet: nothing is overwritten or
+        deleted."""
         self._deep = False
 
     # -- entry points -------------------------------------------------------
@@ -110,7 +108,6 @@ class Kernel:
         if self.budget is not None:
             self.budget.start()
         self.subst = {}
-        self._zonked = {}
         return self.generalize((), drive(self._infer(term, {})))
 
     def accepts(self, term: Term) -> bool:
@@ -166,7 +163,7 @@ class Kernel:
         type's parameter, a ∀-headed function type instantiating first."""
         result = yield self._infer(term.head, local)
         for argument in term.args:
-            result = self.zonk(result)
+            result = self._head(result)
             if result.__class__ is Forall:
                 result = self.instantiate(result)
             arg_type = yield self._infer(argument, local)
@@ -219,53 +216,38 @@ class Kernel:
     def _fresh_skolem(self, hint: str) -> str:
         return self.supply.fresh(hint + "_sk")
 
-    def _assign(self, variable: UVar, type_: Type) -> None:
-        """Write ``variable := type_``: the one write into the
-        substitution.  ``variable`` has no image yet (every caller binds
-        a variable it has just resolved), so nothing is overwritten or
-        deleted.  The write can change the zonk of any node that mentions
-        ``variable``, so the zonk memo is dropped."""
-        self.subst[variable] = type_
-        if self._zonked:
-            self._zonked.clear()
+    def _head(self, type_: Type) -> Type:
+        """``type_`` with its variable chain resolved: enough for a rule
+        that asks only whether a type is a ``∀``, a variable or an
+        arrow, and the parts it reads are zonked where they are used."""
+        subst = self.subst
+        while type_.__class__ is UVar:
+            bound = subst.get(type_)
+            if bound is None:
+                break
+            type_ = bound
+        return type_
 
     def zonk(self, type_: Type) -> Type:
-        """Apply the substitution exhaustively.
+        """Apply the substitution exhaustively, on an explicit stack.
 
         An empty substitution changes nothing.  Variable chains are
-        resolved inline and leaves are returned as they are.  A composite
-        node zonked since the last write is answered from the memo;
-        otherwise :meth:`_zonk_walk` rebuilds it.
+        resolved inline and leaves are returned as they are.  A node none
+        of whose children changed is returned by identity, so zonking a
+        solved type allocates nothing.
         """
         subst = self.subst
         if not subst:
             return type_
-        while type_.__class__ is UVar:
-            bound = subst.get(type_)
-            if bound is None:
-                return type_
-            type_ = bound
+        type_ = self._head(type_)
         if type_.__class__ is TCon:
             if not type_.args:
                 return type_
-        elif type_.__class__ is not Forall:
-            return type_
-        known = self._zonked.get(id(type_))
-        if known is not None:
-            return known[1]
-        zonked = self._zonk_walk(type_)
-        self._zonked[id(type_)] = (type_, zonked)
-        return zonked
-
-    def _zonk_walk(self, type_: TCon | Forall) -> Type:
-        """Zonk a composite node on an explicit stack.  A node none of
-        whose children changed is returned by identity, so zonking a
-        solved type allocates nothing."""
-        subst = self.subst
-        if type_.__class__ is TCon:
             children = iter(type_.args)
-        else:
+        elif type_.__class__ is Forall:
             children = iter((type_.body,))
+        else:
+            return type_
         # The open composite nodes above ``node``, each with its children
         # still to visit and its zonked children so far.
         stack: list[tuple[Type, Iterator[Type], list[Type]]] = []
@@ -329,7 +311,7 @@ class Kernel:
         while work:
             item = work.pop()
             if item[0] is _ESCAPE:
-                self._check_forall_escape(item[1], item[2])
+                self._check_escape(item[1], item[2])
                 continue
             left, right, depth = item
             if budget is not None:
@@ -369,7 +351,8 @@ class Kernel:
     def _match_polytypes(self, left: Forall, right: Forall, depth: int) -> list[tuple]:
         """The unification work for two quantified types: equal up to
         α-renaming, so their bodies unify one level deeper under shared
-        fresh skolems, which must not leak out afterwards."""
+        fresh skolems, which that unification must not leak into a free
+        variable of either side."""
         if alpha_equal(left, right):
             return []
         if len(left.binders) != len(right.binders):
@@ -378,37 +361,14 @@ class Kernel:
         left_map = {n: TVar(s) for n, s in zip(left.binders, shared)}
         right_map = {n: TVar(s) for n, s in zip(right.binders, shared)}
         bodies = (subst_tvars(left_map, left.body), subst_tvars(right_map, right.body))
-        return [(_ESCAPE, shared, left), (*bodies, depth + 1)]
-
-    def _check_forall_escape(self, shared: list[str], left: Forall) -> None:
-        """The shared skolems of a ``∀``/``∀`` unification must not reach
-        the image of any variable that is not free in the ``∀`` itself.
-
-        One pass over the substitution finds, for each skolem, the first
-        variable it escapes into; the first skolem in ``shared`` order
-        that escapes is reported, with that variable's image."""
-        skolems = set(shared)
-        inside = None
-        escapes: dict[str, Type] = {}
-        for variable, image in self.subst.items():
-            image = self.zonk(image)
-            reached = skolems.intersection(ftv(image))
-            if not reached:
-                continue
-            if inside is None:
-                inside = fuv(self.zonk(left))
-            if variable not in inside:
-                for skolem in reached:
-                    escapes.setdefault(skolem, image)
-        for skolem in shared:
-            if skolem in escapes:
-                raise SkolemEscapeError(skolem, escapes[skolem])
+        outer = dict.fromkeys([*fuv(left), *fuv(right)])
+        return [(_ESCAPE, shared, outer), (*bodies, depth + 1)]
 
     def _bind(self, variable: UVar, type_: Type) -> None:
         if contains_uvar(type_, variable):
             raise OccursCheckError(variable, type_)
         self.admit(variable, type_)
-        self._assign(variable, type_)
+        self.subst[variable] = type_
 
     def admit(self, variable: UVar, type_: Type) -> None:
         """Raise unless ``variable := type_`` is allowed (the occurs check
@@ -445,7 +405,7 @@ class Kernel:
                 if name not in used:
                     used.add(name)
                     names.append(name)
-                    self._assign(variable, TVar(name))
+                    self.subst[variable] = TVar(name)
                     break
         return forall(names, self.zonk(type_))
 
@@ -489,15 +449,16 @@ class Kernel:
         self.unify(self.instantiate(offered), expected_rho)
 
     def _check_escape(self, skolems: list[str], outer: Iterable[UVar]) -> None:
-        """No skolem may leak into a variable visible outside its scope;
-        the first leaking variable names its least skolem."""
+        """No skolem may leak into a variable visible outside its scope:
+        the first leaked skolem in ``skolems`` order is reported, through
+        the first variable of ``outer`` it leaks into."""
         if not skolems:
             return
-        for variable in outer:
-            image = self.zonk(variable)
-            leaked = set(skolems) & ftv(image)
-            if leaked:
-                raise SkolemEscapeError(sorted(leaked)[0], image)
+        images = [(image, ftv(image)) for image in map(self.zonk, outer)]
+        for skolem in skolems:
+            for image, names in images:
+                if skolem in names:
+                    raise SkolemEscapeError(skolem, image)
 
     # -- case ---------------------------------------------------------------
 

@@ -92,8 +92,8 @@ class QuickLookInferencer(RankNInferencer):
     binders and ``speed="lazy"`` keeps ∀-headed spine results
     uninstantiated (GHC 9's actual configuration).  Ordinary unification
     stays predicative; polytypes reach instantiation variables only
-    through quick-look commits, which write through
-    :meth:`~repro.baselines.kernel.Kernel._assign` without :meth:`admit`.
+    through quick-look commits, which write into ``subst`` without
+    :meth:`admit`.
     """
 
     PREFIX = "q"
@@ -111,7 +111,10 @@ class QuickLookInferencer(RankNInferencer):
 
     def _instantiate_spine(self, scheme: Forall, spine_vars: set[UVar]) -> Type:
         """Instantiate with *instantiation* variables the quick look may
-        commit to polytypes."""
+        commit to polytypes.  As :meth:`instantiate` does, the scheme is
+        zonked first, so the renaming reaches the images of its
+        variables."""
+        scheme = self.zonk(scheme)
         mapping = {name: self.fresh(Sort.U) for name in scheme.binders}
         spine_vars.update(mapping.values())
         return subst_tvars(mapping, scheme.body)
@@ -123,8 +126,8 @@ class QuickLookInferencer(RankNInferencer):
         invariantly and a spine's ∀-headed result may fill the enclosing
         spine's instantiation variable."""
         while True:
-            offered = self.zonk(offered)
-            expected_rho = self.zonk(expected_rho)
+            offered = self._head(offered)
+            expected_rho = self._head(expected_rho)
             if isinstance(offered, Forall) and not isinstance(expected_rho, Forall):
                 if (
                     spine_result
@@ -140,9 +143,10 @@ class QuickLookInferencer(RankNInferencer):
                     # from checking fall through `subsume` (no flag) and
                     # instantiate predicatively, keeping RankN-accepted
                     # terms at their RankN types.
+                    offered = self.zonk(offered)
                     if contains_uvar(offered, expected_rho):
                         raise OccursCheckError(expected_rho, offered)
-                    self._assign(expected_rho, offered)
+                    self.subst[expected_rho] = offered
                     return
                 offered = self.instantiate(offered)
             elif is_arrow(offered) and is_arrow(expected_rho):
@@ -221,7 +225,7 @@ class QuickLookInferencer(RankNInferencer):
         spine_vars: set[UVar] = set()
         params: list[Type] = []
         for _ in term.args:
-            current = self.zonk(current)
+            current = self._head(current)
             if isinstance(current, Forall):
                 current = self._instantiate_spine(current, spine_vars)
             if is_arrow(current):
@@ -295,7 +299,7 @@ class QuickLookInferencer(RankNInferencer):
                     continue  # ∀-headed and unguarded: no commit (like GI)
             if contains_uvar(image, variable):
                 continue
-            self._assign(variable, image)
+            self.subst[variable] = image
 
     def _guarded_vars(
         self, spine_types: list[Type], spine_vars: set[UVar]
@@ -351,9 +355,8 @@ class QuickLookInferencer(RankNInferencer):
             params: list[Type] = []
             current = fn_sigma
             for _ in args:
-                # Each zonk walks the rest of the function type.
                 self._check_deadline()
-                current = self.zonk(current)
+                current = self._head(current)
                 if isinstance(current, Forall):
                     current = self._instantiate_spine(current, spine_vars)
                 if isinstance(current, UVar):
@@ -371,11 +374,11 @@ class QuickLookInferencer(RankNInferencer):
                 elif is_arrow(current):
                     parameter, current = current.args
                 else:
-                    raise QuickLookError(f"too many arguments for `{current}`")
+                    raise QuickLookError(f"too many arguments for `{self.zonk(current)}`")
                 params.append(parameter)
         else:
             params, current, spine_vars, _ = look
-        current = self.zonk(current)
+        current = self._head(current)
         if expected is not None and isinstance(current, Forall):
             # Checking mode: the expected ρ-type takes part in the quick
             # look, so the result's own quantifiers become instantiation
@@ -391,9 +394,7 @@ class QuickLookInferencer(RankNInferencer):
             self._quick_match(current, expected, spine_vars, quicks)
         self._commit_quicks(quicks, params + [current], spine_vars)
         for argument, parameter, argument_look in zip(args, params, looks):
-            yield self._check_arg(
-                argument, self.zonk(parameter), local, argument_look
-            )
+            yield self._check_arg(argument, parameter, local, argument_look)
         current = self.zonk(current)
         if expected is not None:
             self._subsume_rho(current, expected, spine_result=True)
@@ -416,7 +417,7 @@ class QuickLookInferencer(RankNInferencer):
         local: dict[str, Type],
         look: _Looked | None = None,
     ):
-        parameter = self.zonk(parameter)
+        parameter = self._head(parameter)
         if isinstance(argument, (Var, App)) and not isinstance(parameter, Forall):
             return self._infer_app_spine(argument, local, parameter, look)
         # A polymorphic parameter skolemises first; the spine is then
@@ -425,12 +426,12 @@ class QuickLookInferencer(RankNInferencer):
 
     def _check_rho(self, term: Term, expected_rho: Type, local: dict[str, Type]):
         if isinstance(term, (Var, App)):
-            return self._infer_app_spine(term, local, expected=self.zonk(expected_rho))
+            return self._infer_app_spine(term, local, expected=expected_rho)
         return super()._check_rho(term, expected_rho, local)
 
     def _join_branch(self, result: Type, rhs: Type) -> None:
         rhs = self.zonk(rhs)
-        resolved = self.zonk(result)
+        resolved = self._head(result)
         if isinstance(rhs, Forall) and not isinstance(resolved, Forall):
             # A ∀-headed branch meeting a mono result instantiates
             # (`case … of { _ -> inc ; _ -> id }` : Int → Int).
@@ -442,7 +443,7 @@ class QuickLookInferencer(RankNInferencer):
         ):
             # The first branch with a polytype result fixes the
             # case's σ; later branches must α-agree through unify.
-            self._assign(resolved, rhs)
+            self.subst[resolved] = rhs
         else:
             self.unify(result, rhs)
 

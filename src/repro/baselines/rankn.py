@@ -77,8 +77,8 @@ class RankNInferencer(Kernel):
         """``offered ⊑ ρ``: instantiate the offered side, contravariant
         in arrow arguments and covariant in results."""
         while True:
-            offered = self.zonk(offered)
-            expected_rho = self.zonk(expected_rho)
+            offered = self._head(offered)
+            expected_rho = self._head(expected_rho)
             if isinstance(offered, Forall):
                 offered = self.instantiate(offered)
             elif is_arrow(offered) and is_arrow(expected_rho):
@@ -100,7 +100,7 @@ class RankNInferencer(Kernel):
     def _infer_app(self, term: App, local: dict[str, Type]):
         fn_rho = yield self._infer(term.head, local)
         for argument in term.args:
-            fn_rho = self.zonk(fn_rho)
+            fn_rho = self._head(fn_rho)
             if isinstance(fn_rho, Forall):
                 fn_rho = self.instantiate(fn_rho)
             if isinstance(fn_rho, UVar):
@@ -109,7 +109,7 @@ class RankNInferencer(Kernel):
             elif is_arrow(fn_rho):
                 parameter, result = fn_rho.args
             else:
-                raise RankNError(f"too many arguments for `{fn_rho}`")
+                raise RankNError(f"too many arguments for `{self.zonk(fn_rho)}`")
             yield self._check_arg(argument, parameter, local)
             fn_rho = result
         return self.zonk(fn_rho)
@@ -123,7 +123,7 @@ class RankNInferencer(Kernel):
         return self.instantiate(term.annotation)
 
     def _check_arg(self, argument: Term, parameter: Type, local: dict[str, Type]):
-        parameter = self.zonk(parameter)
+        parameter = self._head(parameter)
         if isinstance(parameter, Forall):
             # Checking mode: push the polymorphic expected type inwards.
             yield self._check_sigma(argument, parameter, local)
@@ -158,7 +158,7 @@ class RankNInferencer(Kernel):
             raise SkolemEscapeError(sorted(leaked)[0])
 
     def _check_rho(self, term: Term, expected_rho: Type, local: dict[str, Type]):
-        expected_rho = self.zonk(expected_rho)
+        expected_rho = self._head(expected_rho)
         if term.__class__ is AnnLam and is_arrow(expected_rho):
             self.subsume(expected_rho.args[0], term.annotation, local)
             binder: Type = term.annotation
@@ -178,7 +178,7 @@ class RankNInferencer(Kernel):
 
     def _join_branch(self, result: Type, rhs: Type) -> None:
         """Unify one case branch's type into the case's result."""
-        if isinstance(self.zonk(rhs), Forall):
+        if isinstance(self._head(rhs), Forall):
             rhs = self.instantiate(rhs)
         self.unify(result, rhs)
 

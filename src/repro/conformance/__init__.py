@@ -17,8 +17,8 @@ greedily shrunk (:mod:`repro.conformance.shrink`) and persisted as
 replayable ``.gi`` corpus files (:mod:`repro.conformance.corpus`) that
 ``repro batch`` and the regression suite both consume.
 
-:mod:`repro.conformance.strategies` (the hypothesis strategies promoted
-from ``tests/strategies.py``) is exported lazily: ``hypothesis`` is a
+:mod:`repro.conformance.strategies` (the hypothesis strategies the tests
+draw from) is exported lazily: ``hypothesis`` is a
 test-only dependency, and the seeded CLI generator must work without it.
 """
 

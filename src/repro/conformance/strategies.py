@@ -1,8 +1,7 @@
 """Hypothesis strategies for types and terms.
 
-Promoted from ``tests/strategies.py`` so the strategies are importable
-outside pytest (the conformance CLI and the seeded generator share the
-same name pools); the old path re-exports everything from here.
+They live in the package so they are importable outside pytest (the
+conformance CLI and the seeded generator share the same name pools).
 Requires ``hypothesis`` — the seeded CLI generator in
 :mod:`repro.conformance.generator` deliberately does not, so this module
 is imported lazily by the package.

@@ -133,9 +133,11 @@ def test_backend_outcomes_match_golden():
     assert not changed, {key: (expected[key], actual[key]) for key in changed[:5]}
 
 
-#: ``digest(42, 500)`` as recorded in EXPERIMENTS.md §22 (§19 before the
-#: Quick Look reuse renumbered fresh variables in its messages).
+#: ``digest(42, 500)`` and ``digest(7, 500)`` as recorded in
+#: EXPERIMENTS.md §22 (§19 before the Quick Look reuse renumbered fresh
+#: variables in its messages).
 DIGEST_42_500 = "7366cd7ec0add9a44a3e390a786d2536d6953717b379517cf080916b4eb5e58a"
+DIGEST_7_500 = "c142a656d7c05cc3d6c704579ca31dc8059113013ec57acb968c141001a3d20b"
 
 
 def test_digest_of_seed_42_matches_the_recorded_value():
@@ -147,6 +149,11 @@ def test_digest_of_seed_42_matches_the_recorded_value():
     then update :data:`DIGEST_42_500` and EXPERIMENTS.md §19 together and
     name the change in CHANGES.md."""
     assert digest(42, 500) == DIGEST_42_500
+
+
+def test_digest_of_seed_7_matches_the_recorded_value():
+    """The same check on fuzz seed 7, for :data:`DIGEST_7_500`."""
+    assert digest(7, 500) == DIGEST_7_500
 
 
 def test_walk_rows_reach_every_shared_rule():

@@ -21,7 +21,7 @@ from repro.core.types import alpha_equal, rename_canonical
 from repro.syntax import parse_term, parse_type
 from repro.evalsuite.figure2 import FIGURE2, figure2_env
 
-from tests.strategies import hm_terms
+from repro.conformance.strategies import hm_terms
 
 ENV = figure2_env()
 

@@ -27,7 +27,7 @@ from repro.core.errors import ParseError
 from repro.syntax import parse_term, parse_type, pretty_term, pretty_type, tokenize
 
 from tests import frontend_oracle as oracle
-from tests.strategies import hm_terms, polytypes
+from repro.conformance.strategies import hm_terms, polytypes
 
 #: Token texts, blanks, comments, unterminated quotes and non-ASCII text.
 ALPHABET = [

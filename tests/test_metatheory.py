@@ -43,7 +43,7 @@ from repro.core.types import (
 from repro.syntax import parse_term, parse_type
 from repro.evalsuite.figure2 import FIGURE2, figure2_env
 
-from tests.strategies import hm_terms
+from repro.conformance.strategies import hm_terms
 
 ENV = figure2_env()
 RELAXED = settings(

@@ -19,7 +19,7 @@ from repro.core.types import (
 )
 from repro.syntax import parse_term, parse_type, pretty_term, pretty_type, tokenize
 
-from tests.strategies import hm_terms, polytypes
+from repro.conformance.strategies import hm_terms, polytypes
 
 
 class TestLexer:

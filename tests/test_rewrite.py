@@ -29,7 +29,7 @@ from repro.evalsuite.figure2 import figure2_env
 from repro.evalsuite.workloads import application_chain
 from repro.syntax import parse_term
 
-from tests.strategies import monotypes
+from repro.conformance.strategies import monotypes
 
 RELAXED = settings(
     max_examples=60, suppress_health_check=[HealthCheck.filter_too_much], deadline=None

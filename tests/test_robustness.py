@@ -30,7 +30,7 @@ from repro.syntax import parse_term, parse_type, pretty_term
 from repro.systemf import elaborate_result, typecheck
 from repro.evalsuite.figure2 import figure2_env
 
-from tests.strategies import polytypes
+from repro.conformance.strategies import polytypes
 
 ENV = figure2_env()
 RELAXED = settings(

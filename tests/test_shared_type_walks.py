@@ -30,7 +30,7 @@ from repro.core.types import (
     tuple_of,
 )
 
-from tests.strategies import monotypes, polytypes
+from repro.conformance.strategies import monotypes, polytypes
 
 
 def recursive_render_type(type_: Type, precedence: int = 0) -> str:
@@ -112,7 +112,7 @@ def shared_types(draw) -> Type:
     """A type built bottom-up from a pool in which every new node picks its
     children among the earlier ones, so subtrees are shared, ``Forall``
     and qualified nodes included.  The pool starts from leaves and from
-    the mono- and polytypes of ``tests/strategies.py``."""
+    the mono- and polytypes of ``repro.conformance.strategies``."""
     pool: list[Type] = list(_LEAVES)
     pool.extend(draw(st.lists(st.one_of(monotypes(), polytypes()), max_size=3)))
     pick = st.sampled_from(pool)

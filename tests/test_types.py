@@ -35,7 +35,7 @@ from repro.core.types import (
     type_size,
 )
 
-from tests.strategies import monotypes, polytypes
+from repro.conformance.strategies import monotypes, polytypes
 
 A, B, C = TVar("a"), TVar("b"), TVar("c")
 ID = forall(["a"], fun(A, A))

@@ -33,7 +33,7 @@ from repro.core.types import (
 )
 from repro.core.unify import Unifier
 
-from tests.strategies import monotypes, polytypes
+from repro.conformance.strategies import monotypes, polytypes
 
 A, B = TVar("a"), TVar("b")
 ID = forall(["a"], fun(A, A))
